@@ -19,16 +19,17 @@ from scipy.special import gamma as _gamma
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _cover_power,
+    _forcing_payload,
+    _reduced_jet,
     critical_data,
     turning_points,
 )
 
 __all__ = [
     "PathSpec",
-    "ActionResult",
     "PathFrame",
     "path_from_complex",
-    "action_integral",
     "wkb_phase",
     "wkb_phase_derivative",
     "reduced_wkb_integral",
@@ -36,14 +37,25 @@ __all__ = [
     "asymptotic_reference",
 ]
 
-_GAUSS8_NODES = (
+_GAUSS8_NODES = np.array((
     -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
     0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
-)
-_GAUSS8_WEIGHTS = (
+))
+_GAUSS8_WEIGHTS = np.array((
     0.1012285362903763, 0.2223810344533745, 0.3137066458778873, 0.3626837833783620,
     0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763,
-)
+))
+
+
+def _gauss8_increments(f, t: np.ndarray) -> np.ndarray:
+    """Integrals of f over the intervals [t_k, t_(k+1)], by 8-point Gauss.
+
+    f is evaluated once, on the array of all nodes (one row per interval).
+    """
+    half = 0.5 * np.diff(t)
+    mid = 0.5 * (t[1:] + t[:-1])
+    vals = f(mid[:, None] + half[:, None] * _GAUSS8_NODES)
+    return (vals * _GAUSS8_WEIGHTS).sum(axis=1) * half
 
 
 def _quiet_quad(f, a, b, **kw):
@@ -108,13 +120,6 @@ def _dist_to_origin(za: complex, zb: complex) -> float:
     return abs(za + t * d)
 
 
-@dataclass(frozen=True)
-class ActionResult:
-    value: complex
-    segment_values: tuple[complex, ...]
-    quadrature_error_estimate: float
-
-
 def path_from_complex(points, kinds=None, sqrt_v_branch: str = "principal", near_arg: float = 0.0) -> PathSpec:
     """Build a PathSpec from plain complex points, lifting arguments continuously."""
     nodes = []
@@ -147,20 +152,19 @@ class _Segment:
         self.dz = self.zb - self.za
         self.dphi = b.arg - a.arg
 
-    def point(self, t: float) -> tuple[complex, float, complex]:
-        """Return (x, arg(x) on the cover, dx/dt)."""
+    def point(self, t):
+        """Return (x, arg(x) on the cover, dx/dt); t may be a float or an array."""
         if self.kind == "line":
             z = self.za + t * self.dz
-            arg = self.a.arg + cmath.phase(z / self.za)
-            return z, arg, self.dz
+            return z, self.a.arg + np.angle(z / self.za), self.dz
         if self.kind == "arc":
             arg = self.a.arg + t * self.dphi
-            z = cmath.rect(self.a.modulus, arg)
+            z = self.a.modulus * np.exp(1j * arg)
             return z, arg, 1j * self.dphi * z
-        # ray
+        # ray: the argument is constant, broadcast to the shape of t
         m = self.a.modulus + t * (self.b.modulus - self.a.modulus)
         e = cmath.rect(1.0, self.a.arg)
-        return m * e, self.a.arg, (self.b.modulus - self.a.modulus) * e
+        return m * e, self.a.arg + 0.0 * t, (self.b.modulus - self.a.modulus) * e
 
 
 class PathFrame:
@@ -169,47 +173,41 @@ class PathFrame:
     The square-root branch is fixed at the start node and continued by scouting
     each segment on a fine grid: a sign flip relative to the principal branch
     happens exactly where V crosses the negative real axis, and each crossing
-    is located by bisection so that sign lookups stay O(1).
+    is located by bisection.  The segment parameter t of every evaluator may
+    be a float or an array.
     """
 
     def __init__(self, params: OscillatorParams, path: PathSpec, scout: int = 129):
         self.params = params
         self.path = path
         self.segments = [_Segment(k, a, b) for k, a, b in zip(path.parameterization, path.nodes, path.nodes[1:])]
-        self._signs: list[tuple[list[float], list[float]]] = []
+        self._signs: list[tuple[np.ndarray, np.ndarray]] = []
         sign = 1.0 if path.sqrt_v_branch == "principal" else -1.0
-        for seg in self.segments:
+        ts = np.linspace(0.0, 1.0, scout)
+        for i in range(len(self.segments)):
+            roots = np.sqrt(self.derivative_triple(i, ts)[2]).tolist()
             flips: list[float] = []
             signs = [sign]
-            prev = sign * cmath.sqrt(self._v_seg(seg, 0.0))
-            t_prev = 0.0
-            for i in range(1, scout):
-                t = i / (scout - 1)
-                root = cmath.sqrt(self._v_seg(seg, t))
+            prev = sign * roots[0]
+            for k in range(1, scout):
+                root = roots[k]
                 # continue the branch: pick the root nearer the previous value
                 cur = root if abs(root - prev) <= abs(root + prev) else -root
                 s = 1.0 if cur == root else -1.0
                 if s != signs[-1]:
-                    flips.append(self._locate_flip(seg, t_prev, t, prev, signs[-1]))
+                    flips.append(self._locate_flip(i, ts[k - 1], ts[k], prev, signs[-1]))
                     signs.append(s)
-                prev, t_prev = cur, t
+                prev = cur
             sign = signs[-1]
-            self._signs.append((flips, signs))
+            self._signs.append((np.array(flips), np.array(signs)))
         self.end_sign = sign
 
-    def _v_seg(self, seg: _Segment, t: float) -> complex:
-        z, arg, _ = seg.point(t)
-        p = self.params
-        lam = p.lam
-        xa = cmath.exp(2.0 * p.alpha * (math.log(abs(z)) + 1j * arg))
-        return xa - p.energy + (lam * lam) / (z * z)
-
-    def _locate_flip(self, seg: _Segment, t0: float, t1: float,
+    def _locate_flip(self, i_seg: int, t0: float, t1: float,
                      left_val: complex, left_sign: float) -> float:
         # refine the branch-flip location with the same nearest-root continuation
         for _ in range(48):
             tm = 0.5 * (t0 + t1)
-            root = cmath.sqrt(self._v_seg(seg, tm))
+            root = cmath.sqrt(self.derivative_triple(i_seg, tm)[2])
             cur = root if abs(root - left_val) <= abs(root + left_val) else -root
             if (1.0 if cur == root else -1.0) == left_sign:
                 t0, left_val = tm, cur
@@ -217,79 +215,38 @@ class PathFrame:
                 t1 = tm
         return 0.5 * (t0 + t1)
 
-    def _sign_at(self, i_seg: int, t: float) -> float:
+    def _sign_at(self, i_seg: int, t):
+        # the sign after the k-th flip holds for t > flip_k
         flips, signs = self._signs[i_seg]
-        k = 0
-        for tf in flips:
-            if t > tf:
-                k += 1
-            else:
-                break
-        return signs[k]
+        return signs[np.searchsorted(flips, t)]
 
-    def point(self, i_seg: int, t: float) -> tuple[complex, float, complex]:
+    def point(self, i_seg: int, t):
         return self.segments[i_seg].point(t)
 
-    def reduced(self, i_seg: int, t: float) -> complex:
-        return self._v_seg(self.segments[i_seg], t)
-
-    def sqrt_v(self, i_seg: int, t: float) -> complex:
-        return self._sign_at(i_seg, t) * cmath.sqrt(self._v_seg(self.segments[i_seg], t))
-
-    def derivative_triple(self, i_seg: int, t: float) -> tuple[complex, complex, complex, complex, complex]:
+    def derivative_triple(self, i_seg: int, t):
         """(x, dx/dt, V, V', V'') with the path-consistent power branch."""
         z, arg, dz = self.segments[i_seg].point(t)
-        p = self.params
-        a = p.alpha
-        lam2 = p.lam * p.lam
-        xa = cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
-        v = xa - p.energy + lam2 / (z * z)
-        v1 = 2.0 * a * xa / z - 2.0 * lam2 / (z * z * z)
-        v2 = 2.0 * a * (2.0 * a - 1.0) * xa / (z * z) + 6.0 * lam2 / (z ** 4)
+        v, v1, v2 = _reduced_jet(self.params, z, _cover_power(2.0 * self.params.alpha, z, arg))
         return z, dz, v, v1, v2
 
-    def forcing(self, i_seg: int, t: float) -> complex:
+    def reduced(self, i_seg: int, t):
+        return self.derivative_triple(i_seg, t)[2]
+
+    def sqrt_v(self, i_seg: int, t):
+        return self._sign_at(i_seg, t) * np.sqrt(self.derivative_triple(i_seg, t)[2])
+
+    def forcing(self, i_seg: int, t):
         """Signed forcing density F(x(t)) using the continued branch of sqrt(V)."""
         z, _, v, v1, v2 = self.derivative_triple(i_seg, t)
-        payload = 0.25 / (z * z) + (5.0 * v1 * v1 - 4.0 * v2 * v) / (16.0 * v * v)
-        return payload / self.sqrt_v(i_seg, t)
+        return _forcing_payload(z, v, v1, v2) / (self._sign_at(i_seg, t) * np.sqrt(v))
 
     def cumulative_s(self, i_seg: int, ts: np.ndarray) -> np.ndarray:
         """S(t_k) = int_0^{t_k} sqrt(V) dx on one segment, by per-interval Gauss."""
-        out = np.empty(len(ts), dtype=complex)
-        acc = 0.0 + 0.0j
-        prev = ts[0]
-        out[0] = 0.0
-        for k in range(1, len(ts)):
-            t0, t1 = prev, ts[k]
-            half = 0.5 * (t1 - t0)
-            mid = 0.5 * (t1 + t0)
-            s = 0.0 + 0.0j
-            for xg, wg in zip(_GAUSS8_NODES, _GAUSS8_WEIGHTS):
-                tt = mid + half * xg
-                z, _, dz = self.segments[i_seg].point(tt)
-                s += wg * self.sqrt_v(i_seg, tt) * dz
-            acc += s * half
-            out[k] = acc
-            prev = t1
+        def integrand(t):
+            return self.sqrt_v(i_seg, t) * self.point(i_seg, t)[2]
+        out = np.zeros(len(ts), dtype=complex)
+        out[1:] = np.cumsum(_gauss8_increments(integrand, np.asarray(ts, dtype=float)))
         return out
-
-
-def action_integral(params: OscillatorParams, path: PathSpec,
-                    abs_tol: float = 1e-10, rel_tol: float = 1e-10) -> ActionResult:
-    """Integral of the continued sqrt(V) dx along the path."""
-    frame = PathFrame(params, path)
-    seg_vals = []
-    err = 0.0
-    for i in range(path.n_segments):
-        def f(t, i=i):
-            z, _, dz = frame.point(i, t)
-            w = frame.sqrt_v(i, t) * dz
-            return np.array([w.real, w.imag])
-        val, e = _sint.quad_vec(f, 0.0, 1.0, epsabs=abs_tol, epsrel=rel_tol)
-        seg_vals.append(complex(val[0], val[1]))
-        err += e
-    return ActionResult(sum(seg_vals), tuple(seg_vals), err)
 
 
 def _classical_interval(params: OscillatorParams) -> tuple[float, float]:

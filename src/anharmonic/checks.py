@@ -217,37 +217,36 @@ def committed_curves() -> list[tuple[str, OscillatorParams, PathSpec]]:
 
 
 def measured_wkb_deviation(params: OscillatorParams, path: PathSpec,
-                           n_per_seg: int | None = None,
                            rtol: float = 1e-11) -> float:
     """max |psi/Psi^W - 1| along the path, psi integrated from WKB seed data.
 
     The seed (value and log-derivative of V^{-1/4} e^S at the start node) fixes
     the solution whose ratio to the WKB function is certified by the error
     functionals; integration runs toward dominance, so the measurement is
-    stable against seeding error.
+    stable against seeding error.  psi is compared on max(4, 400 // segments)
+    steps per segment.
     """
     frame = PathFrame(params, path)
-    if n_per_seg is None:
-        n_per_seg = max(4, 400 // max(1, path.n_segments))
-    z0, arg0, _ = frame.point(0, 0.0)
-    _, _, v0, v10, _ = frame.derivative_triple(0, 0.0)
+    steps = max(4, 400 // max(1, path.n_segments))
+    ts = np.linspace(0.0, 1.0, steps + 1)
+    z0, _, v0, v10, _ = frame.derivative_triple(0, 0.0)
     b0 = frame.sqrt_v(0, 0.0)
-    w_prev = v0 ** -0.25
-    state = SolutionState(CoverPoint(abs(z0), arg0), w_prev,
-                          (b0 - v10 / (4.0 * v0)) * w_prev, 0.0, "wkb-seed")
+    w_prev = complex(v0 ** -0.25)
+    # the transported state stays on Python scalars: the RK stepper is slow on numpy ones
+    state = SolutionState(path.nodes[0], w_prev,
+                          complex((b0 - v10 / (4.0 * v0)) * w_prev), 0.0, "wkb-seed")
     max_dev = 0.0
     s_off = 0.0 + 0.0j
     for i, seg in enumerate(frame.segments):
-        ts = np.linspace(0.0, 1.0, n_per_seg + 1)
         svals = frame.cumulative_s(i, ts)
+        zs, args, _ = seg.point(ts)
+        nodes = [CoverPoint(float(abs(z)), float(a)) for z, a in zip(zs, args)]
+        wvals = frame.reduced(i, ts) ** -0.25
         for k in range(1, len(ts)):
-            za, aa, _ = seg.point(float(ts[k - 1]))
-            zb, ab, _ = seg.point(float(ts[k]))
-            sub = PathSpec((CoverPoint(abs(za), aa), CoverPoint(abs(zb), ab)),
-                           (seg.kind,), path.sqrt_v_branch)
+            sub = PathSpec((nodes[k - 1], nodes[k]), (seg.kind,), path.sqrt_v_branch)
             state = propagate(params, state, sub, rtol=rtol)
-            w = frame.reduced(i, float(ts[k])) ** -0.25
             # continue the quarter root by picking the nearest unit rotation
+            w = complex(wvals[k])
             w = min((w, 1j * w, -w, -1j * w), key=lambda c: abs(c - w_prev))
             w_prev = w
             psiw = w * cmath.exp(s_off + svals[k])

@@ -23,10 +23,11 @@ from .action import PathSpec, PathFrame, path_from_complex
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _reduced_jet,
     critical_data,
     turning_points,
 )
-from .volterra import error_functionals
+from .volterra import _frame_grid, _grid_functionals
 
 __all__ = [
     "Termination",
@@ -124,13 +125,10 @@ def _potential_pair(params: OscillatorParams, v_mode: str, pole_coupling):
     """
     a = params.alpha
     if v_mode == "full":
-        e = params.energy
-        lam2 = params.lam * params.lam
 
         def vv(z: complex, arg: float):
             xa = cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
-            v = xa - e + lam2 / (z * z)
-            v1 = 2.0 * a * xa / z - 2.0 * lam2 / (z * z * z)
+            v, v1, _ = _reduced_jet(params, z, xa)
             return v, v1
 
         return vv
@@ -247,7 +245,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             root = _match_sqrt(vz, ref)
             return phase / root, root
 
-        k1, r1 = rhs(z, arg, sq)
+        r1 = _match_sqrt(v, sq)  # V at z is known from the step bound
+        k1 = phase / r1
         z2 = z + 0.5 * dtau * k1
         k2, r2 = rhs(z2, arg + cmath.phase(z2 / z), r1)
         z3 = z + 0.5 * dtau * k2
@@ -412,15 +411,8 @@ def _fan_directions(params: OscillatorParams, tp: CoverPoint, beta: int,
     arg a0 / 2 + (beta + 2)/2 * phi = theta mod pi, giving beta + 2 rays
     phi_m = (2 m pi + 2 theta - arg a0) / (beta + 2).
     """
-    a = params.alpha
-    z = tp.to_complex()
-    xa = cmath.exp(2.0 * a * (math.log(tp.modulus) + 1j * tp.arg))
-    lam2 = params.lam * params.lam
-    if beta == 1:
-        a0 = 2.0 * a * xa / z - 2.0 * lam2 / (z * z * z)
-    else:
-        v2 = 2.0 * a * (2.0 * a - 1.0) * xa / (z * z) + 6.0 * lam2 / (z ** 4)
-        a0 = v2 / 2.0
+    _, v1, v2 = _reduced_jet(params, tp.to_complex(), tp.cpow(2.0 * params.alpha))
+    a0 = v1 if beta == 1 else v2 / 2.0
     base = cmath.phase(a0)
     return [(2.0 * m * math.pi + 2.0 * theta - base) / (beta + 2.0)
             for m in range(beta + 2)]
@@ -573,27 +565,22 @@ def check_admissible(params: OscillatorParams, path: PathSpec,
                      n: int = 1025) -> AdmissibilityReport:
     """Certify a candidate path: monotone Re S plus (rho, beta) functionals.
 
-    Monotonicity is judged against the path's own scale: the threshold is a
-    fixed fraction of the mean |dS| per grid interval, so a path where Re S
-    merely stalls (sqrt(V) locally imaginary) is rejected.
+    n is the total number of grid points along the path, split evenly over
+    its segments; the one grid serves the monotonicity test and beta, while
+    rho comes from adaptive quadrature.  Monotonicity is judged against the
+    path's own scale: the threshold is a fixed fraction of the mean |dS| per
+    grid interval, so a path where Re S merely stalls (sqrt(V) locally
+    imaginary) is rejected.
     """
     frame = PathFrame(params, path)
-    re_all: list[np.ndarray] = []
-    offset = 0.0 + 0.0j
-    total_len = 0.0
-    per = max(8, n // max(1, len(frame.segments)))
-    for i in range(len(frame.segments)):
-        ts = np.linspace(0.0, 1.0, per)
-        s = frame.cumulative_s(i, ts) + offset
-        offset = s[-1]
-        # each segment starts where the previous one ended: drop the duplicate
-        re_all.append(s.real if i == 0 else s.real[1:])
-        total_len += float(np.sum(np.abs(np.diff(s))))
-    re = np.concatenate(re_all)
+    ts, svals, fvals = _frame_grid(frame, n)
+    # each segment starts where the previous one ended: drop the duplicate
+    re = svals.real[np.concatenate(([True], np.diff(ts) > 0.0))]
+    total_len = float(np.sum(np.abs(np.diff(svals))))
     d = np.diff(re)
     tol = 1e-9 * (total_len / max(1, len(d)) + 1e-300)
     monotone = bool(np.all(d > tol) or np.all(d < -tol))
-    ef = error_functionals(params, path, n=n)
+    ef = _grid_functionals(frame, ts, svals, fvals)
     return AdmissibilityReport(monotone=monotone, rho=ef.rho, beta=ef.beta, bound=ef.bound)
 
 

@@ -21,10 +21,13 @@ from scipy import integrate as _sint
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _cover_power,
+    _forcing_payload,
+    _reduced_jet,
     critical_data,
     turning_points,
 )
-from .action import PathSpec, _Segment
+from .action import PathSpec, _Segment, _gauss8_increments
 from .volterra import iterate_grid, endpoint_slope_integral
 
 __all__ = [
@@ -372,17 +375,16 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
 # ---------------------------------------------------------------------------
 # asymptotic (Sibuya) seeds on sector rays
 
-def _ray_v(params: OscillatorParams, arg: float, r: float) -> tuple[complex, complex, complex, complex]:
-    """(x, V, V', sqrtV) on the ray, branch anchored to sqrt(V) ~ +x^alpha."""
-    a = params.alpha
-    lam2 = params.lam * params.lam
-    pt = CoverPoint(r, arg)
-    z = pt.to_complex()
-    xa = pt.cpow(2.0 * a)
-    v = xa - params.energy + lam2 / (z * z)
-    v1 = 2.0 * a * xa / z - 2.0 * lam2 / (z ** 3)
-    sq = pt.cpow(a) * cmath.sqrt(v / xa)
-    return z, v, v1, sq
+def _ray_v(params: OscillatorParams, arg: float, r):
+    """(x, V, V', V'', sqrtV) at moduli r on the ray, sqrt(V) ~ +x^alpha.
+
+    r may be a float or an array; the values are numpy scalars or arrays.
+    """
+    z = r * cmath.rect(1.0, arg)
+    xa = _cover_power(2.0 * params.alpha, r, arg)
+    v, v1, v2 = _reduced_jet(params, z, xa)
+    sq = _cover_power(params.alpha, r, arg) * np.sqrt(v / xa)
+    return z, v, v1, v2, sq
 
 
 def _sqrtv_minus_rprime(params: OscillatorParams, arg: float, y: float) -> complex:
@@ -446,29 +448,16 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: floa
     """
     us = np.linspace(0.0, 1.0, n_grid)
     phase = cmath.rect(1.0, arg)
-    dels = np.empty(n_grid - 1, dtype=complex)
-    fvals = np.empty(n_grid, dtype=complex)
-    fvals[0] = 0.0
+
+    def ds(u):
+        return sgn * _ray_v(params, arg, x_max / u)[4] * (-x_max / (u * u)) * phase
     # per-interval phase increments by Gauss quadrature; the first interval
     # reaches toward infinity, where exp(-2 dS) underflows harmlessly inside
     # the kernel, so its (finite but enormous) value never needs precision
-    from .action import _GAUSS8_NODES, _GAUSS8_WEIGHTS
-    for j in range(1, n_grid):
-        u0, u1 = us[j - 1], us[j]
-        half, mid = 0.5 * (u1 - u0), 0.5 * (u1 + u0)
-        s = 0.0 + 0.0j
-        for xg, wg in zip(_GAUSS8_NODES, _GAUSS8_WEIGHTS):
-            uu = mid + half * xg
-            y = x_max / uu
-            _, _, _, sq = _ray_v(params, arg, y)
-            s += wg * (sgn * sq) * (-x_max / (uu * uu)) * phase
-        dels[j - 1] = s * half
-        y = x_max / u1
-        z, v, v1, sq = _ray_v(params, arg, y)
-        v2 = 2.0 * params.alpha * (2.0 * params.alpha - 1.0) * (sq * sq + params.energy
-            - (params.lam / z) ** 2) / (z * z) + 6.0 * params.lam ** 2 / z ** 4
-        payload = 0.25 / (z * z) + (5.0 * v1 * v1 - 4.0 * v2 * v) / (16.0 * v * v)
-        fvals[j] = (payload / (sgn * sq)) * (-x_max / (u1 * u1)) * phase
+    dels = _gauss8_increments(ds, us)
+    x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
+    fvals = np.zeros(n_grid, dtype=complex)
+    fvals[1:] = (_forcing_payload(x, v, v1, v2) / (sgn * sq)) * (-x_max / (us[1:] ** 2)) * phase
     # anchor cumulative S at the x_max end: only differences enter the kernel,
     # and anchoring there keeps them accurate where exp(-2 dS) is of size one
     svals = np.empty(n_grid, dtype=complex)
@@ -477,8 +466,7 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: floa
     z, iters = iterate_grid(svals, fvals, us)
     rho_tail = float(np.trapezoid(np.abs(fvals), us))
     slope = endpoint_slope_integral(svals, fvals, z, us)
-    _, _, _, sq = _ray_v(params, arg, x_max)
-    zp_over_z = -(sgn * sq) * slope / z[-1]
+    zp_over_z = -(sgn * sq[-1]) * slope / z[-1]
     return complex(z[-1]), zp_over_z, rho_tail
 
 
@@ -498,7 +486,8 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     pt = CoverPoint(x_max, arg)
     exp_ = r_expansion(a, params.energy)
     rr = big_R(exp_, pt)
-    z, v, v1, sq = _ray_v(params, arg, x_max)
+    # Python scalars from here on: the RK stepper is slow on numpy ones
+    z, v, v1, _, sq = (complex(q) for q in _ray_v(params, arg, x_max))
     if refine:
         tval = _tail_t_integral(params, arg, x_max)
         w = sgn * (rr - tval)
@@ -520,12 +509,13 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
 def choose_x_max(params: OscillatorParams, delta_r_budget: float | None = None) -> float:
     """Seed radius for sector rays: spec default, optionally clamped by contrast.
 
-    The default max(20, 3 x_plus) keeps the asymptotic remainder small.  For
-    eigenvalue scans, and for r_zero whose refined seeds stay accurate at a
-    small radius, the relevant criterion is the real-axis contrast
-    Re R(x_max) - Re R(x_plus): once it exceeds delta_r_budget the admixture
-    of the recessive solution into the propagated dominant one is below
-    e^(-2*budget), so a much smaller radius is safe and far cheaper.
+    The default max(20, 3 x_plus) keeps the asymptotic remainder small.  The
+    spectral quantities (determinant, sector Wronskians, Stokes multipliers,
+    cross ratios, R0) pass a budget instead, since their refined seeds stay
+    accurate at a small radius and the relevant criterion is the real-axis
+    contrast Re R(x_max) - Re R(x_plus): once it exceeds delta_r_budget the
+    admixture of the recessive solution into the propagated dominant one is
+    below e^(-2*budget), so a much smaller radius is safe and far cheaper.
     """
     tp = turning_points(params)
     crit = critical_data(params.alpha, params.ell)

@@ -142,22 +142,7 @@ def eval_potential(params: OscillatorParams, x) -> complex:
 def eval_reduced(params: OscillatorParams, x) -> complex:
     """Reduced potential V = U + 1/(4x^2) = x^(2a) - E + (ell+1/2)^2/x^2."""
     p = _as_cover(x)
-    z = p.to_complex()
-    lam = params.lam
-    return p.cpow(2.0 * params.alpha) - params.energy + (lam * lam) / (z * z)
-
-
-def reduced_derivatives(params: OscillatorParams, x) -> tuple[complex, complex, complex]:
-    """(V, V', V'') at a cover point, with cover-consistent branches."""
-    p = _as_cover(x)
-    z = p.to_complex()
-    a = params.alpha
-    lam2 = params.lam * params.lam
-    xa = p.cpow(2.0 * a)
-    v = xa - params.energy + lam2 / (z * z)
-    v1 = 2.0 * a * xa / z - 2.0 * lam2 / (z * z * z)
-    v2 = 2.0 * a * (2.0 * a - 1.0) * xa / (z * z) + 6.0 * lam2 / (z * z * z * z)
-    return v, v1, v2
+    return _reduced_jet(params, p.to_complex(), p.cpow(2.0 * params.alpha))[0]
 
 
 def eval_forcing(params: OscillatorParams, x, sqrt_v: complex | None = None) -> complex:
@@ -171,11 +156,41 @@ def eval_forcing(params: OscillatorParams, x, sqrt_v: complex | None = None) -> 
     """
     p = _as_cover(x)
     z = p.to_complex()
-    v, v1, v2 = reduced_derivatives(params, p)
-    payload = 0.25 / (z * z) + (5.0 * v1 * v1 - 4.0 * v2 * v) / (16.0 * v * v)
+    v, v1, v2 = _reduced_jet(params, z, p.cpow(2.0 * params.alpha))
     if sqrt_v is None:
         sqrt_v = cmath.sqrt(v)
-    return payload / sqrt_v
+    return _forcing_payload(z, v, v1, v2) / sqrt_v
+
+
+def _cover_power(s: float, z, arg):
+    """z**s on the cover, the branch fixed by the continuous argument arg.
+
+    Takes numpy arrays (or scalars, returned as numpy scalars); scalar loops
+    that must stay on Python numbers use CoverPoint.cpow instead.
+    """
+    return np.exp(s * (np.log(np.abs(z)) + 1j * arg))
+
+
+def _reduced_jet(params: OscillatorParams, z, xpow):
+    """(V, V', V'') at x = z, given the cover power xpow = x^(2a).
+
+    The one place the reduced potential and its derivatives are written out.
+    Plain arithmetic, so z and xpow may be Python complex scalars or numpy
+    arrays alike.
+    """
+    a2 = 2.0 * params.alpha
+    lam = params.lam
+    lam2 = lam * lam
+    z2 = z * z
+    v = xpow - params.energy + lam2 / z2
+    v1 = a2 * xpow / z - 2.0 * lam2 / (z2 * z)
+    v2 = a2 * (a2 - 1.0) * xpow / z2 + 6.0 * lam2 / (z2 * z2)
+    return v, v1, v2
+
+
+def _forcing_payload(z, v, v1, v2):
+    """sqrt(V) * F = 1/(4x^2) + (5 V'^2 - 4 V'' V) / (16 V^2); scalars or arrays."""
+    return 0.25 / (z * z) + (5.0 * v1 * v1 - 4.0 * v2 * v) / (16.0 * v * v)
 
 
 def critical_data(alpha: float, ell: float) -> CriticalData:

@@ -59,8 +59,8 @@ __all__ = [
     "semiclassical_r_zero",
 ]
 
-# Real-axis contrast Re R(x_max) - Re R(x_plus) at which sector seeds are
-# placed by the eigenvalue scan and by r_zero (see choose_x_max).
+# Real-axis contrast Re R(x_max) - Re R(x_plus) at which every sector seed
+# here is placed by default (see choose_x_max).
 _CONTRAST_BUDGET = 40.0
 
 
@@ -77,6 +77,8 @@ class DeterminantValue:
 
     @property
     def log_abs(self) -> float:
+        if self.mantissa == 0:
+            return -math.inf
         return math.log(abs(self.mantissa)) + self.logscale
 
 
@@ -155,8 +157,7 @@ def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
 
 def spectral_determinant(params: OscillatorParams, x_match: float | None = None,
                          x_max: float | None = None, refine: bool = True,
-                         tail_n: int = 801, rtol: float = 1e-10,
-                         x_max_budget: float | None = None) -> DeterminantValue:
+                         tail_n: int = 801, rtol: float = 1e-10) -> DeterminantValue:
     """Q(E) = Wr[chi, psi_0], zero exactly at the eigenvalues.
 
     chi is carried outward from the origin series, psi_0 inward from its ray
@@ -166,7 +167,7 @@ def spectral_determinant(params: OscillatorParams, x_match: float | None = None,
     if x_match is None:
         x_match, _ = _geometry(params)
     if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=x_max_budget)
+        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     if x_max <= x_match:
         x_max = 1.5 * x_match
     chi = _chi_state(params, x_match, rtol)
@@ -195,8 +196,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
 
     def q_at(energy: float) -> DeterminantValue:
         p = OscillatorParams(alpha, energy, ell)
-        return spectral_determinant(p, refine=False, rtol=ode_rtol,
-                                    x_max_budget=_CONTRAST_BUDGET)
+        return spectral_determinant(p, refine=False, rtol=ode_rtol)
 
     def spacing(energy: float) -> float:
         p = OscillatorParams(alpha, energy, ell)
@@ -293,7 +293,7 @@ def sector_wronskian(params: OscillatorParams, j: int, k: int,
                      tail_n: int = 801, rtol: float = 1e-10) -> tuple[complex, float]:
     """Wr[psi_j, psi_k] as (mantissa, logscale), met on the bisecting ray."""
     if x_max is None:
-        x_max = choose_x_max(params)
+        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     meet_arg = 0.5 * (j + k) * math.pi / (params.alpha + 1.0)
     meet = CoverPoint(_meet_modulus(params), meet_arg)
     sj = _psi_state(params, j, meet, x_max, refine, tail_n, rtol)
@@ -306,7 +306,7 @@ def stokes_multiplier(params: OscillatorParams, k: int = 0,
                       tail_n: int = 801, rtol: float = 1e-10) -> complex:
     """sigma_k from the three seeds meeting on the sector-k ray."""
     if x_max is None:
-        x_max = choose_x_max(params)
+        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     meet = CoverPoint(_meet_modulus(params), k * math.pi / (params.alpha + 1.0))
     sm = _psi_state(params, k - 1, meet, x_max, refine, tail_n, rtol)
     s0 = _psi_state(params, k, meet, x_max, refine, tail_n, rtol)
@@ -328,7 +328,7 @@ def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int],
     if len({a, b, c, d}) != 4:
         raise ValueError("the four sector labels must be distinct")
     if x_max is None:
-        x_max = choose_x_max(params)
+        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     meet_arg = (a + b + c + d) / 4.0 * math.pi / (params.alpha + 1.0)
     meet = CoverPoint(_meet_modulus(params), meet_arg)
     states = {k: _psi_state(params, k, meet, x_max, refine, tail_n, rtol)
@@ -350,10 +350,7 @@ def r_zero(params: OscillatorParams, x_match: float | None = None,
     eigenvalues in the semiclassical regime.
 
     Unless x_max is given, psi_{+-1} are seeded at the contrast-budget radius
-    choose_x_max(params, _CONTRAST_BUDGET), the radius of the eigenvalue scan.
-    The seeds are always refined (exact tail integral plus tail Volterra), so
-    they are accurate there already; the default max(20, 3 x_plus) of
-    choose_x_max would only add oscillations to integrate through.
+    choose_x_max(params, _CONTRAST_BUDGET), like every sector seed here.
     """
     if x_match is None:
         x_match, _ = _geometry(params)

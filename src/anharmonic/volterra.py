@@ -133,26 +133,23 @@ def endpoint_slope_integral(svals: np.ndarray, fvals: np.ndarray,
     return complex(np.trapezoid(np.exp(expo) * fvals * z, ts))
 
 
-def _frame_grid(frame: PathFrame, per_segment: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(global ts, cumulative S, F * dx/dt) sampled along the whole path.
+def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(global ts, cumulative S, F * dx/dt) on about n points along the whole path.
 
+    The n points are split evenly over the segments, at least 8 to a segment.
     Segment boundaries appear twice so corner speeds stay one-sided.
     """
+    tloc = np.linspace(0.0, 1.0, max(8, n // len(frame.segments)))
     ts_all: list[np.ndarray] = []
     s_all: list[np.ndarray] = []
     f_all: list[np.ndarray] = []
     offset = 0.0 + 0.0j
     for i in range(len(frame.segments)):
-        tloc = np.linspace(0.0, 1.0, per_segment)
         s = frame.cumulative_s(i, tloc) + offset
-        f = np.empty(per_segment, dtype=complex)
-        for k, t in enumerate(tloc):
-            _, _, dx = frame.point(i, float(t))
-            f[k] = frame.forcing(i, float(t)) * dx
         offset = s[-1]
         ts_all.append(tloc + i)
         s_all.append(s)
-        f_all.append(f)
+        f_all.append(frame.forcing(i, tloc) * frame.point(i, tloc)[2])
     return np.concatenate(ts_all), np.concatenate(s_all), np.concatenate(f_all)
 
 
@@ -176,19 +173,15 @@ def kernel_b(params: OscillatorParams, curve: PathSpec, t: float, s: float) -> c
     return 0.5 * (np.exp(expo) - 1.0)
 
 
-def error_functionals(params: OscillatorParams, curve: PathSpec,
-                      n: int = 1025, refined: bool = False) -> ErrorFunctionals:
-    """Certified error data for a curve: rho by adaptive quadrature, beta and
-    the refined functional on a fine grid."""
-    frame = PathFrame(params, curve)
+def _grid_functionals(frame: PathFrame, ts: np.ndarray, svals: np.ndarray,
+                      fvals: np.ndarray, refined: bool = False) -> ErrorFunctionals:
+    """rho by adaptive quadrature per segment, beta and refined rho on the grid."""
     rho = 0.0
     for i in range(len(frame.segments)):
         def speed(t: float, i=i) -> float:
-            _, _, dx = frame.point(i, t)
-            return abs(frame.forcing(i, t) * dx)
+            return abs(frame.forcing(i, t) * frame.point(i, t)[2])
         val, _ = _sint.quad(speed, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)
         rho += val
-    ts, svals, fvals = _frame_grid(frame, n)
     re = svals.real
     beta = float(np.min(re - np.maximum.accumulate(re)))
     bound = _safe_bound(rho, beta)
@@ -201,12 +194,21 @@ def error_functionals(params: OscillatorParams, curve: PathSpec,
     return ErrorFunctionals(rho, beta, bound, refined_rho)
 
 
+def error_functionals(params: OscillatorParams, curve: PathSpec,
+                      n: int = 1025, refined: bool = False) -> ErrorFunctionals:
+    """Certified error data for a curve: rho by adaptive quadrature, beta and
+    the refined functional on a grid of n points in total along the curve."""
+    frame = PathFrame(params, curve)
+    return _grid_functionals(frame, *_frame_grid(frame, n), refined=refined)
+
+
 def volterra_solve(params: OscillatorParams, curve: PathSpec,
                    n: int = 601, tol: float = 1e-13) -> VolterraRun:
     """Solve z = 1 + K[z] along the curve and certify it.
 
-    n is the per-segment grid size; the kernel matrix is dense in the grid, so
-    memory grows as (n * segments)^2.
+    n is the total grid size along the curve, split evenly over its segments
+    (at least 8 points each); the kernel matrix is dense in the grid, so
+    memory grows as n^2.
     """
     frame = PathFrame(params, curve)
     ts, svals, fvals = _frame_grid(frame, n)

@@ -2,6 +2,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,11 +11,13 @@ from anharmonic import (
     asymptotic_reference,
     bohr_sommerfeld_energy,
     critical_data,
+    path_from_complex,
     reduced_wkb_integral,
     turning_points,
     wkb_phase,
     wkb_phase_derivative,
 )
+from anharmonic.action import PathFrame
 
 
 class TestQuadraticWell:
@@ -144,3 +147,19 @@ class TestReferences:
     def test_rejects_unknown_identifier(self):
         with pytest.raises(KeyError):
             asymptotic_reference("no_such_thing", 1.0)
+
+
+class TestPathFrameArrays:
+    @pytest.mark.parametrize("method", ["reduced", "sqrt_v", "forcing"])
+    def test_array_calls_equal_scalar_calls(self, method):
+        """One array call gives the scalar values, on both sides of a branch flip."""
+        params = OscillatorParams(1.0, 6.0, 0.5)
+        frame = PathFrame(params, path_from_complex([0.5 + 0.1j, 3.0 + 0.1j]))
+        flips = frame._signs[0][0]
+        assert len(flips) == 1
+        assert frame._sign_at(0, flips[0] - 1e-6) != frame._sign_at(0, flips[0] + 1e-6)
+        ts = np.sort(np.concatenate([np.linspace(0.0, 1.0, 17), flips - 1e-6, flips + 1e-6]))
+        evaluate = getattr(frame, method)
+        want = np.array([evaluate(0, float(t)) for t in ts])
+        # scalar and array numpy kernels may round differently: allow ~50 ulp
+        np.testing.assert_allclose(evaluate(0, ts), want, rtol=1e-14, atol=0.0)

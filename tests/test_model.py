@@ -2,12 +2,14 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anharmonic import (
     CoverPoint,
     OscillatorParams,
+    PathSpec,
     critical_data,
     eval_forcing,
     eval_potential,
@@ -15,6 +17,7 @@ from anharmonic import (
     to_hbar_coords,
     turning_points,
 )
+from anharmonic.action import PathFrame
 from anharmonic.model import (
     infinity_arg,
     reduced_in_y,
@@ -155,6 +158,24 @@ class TestForcing:
         f40 = abs(eval_forcing(params, CoverPoint(40.0, 0.2)))
         # cubic decay in the modulus
         assert f40 < f10 * (10.0 / 40.0) ** 2.5
+
+    @pytest.mark.parametrize("alpha", [0.6, 1.5])
+    @pytest.mark.parametrize("kind,nodes", [
+        ("arc", (CoverPoint(1.3, 6.5), CoverPoint(1.3, 7.5))),
+        ("ray", (CoverPoint(0.8, -6.9), CoverPoint(2.5, -6.9))),
+    ], ids=["arc", "ray"])
+    def test_scalar_evaluators_match_the_path_arrays(self, alpha, kind, nodes):
+        """eval_reduced and eval_forcing agree with PathFrame's array evaluation
+        beyond one turn of the cover, where x^(2a) leaves the principal branch."""
+        params = OscillatorParams(alpha, 2.0, 0.7)
+        frame = PathFrame(params, PathSpec(nodes, (kind,)))
+        ts = np.linspace(0.0, 1.0, 9)
+        z, arg, _ = frame.point(0, ts)
+        v, sq, f = frame.reduced(0, ts), frame.sqrt_v(0, ts), frame.forcing(0, ts)
+        for k in range(len(ts)):
+            p = CoverPoint(float(abs(z[k])), float(arg[k]))
+            assert abs(eval_reduced(params, p) - v[k]) <= 1e-12 * abs(v[k])
+            assert abs(eval_forcing(params, p, sqrt_v=sq[k]) - f[k]) <= 1e-12 * abs(f[k])
 
     def test_potential_vs_reduced(self):
         params = OscillatorParams(1.5, 4.0, 0.8)

@@ -18,6 +18,7 @@ from anharmonic import (
     stokes_multiplier,
     bohr_sommerfeld_energy,
 )
+from anharmonic.spectral import DeterminantValue, _bracket_root
 
 
 def quartic_odd_levels(count, size=400):
@@ -121,3 +122,9 @@ class TestDeterminantValue:
     def test_real_on_the_real_energy_axis(self):
         d = spectral_determinant(OscillatorParams(2.0, 2.7, 0.4))
         assert abs(d.value.imag) < 1e-8 * abs(d.value)
+
+    def test_root_polish_survives_an_exact_zero(self):
+        # brentq can land on an exact root, where the mantissa is exactly zero
+        def q(e):
+            return DeterminantValue(complex(e - 1.0), 0.0)
+        assert _bracket_root(q, 0.5, 1.5, q(0.5), q(1.5), 1e-12) == 1.0

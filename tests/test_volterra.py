@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from anharmonic import OscillatorParams, error_functionals, volterra_solve
+from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
 from anharmonic.checks import committed_curves, measured_wkb_deviation
 from anharmonic.volterra import _safe_bound, kernel_b
 
@@ -26,6 +26,13 @@ class TestIntegralEquation:
         params, path = _curve(2)
         run = volterra_solve(params, path)
         assert run.z_values[0] == 1.0 + 0.0j
+
+    @pytest.mark.parametrize("n", [401, 20])
+    def test_n_counts_points_along_the_whole_path(self, n):
+        params = OscillatorParams(1.0, 2.0, 0.3)
+        path = path_from_complex([10.0, 8.5, 7.0, 5.5, 4.0], sqrt_v_branch="negative")
+        run = volterra_solve(params, path, n=n)
+        assert len(run.samples) == 4 * max(8, n // 4)
 
     def test_converges_quickly(self):
         params, path = _curve(0)
