@@ -174,9 +174,14 @@ def frobenius_seed(alpha: float, ell: float, order: float = 120.0) -> FrobeniusS
     return FrobeniusSeed(alpha, ell, order, tuple(out))
 
 
-def frobenius_eval(seed: FrobeniusSeed, energy: complex, x) -> tuple[complex, complex, float]:
-    """(value, derivative, truncation estimate) of the series solution at x."""
-    p = x if isinstance(x, CoverPoint) else CoverPoint.from_complex(complex(x))
+def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
+                      p: CoverPoint) -> tuple[complex, complex, float, float]:
+    """Series value, derivative and truncation estimate divided by |x|^(ell+1),
+    and log|x|^(ell+1).
+
+    Keeping the modulus of the prefactor as a log-scale lets large ell seed
+    where x^(ell+1) itself is far below the smallest double.
+    """
     z = p.to_complex()
     e = complex(energy)
     z2 = z * z
@@ -193,15 +198,28 @@ def frobenius_eval(seed: FrobeniusSeed, energy: complex, x) -> tuple[complex, co
         if mu >= seed.order - 2.0 * seed.alpha - 2.0 and abs(term) > top:
             top = abs(term)
             top_mu = mu
-    lead = p.cpow(seed.ell + 1.0)
-    # the truncation estimate must carry the same x^(ell+1) prefactor as the
+    phase = cmath.rect(1.0, (seed.ell + 1.0) * p.arg)
+    remainder = top * (abs(z2) * abs(e) + abs(zstep)) if top_mu > 0 else 0.0
+    return phase * val, phase * dval / z, remainder, (seed.ell + 1.0) * math.log(p.modulus)
+
+
+def frobenius_eval(seed: FrobeniusSeed, energy: complex, x) -> tuple[complex, complex, float]:
+    """(value, derivative, truncation estimate) of the series solution at x."""
+    p = x if isinstance(x, CoverPoint) else CoverPoint.from_complex(complex(x))
+    val, dval, rem, loglead = _frobenius_scaled(seed, energy, p)
+    # the truncation estimate carries the same x^(ell+1) prefactor as the
     # returned values, or callers comparing it against |value| misjudge large ell
-    remainder = abs(lead) * top * (abs(z2) * abs(e) + abs(zstep)) if top_mu > 0 else 0.0
-    return lead * val, lead * dval / z, remainder
+    lead = math.exp(loglead)
+    return val * lead, dval * lead, rem * lead
 
 
 def seed_x0(params: OscillatorParams) -> float:
-    """Series seeding point: deep inside the centrifugal region."""
+    """First rung of the chi seeding ladder: deep inside the centrifugal region.
+
+    The eigenvalue scan sums the series here, then at doubled radii up to half
+    the inner turning point while the truncation check still passes (see
+    spectral._chi_state); only the outermost passing radius seeds chi.
+    """
     tp = turning_points(params)
     if tp.real_pair is not None:
         return min(0.05, 0.05 * tp.real_pair[0])
@@ -220,6 +238,9 @@ _A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
+
+# Attempted steps allowed on one path segment before propagate gives up.
+_MAX_STEPS = 2_000_000
 
 
 def _make_rhs(params: OscillatorParams, seg):
@@ -296,9 +317,10 @@ def _step_segment(rhs, u: complex, v: complex, sigma: float,
     k1u, k1v = du0, dv0
     err_prev = 1.0
     nsteps = 0
+    max_steps = _MAX_STEPS
     while t < 1.0:
-        if nsteps > 2_000_000:
-            raise RuntimeError("step limit exceeded in propagation")
+        if nsteps > max_steps:
+            raise RuntimeError(f"step limit exceeded in propagation at t={t:.6g}, h={h:.3g}")
         if t + h > 1.0:
             h = 1.0 - t
         u2 = u + h * _A21 * k1u
@@ -357,17 +379,23 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
     loc = state.location
     if abs(loc.to_complex() - start.to_complex()) > 1e-9 * (1.0 + start.modulus):
         raise ValueError("state is not at the start of the path")
-    u, v, sigma = state.value, state.derivative, state.logscale
+    # Python complex from here on: the stepper is several times slower on
+    # numpy scalars, which refined Sibuya seeds would otherwise bring in
+    u, v, sigma = complex(state.value), complex(state.derivative), state.logscale
     segs = [_Segment(k, a, b) for k, a, b in zip(path.parameterization, path.nodes, path.nodes[1:])]
     for i, seg in enumerate(segs):
         rhs = _make_rhs(params, seg)
+        local = [] if trace is not None else None
+        xfun = (lambda t, seg=seg: seg.point(t)[0]) if trace is not None else None
+        try:
+            u, v, sigma = _step_segment(rhs, u, v, sigma, rtol, atol, local, xfun)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"{exc} on the {seg.kind} segment from (|x|={seg.a.modulus:.6g}, "
+                f"arg={seg.a.arg:.6g}) to (|x|={seg.b.modulus:.6g}, arg={seg.b.arg:.6g}) "
+                f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})") from None
         if trace is not None:
-            local: list = []
-            u, v, sigma = _step_segment(rhs, u, v, sigma, rtol, atol, local,
-                                        lambda t, seg=seg: seg.point(t)[0])
             trace.extend((i + tt, x, uu, vv, ss) for tt, x, uu, vv, ss in local)
-        else:
-            u, v, sigma = _step_segment(rhs, u, v, sigma, rtol, atol, None, None)
     out = SolutionState(path.nodes[-1], u, v, sigma, state.seed_tag)
     return out.rescaled()
 

@@ -36,7 +36,7 @@ from .action import (
 from .integrate import (
     SolutionState,
     choose_x_max,
-    frobenius_eval,
+    _frobenius_scaled,
     frobenius_seed,
     propagate,
     seed_x0,
@@ -97,25 +97,45 @@ def _series_table(alpha: float, ell: float):
     return frobenius_seed(alpha, ell)
 
 
-def _geometry(params: OscillatorParams) -> tuple[float, float]:
-    """(match radius, outer turning point or bowl scale) from the real part of E."""
+def _geometry(params: OscillatorParams) -> tuple[float, float, float]:
+    """(match radius, outer turning point or bowl scale, inner turning point
+    or bowl scale) from the real part of E."""
     geo = OscillatorParams(params.alpha, complex(params.energy).real, params.ell)
     tp = turning_points(geo)
     if tp.real_pair is not None:
-        return tp.real_pair[1], tp.real_pair[1]
+        return tp.real_pair[1], tp.real_pair[1], tp.real_pair[0]
     x_star = critical_data(params.alpha, params.ell).x_star
-    return max(1.0, x_star), x_star
+    return max(1.0, x_star), x_star, x_star
 
 
 def _chi_state(params: OscillatorParams, x_match: float, rtol: float) -> SolutionState:
+    """chi, the solution regular at the origin, carried from its series to x_match.
+
+    The series is summed on the ladder seed_x0, 2 seed_x0, 4 seed_x0, ... up
+    to half the inner turning point x_- of Re E (and not past x_match), and
+    chi is seeded at the last radius whose truncation estimate still passes
+    rem <= 1e-10 |value|.  Below x_- chi is the growing solution of the
+    centrifugal barrier, so a seed error there is a multiple of chi, which
+    moves no zero of Q, plus a recessive part that the rest of the barrier
+    damps; seeding further out only skips RK steps through the x^(ell+1)
+    growth.  The modulus of x^(ell+1) rides in the log-scale, so large ell
+    cannot underflow the seed.
+    """
     table = _series_table(params.alpha, params.ell)
     x0 = seed_x0(params)
-    val, dval, rem = frobenius_eval(table, params.energy, x0)
-    if val == 0:
-        raise RuntimeError("series seed underflowed; ell too large for doubles")
+    val, dval, rem, loglead = _frobenius_scaled(table, params.energy, CoverPoint(x0, 0.0))
     if rem > 1e-10 * abs(val):
-        raise RuntimeError("series seed not converged at the seeding radius")
-    state = SolutionState(CoverPoint(x0, 0.0), val, dval, 0.0, "chi_plus").rescaled()
+        raise RuntimeError(
+            f"series seed not converged at the seeding radius x0={x0:.6g} "
+            f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})")
+    x_cap = min(0.5 * _geometry(params)[2], x_match)
+    while 2.0 * x0 <= x_cap:
+        trial = _frobenius_scaled(table, params.energy, CoverPoint(2.0 * x0, 0.0))
+        if trial[2] > 1e-10 * abs(trial[0]):
+            break
+        x0 = 2.0 * x0
+        val, dval, rem, loglead = trial
+    state = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead, "chi_plus").rescaled()
     path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(x_match, 0.0)), ("ray",),
                     "principal")
     return propagate(params, state, path, rtol=rtol)
@@ -165,7 +185,7 @@ def spectral_determinant(params: OscillatorParams, x_match: float | None = None,
     insensitive to seeding error (which only enters multiplicatively).
     """
     if x_match is None:
-        x_match, _ = _geometry(params)
+        x_match = _geometry(params)[0]
     if x_max is None:
         x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     if x_max <= x_match:
@@ -210,7 +230,10 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
         step = 0.45 * spacing(e_prev)
         e_next = e_prev + step
         if e_next > e_cap:
-            raise RuntimeError("eigenvalue scan ran past its energy cap")
+            raise RuntimeError(
+                f"eigenvalue scan ran past its energy cap {e_cap:.6g} at E={e_next:.6g} "
+                f"with {len(roots)} of n_max + 1 = {n_max + 1} levels "
+                f"(alpha={alpha:g}, ell={ell:g})")
         q_next = q_at(e_next)
         if (q_prev.mantissa.real > 0) != (q_next.mantissa.real > 0):
             roots.append(_bracket_root(q_at, e_prev, e_next, q_prev, q_next, rel_tol))
@@ -230,16 +253,25 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
     index = [_phase_index(alpha, ell, r) for r in roots]
     picked = {i: r for r, i in zip(roots, index)}
     if sorted(picked)[: n_max + 1] != list(range(n_max + 1)):
-        raise RuntimeError(f"scan did not resolve indices 0..{n_max}: found {sorted(picked)}")
+        raise RuntimeError(f"scan did not resolve indices 0..{n_max} (alpha={alpha:g}, "
+                           f"ell={ell:g}): found {sorted(picked)}")
     return [picked[i] for i in range(n_max + 1)]
 
 
 def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
                   q_hi: DeterminantValue, rel_tol: float) -> float:
+    """Zero of Q between two scan energies where Re Q changes sign.
+
+    brentq opens by evaluating both ends; the scan already holds Q there, so
+    those two values come from a memo instead of two more transports.
+    """
     ref = max(q_lo.log_abs, q_hi.log_abs)
+    known = {e_lo: q_lo, e_hi: q_hi}
 
     def f(energy: float) -> float:
-        q = q_at(energy)
+        q = known.get(energy)
+        if q is None:
+            q = q_at(energy)
         return math.copysign(math.exp(min(q.log_abs - ref, 50.0)), q.mantissa.real)
 
     from scipy.optimize import brentq
@@ -284,7 +316,7 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
 def _meet_modulus(params: OscillatorParams) -> float:
     """Radius for sector meetings: near the turning scale, where Re R is O(1)
     and solutions of different sectors are still numerically independent."""
-    _, scale = _geometry(params)
+    scale = _geometry(params)[1]
     return max(1.0, scale)
 
 
@@ -353,7 +385,7 @@ def r_zero(params: OscillatorParams, x_match: float | None = None,
     choose_x_max(params, _CONTRAST_BUDGET), like every sector seed here.
     """
     if x_match is None:
-        x_match, _ = _geometry(params)
+        x_match = _geometry(params)[0]
     if x_max is None:
         x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
     if x_max <= x_match:

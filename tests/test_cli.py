@@ -132,10 +132,16 @@ class TestExitCodes:
         assert code == 64
 
     def test_numerical_failure(self, capsys):
-        code, _, err = run(["spectrum", "--alpha", "1", "--ell", "300",
-                            "--n-max", "0", "--method", "exact"], capsys)
+        code, _, err = run(["wkb", "--alpha", "1", "--kind", "J1", "--u", "-5"],
+                           capsys)
         assert code == 2
         assert "numerical failure" in err
+
+    def test_large_ell_spectrum(self, capsys):
+        code, out, _ = run(["spectrum", "--alpha", "1", "--ell", "300",
+                            "--n-max", "0", "--method", "exact"], capsys)
+        assert code == 0
+        assert abs(json.loads(out)["rows"][0]["e_exact"] / 603.0 - 1.0) < 1e-7
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
-from anharmonic import CoverPoint, OscillatorParams, PathSpec
+from anharmonic import CoverPoint, OscillatorParams, PathSpec, integrate
 from anharmonic.integrate import (
     SolutionState,
     big_R,
@@ -161,3 +161,18 @@ class TestSeedRadius:
         r1 = choose_x_max(params, delta_r_budget=20.0)
         r2 = choose_x_max(params, delta_r_budget=80.0)
         assert r1 <= r2 <= choose_x_max(params)
+
+
+class TestStepLimit:
+    def test_message_names_the_segment(self, monkeypatch):
+        monkeypatch.setattr(integrate, "_MAX_STEPS", 3)
+        params = OscillatorParams(1.0, 40.0, 0.5)
+        start = CoverPoint(1.0, 0.0)
+        state = SolutionState(start, 1.0, 0.0, 0.0, "test")
+        path = PathSpec((start, CoverPoint(6.0, 0.0)), ("ray",), "principal")
+        with pytest.raises(RuntimeError) as err:
+            propagate(params, state, path)
+        msg = str(err.value)
+        assert msg.startswith("step limit exceeded in propagation at t=")
+        assert ", h=" in msg and "ray segment from (|x|=1, arg=0) to (|x|=6, arg=0)" in msg
+        assert "alpha=1, ell=0.5" in msg

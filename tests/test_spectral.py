@@ -7,7 +7,9 @@ import pytest
 from scipy.special import gamma
 
 from anharmonic import (
+    CoverPoint,
     OscillatorParams,
+    PathSpec,
     eigenvalues,
     fock_goncharov,
     r_zero,
@@ -18,7 +20,15 @@ from anharmonic import (
     stokes_multiplier,
     bohr_sommerfeld_energy,
 )
-from anharmonic.spectral import DeterminantValue, _bracket_root
+from anharmonic import spectral
+from anharmonic.integrate import (
+    SolutionState,
+    frobenius_eval,
+    frobenius_seed,
+    propagate,
+    seed_x0,
+)
+from anharmonic.spectral import DeterminantValue, _bracket_root, _chi_state, _geometry
 
 
 def quartic_odd_levels(count, size=400):
@@ -58,6 +68,18 @@ class TestQuadraticWell:
         got = r_zero(OscillatorParams(1.0, energy, ell))
         want = cmath.exp(-2j * math.pi * (energy - 2.0 * ell - 1.0) / 4.0)
         assert abs(got - want) < 1e-9
+
+
+class TestHarmonicSubregime:
+    @pytest.mark.parametrize("ell", [25.0, 112.5])
+    def test_ground_level(self, ell):
+        got = eigenvalues(1.0, ell, 0)
+        assert abs(got[0] / (2.0 * ell + 3.0) - 1.0) < 1e-9
+
+    def test_ell_past_the_double_range_of_the_seed_prefactor(self):
+        # 0.05^(ell+1) underflows doubles here; the seed keeps it as a log-scale
+        got = eigenvalues(1.0, 250.0, 0)
+        assert abs(got[0] / 503.0 - 1.0) < 1e-7
 
 
 class TestQuarticWell:
@@ -128,3 +150,69 @@ class TestDeterminantValue:
         def q(e):
             return DeterminantValue(complex(e - 1.0), 0.0)
         assert _bracket_root(q, 0.5, 1.5, q(0.5), q(1.5), 1e-12) == 1.0
+
+
+class TestChiSeed:
+    @pytest.mark.parametrize("alpha,ell,energy", [(1.0, 200.0, 403.0), (2.0, 0.0, 7.4)])
+    def test_log_derivative_matches_transport_from_the_first_rung(self, alpha, ell, energy):
+        # seeding further out in the barrier may change chi only by a factor
+        params = OscillatorParams(alpha, energy, ell)
+        x_match = _geometry(params)[0]
+        rtol = 5e-13
+        got = _chi_state(params, x_match, rtol)
+        x0 = seed_x0(params)
+        val, dval, _ = frobenius_eval(frobenius_seed(alpha, ell), energy, x0)
+        start = SolutionState(CoverPoint(x0, 0.0), val, dval, 0.0, "chi").rescaled()
+        path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(x_match, 0.0)), ("ray",),
+                        "principal")
+        ref = propagate(params, start, path, rtol=rtol)
+        want = ref.derivative / ref.value
+        assert abs(got.derivative / got.value - want) < 1e-12 * abs(want)
+
+
+class TestBracketRoot:
+    def test_scan_values_at_the_ends_are_reused(self):
+        from scipy.optimize import brentq
+
+        def q(e):
+            return DeterminantValue(complex(math.cos(e)), 2.0)
+        calls = []
+
+        def q_at(e):
+            calls.append(e)
+            return q(e)
+        lo, hi = 1.0, 2.0
+        got = _bracket_root(q_at, lo, hi, q(lo), q(hi), 1e-9)
+        assert lo not in calls and hi not in calls
+        assert calls
+        ref = max(q(lo).log_abs, q(hi).log_abs)
+
+        def f(e):
+            d = q(e)
+            return math.copysign(math.exp(min(d.log_abs - ref, 50.0)), d.mantissa.real)
+        assert got == float(brentq(f, lo, hi, xtol=1e-9 * max(1.0, hi), rtol=8.9e-16))
+
+
+class TestLoudFailures:
+    def test_energy_cap_names_the_scan(self, monkeypatch):
+        monkeypatch.setattr(spectral, "asymptotic_spectrum", lambda *args: -12.0)
+        with pytest.raises(RuntimeError) as err:
+            eigenvalues(1.0, 0.0, 1)
+        msg = str(err.value)
+        assert "ran past its energy cap 2" in msg
+        assert "n_max + 1 = 2" in msg and "alpha=1, ell=0" in msg
+
+    def test_unresolved_indices_name_the_scan(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_phase_index", lambda alpha, ell, energy: 2)
+        with pytest.raises(RuntimeError) as err:
+            eigenvalues(1.0, 0.0, 1)
+        assert "scan did not resolve indices 0..1 (alpha=1, ell=0)" in str(err.value)
+
+    def test_unconverged_series_names_the_radius(self, monkeypatch):
+        monkeypatch.setattr(spectral, "seed_x0", lambda params: 6.0)
+        params = OscillatorParams(1.0, 9.0, 0.5)
+        with pytest.raises(RuntimeError) as err:
+            spectral_determinant(params)
+        msg = str(err.value)
+        assert "series seed not converged at the seeding radius x0=6" in msg
+        assert "alpha=1, ell=0.5" in msg
