@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sint
@@ -22,8 +22,8 @@ from .model import (
     _cover_power,
     _forcing_payload,
     _reduced_jet,
+    _real_pair,
     critical_data,
-    turning_points,
 )
 
 __all__ = [
@@ -249,15 +249,29 @@ class PathFrame:
         return out
 
 
-def _classical_interval(params: OscillatorParams) -> tuple[float, float]:
-    lam = params.lam
+def _well_map(params: OscillatorParams):
+    """(x_lo, x_hi, well) for the classical interval [x_lo, x_hi], where
+    well(theta) gives (sin theta, cos theta, x, E - x^2a - (ell+1/2)^2/x^2)
+    at x = x_lo + (x_hi - x_lo) sin^2 theta, the substitution that removes
+    both square-root endpoints of the WKB integrands."""
+    a2 = 2.0 * params.alpha
     e = params.energy.real
-    if lam < 1e-12:
-        return 0.0, e ** (1.0 / (2.0 * params.alpha))
-    tp = turning_points(params)
-    if tp.real_pair is None:
-        raise ValueError("no classical region below the critical energy")
-    return tp.real_pair
+    lam2 = params.lam * params.lam
+    if params.lam < 1e-12:
+        x_lo, x_hi = 0.0, e ** (1.0 / a2)
+    else:
+        pair = _real_pair(params)
+        if pair is None:
+            raise ValueError("no classical region below the critical energy")
+        x_lo, x_hi = pair
+    delta = x_hi - x_lo
+
+    def well(theta: float) -> tuple[float, float, float, float]:
+        st = math.sin(theta)
+        ct = math.cos(theta)
+        x = x_lo + delta * st * st
+        return st, ct, x, e - x ** a2 - (lam2 / (x * x) if lam2 > 0 else 0.0)
+    return x_lo, x_hi, well
 
 
 def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
@@ -277,18 +291,11 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
         if e < crit.e_star * (1.0 + 1e-6):
             slope = asymptotic_reference("j2_slope", a)
             return slope * (e - crit.e_star) * lam ** ((1.0 - a) / (1.0 + a))
-    x_lo, x_hi = _classical_interval(params)
+    x_lo, x_hi, well = _well_map(params)
     delta = x_hi - x_lo
-    lam2 = lam * lam
-
-    def radicand(x: float) -> float:
-        return e - x ** (2.0 * a) - (lam2 / (x * x) if lam2 > 0 else 0.0)
 
     def f(theta: float) -> float:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        x = x_lo + delta * st * st
-        r = radicand(x)
+        st, ct, _, r = well(theta)
         if r <= 0.0:
             return 0.0
         return 2.0 * delta * st * ct * math.sqrt(r)
@@ -307,15 +314,10 @@ def wkb_phase_derivative(params: OscillatorParams, abs_tol: float = 1e-12) -> fl
         if e <= crit.e_star * (1.0 + 1e-12):
             # harmonic bottom limit
             return asymptotic_reference("j2_slope", a) * lam ** ((1.0 - a) / (1.0 + a))
-    x_lo, x_hi = _classical_interval(params)
-    delta = x_hi - x_lo
-    lam2 = lam * lam
+    x_lo, x_hi, well = _well_map(params)
 
     def f(theta: float) -> float:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        x = x_lo + delta * st * st
-        r = e - x ** (2.0 * a) - (lam2 / (x * x) if lam2 > 0 else 0.0)
+        _, _, x, r = well(theta)
         bridge = (x - x_lo) * (x_hi - x)
         if r <= 0.0 or bridge <= 0.0:
             return 0.0

@@ -24,8 +24,6 @@ from .model import (
     _cover_power,
     _forcing_payload,
     _reduced_jet,
-    critical_data,
-    turning_points,
 )
 from .action import PathSpec, _Segment, _gauss8_increments
 from .volterra import iterate_grid, endpoint_slope_integral
@@ -40,7 +38,6 @@ __all__ = [
     "frobenius_seed",
     "frobenius_eval",
     "sibuya_seed",
-    "seed_x0",
     "choose_x_max",
     "propagate",
     "wronskian",
@@ -211,20 +208,6 @@ def frobenius_eval(seed: FrobeniusSeed, energy: complex, x) -> tuple[complex, co
     # returned values, or callers comparing it against |value| misjudge large ell
     lead = math.exp(loglead)
     return val * lead, dval * lead, rem * lead
-
-
-def seed_x0(params: OscillatorParams) -> float:
-    """First rung of the chi seeding ladder: deep inside the centrifugal region.
-
-    The eigenvalue scan sums the series here, then at doubled radii up to half
-    the inner turning point while the truncation check still passes (see
-    spectral._chi_state); only the outermost passing radius seeds chi.
-    """
-    tp = turning_points(params)
-    if tp.real_pair is not None:
-        return min(0.05, 0.05 * tp.real_pair[0])
-    crit = critical_data(params.alpha, params.ell)
-    return min(0.05, 0.05 * crit.x_star)
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +517,23 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     return state.rescaled()
 
 
-def choose_x_max(params: OscillatorParams, delta_r_budget: float | None = None) -> float:
-    """Seed radius for sector rays: spec default, optionally clamped by contrast.
+# Real-axis contrast Re R(x_max) - Re R(x_plus) at which sector rays are seeded.
+_CONTRAST_BUDGET = 40.0
 
-    The default max(20, 3 x_plus) keeps the asymptotic remainder small.  The
-    spectral quantities (determinant, sector Wronskians, Stokes multipliers,
-    cross ratios, R0) pass a budget instead, since their refined seeds stay
-    accurate at a small radius and the relevant criterion is the real-axis
-    contrast Re R(x_max) - Re R(x_plus): once it exceeds delta_r_budget the
-    admixture of the recessive solution into the propagated dominant one is
-    below e^(-2*budget), so a much smaller radius is safe and far cheaper.
+
+def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
+    """Seed radius for sector rays, given the outer turning scale x_plus.
+
+    The radius is where the real-axis contrast Re R(x_max) - Re R(x_plus)
+    reaches _CONTRAST_BUDGET: beyond it the admixture of the recessive
+    solution into the propagated dominant one is below e^(-2*budget), and the
+    refined seeds of the spectral quantities (determinant, sector Wronskians,
+    Stokes multipliers, cross ratios, R0) stay accurate that far in.  It is
+    kept between the floor max(1.35 x_plus, x_plus + 0.75, 4) and the cap
+    max(20, 3 x_plus), a radius where even the asymptotic remainder of a
+    plain seed is small.
     """
-    tp = turning_points(params)
-    crit = critical_data(params.alpha, params.ell)
-    x_plus = tp.real_pair[1] if tp.real_pair is not None else crit.x_star
-    default = max(20.0, 3.0 * x_plus)
-    if delta_r_budget is None:
-        return default
+    cap = max(20.0, 3.0 * x_plus)
     exp_ = r_expansion(params.alpha, params.energy)
     base = big_R(exp_, CoverPoint(x_plus, 0.0)).real
 
@@ -558,16 +541,14 @@ def choose_x_max(params: OscillatorParams, delta_r_budget: float | None = None) 
         return big_R(exp_, CoverPoint(x, 0.0)).real - base
 
     floor = max(1.35 * x_plus, x_plus + 0.75, 4.0)
-    if floor >= default:
-        return default
-    if contrast(default) <= delta_r_budget:
-        return default
-    lo, hi = floor, default
-    if contrast(lo) >= delta_r_budget:
+    if floor >= cap or contrast(cap) <= _CONTRAST_BUDGET:
+        return cap
+    lo, hi = floor, cap
+    if contrast(lo) >= _CONTRAST_BUDGET:
         return lo
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if contrast(mid) < delta_r_budget:
+        if contrast(mid) < _CONTRAST_BUDGET:
             lo = mid
         else:
             hi = mid

@@ -297,29 +297,34 @@ def _newton_sector_roots(params: OscillatorParams) -> list[CoverPoint]:
     return found
 
 
-def turning_points(params: OscillatorParams) -> TurningPointSet:
-    """Zeros of V near the real sector: the positive pair plus adjacent complex roots."""
+def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
+    """The positive zeros (x_minus, x_plus) of V, None below the critical energy.
+
+    The real-axis part of turning_points, for callers that need only the well.
+    """
     if abs(params.energy.imag) > 1e-10 * max(1.0, abs(params.energy.real)):
         raise ValueError("turning point location expects (near) real energy")
     crit = critical_data(params.alpha, params.ell)
     e = params.energy.real
     if e < crit.e_star * (1.0 - 1e-8):
-        real_pair = None
-    elif abs(e - crit.e_star) <= 1e-8 * crit.e_star:
-        real_pair = (crit.x_star, crit.x_star)
-    else:
-        x_star = crit.x_star
-        lo = x_star
-        f = _real_reduced(params, lo)
-        while f <= 0.0:
-            lo *= 0.5
-            f = _real_reduced(params, lo)
-        x_minus = _bisect_root(params, lo, x_star)
-        hi = max(2.0 * x_star, (2.0 * max(e, 1.0)) ** (1.0 / (2.0 * params.alpha)))
-        while _real_reduced(params, hi) <= 0.0:
-            hi *= 2.0
-        x_plus = _bisect_root(params, x_star, hi)
-        real_pair = (min(x_minus, x_plus), max(x_minus, x_plus))
+        return None
+    x_star = crit.x_star
+    if abs(e - crit.e_star) <= 1e-8 * crit.e_star:
+        return x_star, x_star
+    lo = x_star
+    while _real_reduced(params, lo) <= 0.0:
+        lo *= 0.5
+    x_minus = _bisect_root(params, lo, x_star)
+    hi = max(2.0 * x_star, (2.0 * max(e, 1.0)) ** (1.0 / (2.0 * params.alpha)))
+    while _real_reduced(params, hi) <= 0.0:
+        hi *= 2.0
+    x_plus = _bisect_root(params, x_star, hi)
+    return min(x_minus, x_plus), max(x_minus, x_plus)
+
+
+def turning_points(params: OscillatorParams) -> TurningPointSet:
+    """Zeros of V near the real sector: the positive pair plus adjacent complex roots."""
+    real_pair = _real_pair(params)
     two_a = 2.0 * params.alpha
     if abs(two_a - round(two_a)) < 1e-12:
         sector = _polynomial_sector_roots(params)

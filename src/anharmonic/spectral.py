@@ -23,11 +23,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-import numpy as np
-
-from .model import CoverPoint, OscillatorParams, critical_data, turning_points
+from .model import CoverPoint, OscillatorParams, _real_pair, critical_data
 from .action import (
+    PathSpec,
     bohr_sommerfeld_energy,
     asymptotic_reference,
     wkb_phase,
@@ -39,11 +39,9 @@ from .integrate import (
     _frobenius_scaled,
     frobenius_seed,
     propagate,
-    seed_x0,
     sibuya_seed,
     wronskian,
 )
-from .action import PathSpec
 
 __all__ = [
     "DeterminantValue",
@@ -58,11 +56,6 @@ __all__ = [
     "r_zero",
     "semiclassical_r_zero",
 ]
-
-# Real-axis contrast Re R(x_max) - Re R(x_plus) at which every sector seed
-# here is placed by default (see choose_x_max).
-_CONTRAST_BUDGET = 40.0
-
 
 @dataclass(frozen=True)
 class DeterminantValue:
@@ -97,22 +90,40 @@ def _series_table(alpha: float, ell: float):
     return frobenius_seed(alpha, ell)
 
 
-def _geometry(params: OscillatorParams) -> tuple[float, float, float]:
-    """(match radius, outer turning point or bowl scale, inner turning point
-    or bowl scale) from the real part of E."""
-    geo = OscillatorParams(params.alpha, complex(params.energy).real, params.ell)
-    tp = turning_points(geo)
-    if tp.real_pair is not None:
-        return tp.real_pair[1], tp.real_pair[1], tp.real_pair[0]
-    x_star = critical_data(params.alpha, params.ell).x_star
-    return max(1.0, x_star), x_star, x_star
+class _Geometry(NamedTuple):
+    """The radii one spectral call works with, all from the real well of E."""
+
+    x_minus: float  # inner turning point, or the bowl scale x_star below the well
+    x_plus: float   # outer turning point, or x_star
+    x_match: float  # where chi meets psi_0 and R0 is formed
+    x_max: float    # seed radius of the sector rays
+    meet: float     # radius where sector solutions meet: Re R is O(1) there and
+                    # solutions of different sectors are still independent
 
 
-def _chi_state(params: OscillatorParams, x_match: float, rtol: float) -> SolutionState:
+def _geometry(params: OscillatorParams) -> _Geometry:
+    """Locate the well of E once and derive every radius from it.
+
+    Below the critical energy there is no real pair and the bottom of the
+    well x_star stands in for both turning points.
+    """
+    pair = _real_pair(params)
+    if pair is None:
+        x_star = critical_data(params.alpha, params.ell).x_star
+        x_minus, x_plus, x_match = x_star, x_star, max(1.0, x_star)
+    else:
+        x_minus, x_plus = pair
+        x_match = x_plus
+    return _Geometry(x_minus, x_plus, x_match, choose_x_max(params, x_plus),
+                     max(1.0, x_plus))
+
+
+def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> SolutionState:
     """chi, the solution regular at the origin, carried from its series to x_match.
 
-    The series is summed on the ladder seed_x0, 2 seed_x0, 4 seed_x0, ... up
-    to half the inner turning point x_- of Re E (and not past x_match), and
+    The series is summed on the ladder x0, 2 x0, 4 x0, ... from x0 =
+    min(0.05, 0.05 x_-), deep in the centrifugal region, up to half the inner
+    turning point x_- (and not past x_match), and
     chi is seeded at the last radius whose truncation estimate still passes
     rem <= 1e-10 |value|.  Below x_- chi is the growing solution of the
     centrifugal barrier, so a seed error there is a multiple of chi, which
@@ -122,13 +133,13 @@ def _chi_state(params: OscillatorParams, x_match: float, rtol: float) -> Solutio
     cannot underflow the seed.
     """
     table = _series_table(params.alpha, params.ell)
-    x0 = seed_x0(params)
+    x0 = min(0.05, 0.05 * geo.x_minus)
     val, dval, rem, loglead = _frobenius_scaled(table, params.energy, CoverPoint(x0, 0.0))
     if rem > 1e-10 * abs(val):
         raise RuntimeError(
             f"series seed not converged at the seeding radius x0={x0:.6g} "
             f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})")
-    x_cap = min(0.5 * _geometry(params)[2], x_match)
+    x_cap = min(0.5 * geo.x_minus, geo.x_match)
     while 2.0 * x0 <= x_cap:
         trial = _frobenius_scaled(table, params.energy, CoverPoint(2.0 * x0, 0.0))
         if trial[2] > 1e-10 * abs(trial[0]):
@@ -136,7 +147,7 @@ def _chi_state(params: OscillatorParams, x_match: float, rtol: float) -> Solutio
         x0 = 2.0 * x0
         val, dval, rem, loglead = trial
     state = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead, "chi_plus").rescaled()
-    path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(x_match, 0.0)), ("ray",),
+    path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
                     "principal")
     return propagate(params, state, path, rtol=rtol)
 
@@ -149,8 +160,9 @@ def _arc_nodes(modulus: float, arg_from: float, arg_to: float) -> list[CoverPoin
 
 
 def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
-               refine: bool, tail_n: int, rtol: float) -> SolutionState:
-    """Sector-k recessive solution transported to the meeting point.
+               rtol: float = 1e-10, refine: bool = True,
+               tail_n: int = 801) -> SolutionState:
+    """Sector-k recessive solution, seeded at x_max and transported to meet.
 
     The route is ray first, arc second: inward transport on the native ray is
     the stable direction for a recessive seed, and taking the arc at the small
@@ -175,23 +187,17 @@ def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
     return propagate(params, state, path, rtol=rtol)
 
 
-def spectral_determinant(params: OscillatorParams, x_match: float | None = None,
-                         x_max: float | None = None, refine: bool = True,
-                         tail_n: int = 801, rtol: float = 1e-10) -> DeterminantValue:
+def spectral_determinant(params: OscillatorParams, refine: bool = True,
+                         rtol: float = 1e-10) -> DeterminantValue:
     """Q(E) = Wr[chi, psi_0], zero exactly at the eigenvalues.
 
     chi is carried outward from the origin series, psi_0 inward from its ray
     seed; both transports run toward their stable direction, so the result is
     insensitive to seeding error (which only enters multiplicatively).
     """
-    if x_match is None:
-        x_match = _geometry(params)[0]
-    if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
-    if x_max <= x_match:
-        x_max = 1.5 * x_match
-    chi = _chi_state(params, x_match, rtol)
-    psi = _psi_state(params, 0, CoverPoint(x_match, 0.0), x_max, refine, tail_n, rtol)
+    geo = _geometry(params)
+    chi = _chi_state(params, geo, rtol)
+    psi = _psi_state(params, 0, CoverPoint(geo.x_match, 0.0), geo.x_max, rtol, refine)
     m, l = wronskian(chi, psi)
     return DeterminantValue(m, l)
 
@@ -313,44 +319,28 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
     return out
 
 
-def _meet_modulus(params: OscillatorParams) -> float:
-    """Radius for sector meetings: near the turning scale, where Re R is O(1)
-    and solutions of different sectors are still numerically independent."""
-    scale = _geometry(params)[1]
-    return max(1.0, scale)
-
-
-def sector_wronskian(params: OscillatorParams, j: int, k: int,
-                     x_max: float | None = None, refine: bool = True,
-                     tail_n: int = 801, rtol: float = 1e-10) -> tuple[complex, float]:
+def sector_wronskian(params: OscillatorParams, j: int, k: int) -> tuple[complex, float]:
     """Wr[psi_j, psi_k] as (mantissa, logscale), met on the bisecting ray."""
-    if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
-    meet_arg = 0.5 * (j + k) * math.pi / (params.alpha + 1.0)
-    meet = CoverPoint(_meet_modulus(params), meet_arg)
-    sj = _psi_state(params, j, meet, x_max, refine, tail_n, rtol)
-    sk = _psi_state(params, k, meet, x_max, refine, tail_n, rtol)
+    geo = _geometry(params)
+    meet = CoverPoint(geo.meet, 0.5 * (j + k) * math.pi / (params.alpha + 1.0))
+    sj = _psi_state(params, j, meet, geo.x_max)
+    sk = _psi_state(params, k, meet, geo.x_max)
     return wronskian(sj, sk)
 
 
-def stokes_multiplier(params: OscillatorParams, k: int = 0,
-                      x_max: float | None = None, refine: bool = True,
-                      tail_n: int = 801, rtol: float = 1e-10) -> complex:
+def stokes_multiplier(params: OscillatorParams, k: int = 0) -> complex:
     """sigma_k from the three seeds meeting on the sector-k ray."""
-    if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
-    meet = CoverPoint(_meet_modulus(params), k * math.pi / (params.alpha + 1.0))
-    sm = _psi_state(params, k - 1, meet, x_max, refine, tail_n, rtol)
-    s0 = _psi_state(params, k, meet, x_max, refine, tail_n, rtol)
-    sp = _psi_state(params, k + 1, meet, x_max, refine, tail_n, rtol)
+    geo = _geometry(params)
+    meet = CoverPoint(geo.meet, k * math.pi / (params.alpha + 1.0))
+    sm = _psi_state(params, k - 1, meet, geo.x_max)
+    s0 = _psi_state(params, k, meet, geo.x_max)
+    sp = _psi_state(params, k + 1, meet, geo.x_max)
     m_num, l_num = wronskian(sm, sp)
     m_den, l_den = wronskian(sm, s0)
     return (m_num / m_den) * cmath.exp(l_num - l_den)
 
 
-def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int],
-                   x_max: float | None = None, refine: bool = True,
-                   tail_n: int = 801, rtol: float = 1e-10) -> complex:
+def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int]) -> complex:
     """Quadruple ratio R_{(a,b,c,d)} = -W_a(b,d) / W_c(b,d) of sector solutions.
 
     All four solutions are transported to one meeting point; the four
@@ -359,12 +349,9 @@ def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int],
     a, b, c, d = quad
     if len({a, b, c, d}) != 4:
         raise ValueError("the four sector labels must be distinct")
-    if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
-    meet_arg = (a + b + c + d) / 4.0 * math.pi / (params.alpha + 1.0)
-    meet = CoverPoint(_meet_modulus(params), meet_arg)
-    states = {k: _psi_state(params, k, meet, x_max, refine, tail_n, rtol)
-              for k in (a, b, c, d)}
+    geo = _geometry(params)
+    meet = CoverPoint(geo.meet, (a + b + c + d) / 4.0 * math.pi / (params.alpha + 1.0))
+    states = {k: _psi_state(params, k, meet, geo.x_max) for k in (a, b, c, d)}
     m_ab, _ = wronskian(states[a], states[b])
     m_ad, _ = wronskian(states[a], states[d])
     m_cb, _ = wronskian(states[c], states[b])
@@ -372,28 +359,24 @@ def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int],
     return -(m_ab / m_ad) * (m_cd / m_cb)
 
 
-def r_zero(params: OscillatorParams, x_match: float | None = None,
-           x_max: float | None = None, tail_n: int = 2001,
-           rtol: float = 1e-11) -> complex:
+def r_zero(params: OscillatorParams) -> complex:
     """R0 = -Wr[chi, psi_1] / Wr[chi, psi_{-1}] on the positive axis.
 
     Equals -1 exactly at eigenvalues (there psi_1 and psi_{-1} agree up to the
     multiple of psi_0 contained in chi) and stays near +1 between consecutive
     eigenvalues in the semiclassical regime.
 
-    Unless x_max is given, psi_{+-1} are seeded at the contrast-budget radius
-    choose_x_max(params, _CONTRAST_BUDGET), like every sector seed here.
+    psi_{+-1} are seeded at the contrast-budget radius, like every sector seed
+    here, but with a 2001-node tail Volterra grid and transport rtol 1e-11
+    (801 nodes and 1e-10 elsewhere), the settings the boundary-ratio
+    criterion (verify check 7) is calibrated with: with 801 nodes its worst
+    |R0 + 1| at the alpha = 2 eigenvalues rises from 5.7e-10 to 2.4e-9.
     """
-    if x_match is None:
-        x_match = _geometry(params)[0]
-    if x_max is None:
-        x_max = choose_x_max(params, delta_r_budget=_CONTRAST_BUDGET)
-    if x_max <= x_match:
-        x_max = 1.5 * x_match
-    chi = _chi_state(params, x_match, rtol)
-    meet = CoverPoint(x_match, 0.0)
-    sp = _psi_state(params, 1, meet, x_max, True, tail_n, rtol)
-    sm = _psi_state(params, -1, meet, x_max, True, tail_n, rtol)
+    geo = _geometry(params)
+    chi = _chi_state(params, geo, 1e-11)
+    meet = CoverPoint(geo.x_match, 0.0)
+    sp = _psi_state(params, 1, meet, geo.x_max, 1e-11, tail_n=2001)
+    sm = _psi_state(params, -1, meet, geo.x_max, 1e-11, tail_n=2001)
     m_num, l_num = wronskian(chi, sp)
     m_den, l_den = wronskian(chi, sm)
     return complex(-(m_num / m_den) * cmath.exp(l_num - l_den))

@@ -120,8 +120,9 @@ def iterate_grid(svals: np.ndarray, fvals: np.ndarray, ts: np.ndarray,
         z = znew
         if delta <= tol * max(1.0, float(np.max(np.abs(z)))):
             return z, it
-    raise RuntimeError("Volterra iteration did not settle; the curve is likely "
-                       "far from admissible (rho too large)")
+    raise RuntimeError(f"Volterra iteration did not settle in max_iter={max_iter} "
+                       f"iterations on {len(ts)} nodes (last change {delta:.3g}); the "
+                       "curve is likely far from admissible (rho too large)")
 
 
 def endpoint_slope_integral(svals: np.ndarray, fvals: np.ndarray,

@@ -1,0 +1,17 @@
+"""Every name a module exports exists."""
+import importlib
+import pkgutil
+
+import pytest
+
+import anharmonic
+
+MODULES = ["anharmonic"] + [f"anharmonic.{m.name}"
+                            for m in pkgutil.iter_modules(anharmonic.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    mod = importlib.import_module(name)
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing

@@ -18,6 +18,8 @@ from anharmonic.integrate import (
     r_expansion,
     wronskian,
 )
+from anharmonic.model import critical_data
+from anharmonic.spectral import _geometry
 
 mp.mp.dps = 25
 
@@ -150,17 +152,23 @@ class TestTransport:
 
 
 class TestSeedRadius:
-    def test_default_scales_with_the_well(self):
-        small = choose_x_max(OscillatorParams(1.0, 4.0, 0.0))
-        large = choose_x_max(OscillatorParams(1.0, 400.0, 0.0))
-        assert small == 20.0
-        assert large > 50.0
-
-    def test_budget_clamp_is_monotone(self):
-        params = OscillatorParams(1.0, 400.0, 0.0)
-        r1 = choose_x_max(params, delta_r_budget=20.0)
-        r2 = choose_x_max(params, delta_r_budget=80.0)
-        assert r1 <= r2 <= choose_x_max(params)
+    @pytest.mark.parametrize("alpha,ell", [(0.3, 0.0), (0.6, 0.0), (1.0, 0.5), (2.0, 0.0),
+                                           (3.3, 60.0)])
+    @pytest.mark.parametrize("energy_ratio", [0.5, 1.0, 1.5, 4.0, 60.0])
+    def test_contrast_budget_between_floor_and_cap(self, alpha, ell, energy_ratio):
+        # energy_ratio < 1 is below the bottom of the well, where x_star stands in
+        energy = energy_ratio * critical_data(alpha, ell).e_star
+        params = OscillatorParams(alpha, energy, ell)
+        geo = _geometry(params)
+        x_max = choose_x_max(params, geo.x_plus)
+        assert x_max == geo.x_max
+        cap = max(20.0, 3.0 * geo.x_plus)
+        floor = max(1.35 * geo.x_plus, geo.x_plus + 0.75, 4.0)
+        assert geo.x_match < x_max <= cap
+        exp_ = r_expansion(alpha, energy)
+        contrast = (big_R(exp_, CoverPoint(x_max, 0.0)).real
+                    - big_R(exp_, CoverPoint(geo.x_plus, 0.0)).real)
+        assert contrast >= integrate._CONTRAST_BUDGET or x_max in (cap, floor)
 
 
 class TestStepLimit:

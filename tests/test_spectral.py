@@ -1,6 +1,7 @@
 """Spectral determinant, eigenvalue scan, and boundary-ratio criteria."""
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,14 +20,14 @@ from anharmonic import (
     spectrum_table,
     stokes_multiplier,
     bohr_sommerfeld_energy,
+    wkb_phase,
 )
-from anharmonic import spectral
+from anharmonic import model, spectral
 from anharmonic.integrate import (
     SolutionState,
     frobenius_eval,
     frobenius_seed,
     propagate,
-    seed_x0,
 )
 from anharmonic.spectral import DeterminantValue, _bracket_root, _chi_state, _geometry
 
@@ -157,13 +158,13 @@ class TestChiSeed:
     def test_log_derivative_matches_transport_from_the_first_rung(self, alpha, ell, energy):
         # seeding further out in the barrier may change chi only by a factor
         params = OscillatorParams(alpha, energy, ell)
-        x_match = _geometry(params)[0]
+        geo = _geometry(params)
         rtol = 5e-13
-        got = _chi_state(params, x_match, rtol)
-        x0 = seed_x0(params)
+        got = _chi_state(params, geo, rtol)
+        x0 = min(0.05, 0.05 * geo.x_minus)  # the first rung of the ladder
         val, dval, _ = frobenius_eval(frobenius_seed(alpha, ell), energy, x0)
         start = SolutionState(CoverPoint(x0, 0.0), val, dval, 0.0, "chi").rescaled()
-        path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(x_match, 0.0)), ("ray",),
+        path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
                         "principal")
         ref = propagate(params, start, path, rtol=rtol)
         want = ref.derivative / ref.value
@@ -209,10 +210,44 @@ class TestLoudFailures:
         assert "scan did not resolve indices 0..1 (alpha=1, ell=0)" in str(err.value)
 
     def test_unconverged_series_names_the_radius(self, monkeypatch):
-        monkeypatch.setattr(spectral, "seed_x0", lambda params: 6.0)
+        series = spectral._frobenius_scaled
+
+        def unconverged(table, energy, p):
+            val, dval, _, loglead = series(table, energy, p)
+            return val, dval, 1.0 + abs(val), loglead
+        monkeypatch.setattr(spectral, "_frobenius_scaled", unconverged)
         params = OscillatorParams(1.0, 9.0, 0.5)
+        x0 = min(0.05, 0.05 * _geometry(params).x_minus)
         with pytest.raises(RuntimeError) as err:
             spectral_determinant(params)
         msg = str(err.value)
-        assert "series seed not converged at the seeding radius x0=6" in msg
+        assert f"series seed not converged at the seeding radius x0={x0:.6g}" in msg
         assert "alpha=1, ell=0.5" in msg
+
+
+class TestWellGeometry:
+    @pytest.mark.parametrize("call", [
+        spectral_determinant,
+        lambda params: sector_wronskian(params, 0, 1),
+        wkb_phase,
+    ])
+    def test_complex_energy_is_refused(self, call):
+        with pytest.raises(ValueError, match="turning point location expects "
+                                             r"\(near\) real energy"):
+            call(OscillatorParams(1.0, 3.0 + 1.0j, 0.0))
+
+    def test_one_well_search_per_determinant(self, monkeypatch):
+        calls = {"_real_pair": 0, "turning_points": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(params, name=name, original=original):
+                calls[name] += 1
+                return original(params)
+            # patch every module that bound the function by name
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("anharmonic")
+                        and getattr(mod, name, None) is original):
+                    monkeypatch.setattr(mod, name, counted)
+        spectral_determinant(OscillatorParams(2.0, 7.4, 0.0))
+        assert calls == {"_real_pair": 1, "turning_points": 0}

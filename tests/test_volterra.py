@@ -1,11 +1,12 @@
 """Integral-equation solver and the certified error functionals."""
 import math
 
+import numpy as np
 import pytest
 
 from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
 from anharmonic.checks import committed_curves, measured_wkb_deviation
-from anharmonic.volterra import _safe_bound, kernel_b
+from anharmonic.volterra import _safe_bound, iterate_grid, kernel_b
 
 
 def _curve(index):
@@ -38,6 +39,17 @@ class TestIntegralEquation:
         params, path = _curve(0)
         run = volterra_solve(params, path)
         assert run.iterations < 30
+
+    def test_unsettled_iteration_names_its_budget(self):
+        ts = np.linspace(0.0, 1.0, 16)
+        svals, fvals = 3.0j * ts, np.full(16, 0.5 + 0j)
+        assert iterate_grid(svals, fvals, ts)[1] > 1
+        with pytest.raises(RuntimeError) as err:
+            iterate_grid(svals, fvals, ts, max_iter=1)
+        msg = str(err.value)
+        assert msg.startswith("Volterra iteration did not settle in max_iter=1 iterations "
+                              "on 16 nodes (last change ")
+        assert "rho too large" in msg
 
 
 class TestCertificates:
