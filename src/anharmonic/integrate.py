@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sint
@@ -139,12 +139,29 @@ class FrobeniusSeed:
 
     The table is energy independent; the recurrence is
     mu (mu + 2 ell + 1) c_{m,n} = c_{m,n-1} - c_{m-1,n},  mu = 2m + (2a+2)n.
+    The columns m, n, c, the derivative weights ell + 1 + mu and the mask of
+    the top-order terms (mu >= order - 2a - 2) are also kept as arrays, built
+    once with the table and cached with it, so that an evaluation is a few
+    vector operations.
     """
 
     alpha: float
     ell: float
     order: float
     coeffs: tuple[tuple[int, int, float], ...]
+    m: np.ndarray = field(init=False, repr=False, compare=False)
+    n: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+    top_order: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m, n, c = (np.array(col) for col in zip(*self.coeffs))
+        step_n = 2.0 * self.alpha + 2.0
+        mu = 2.0 * m + step_n * n
+        for name, arr in (("m", m), ("n", n), ("c", c), ("weight", self.ell + 1.0 + mu),
+                          ("top_order", mu >= self.order - step_n)):
+            object.__setattr__(self, name, arr)
 
 
 def frobenius_seed(alpha: float, ell: float, order: float = 120.0) -> FrobeniusSeed:
@@ -171,6 +188,13 @@ def frobenius_seed(alpha: float, ell: float, order: float = 120.0) -> FrobeniusS
     return FrobeniusSeed(alpha, ell, order, tuple(out))
 
 
+def _powers(base: complex, exps: np.ndarray) -> np.ndarray:
+    """base ** exps for nonnegative integer exps, from one running product."""
+    run = np.full(int(exps.max()) + 1, base, dtype=complex)
+    run[0] = 1.0
+    return np.cumprod(run)[exps]
+
+
 def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
                       p: CoverPoint) -> tuple[complex, complex, float, float]:
     """Series value, derivative and truncation estimate divided by |x|^(ell+1),
@@ -183,20 +207,18 @@ def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
     e = complex(energy)
     z2 = z * z
     zstep = p.cpow(2.0 * seed.alpha + 2.0)
-    val = 0.0 + 0.0j
-    dval = 0.0 + 0.0j
-    top = 0.0
-    top_mu = 0.0
-    for m, n, c in seed.coeffs:
-        term = c * e ** m * z2 ** m * zstep ** n
-        mu = 2.0 * m + (2.0 * seed.alpha + 2.0) * n
-        val += term
-        dval += term * (seed.ell + 1.0 + mu)
-        if mu >= seed.order - 2.0 * seed.alpha - 2.0 and abs(term) > top:
-            top = abs(term)
-            top_mu = mu
+    # powers by running products, not complex **; E^m and z^(2m) stay separate
+    # factors, multiplied onto c in turn, so that a tiny c_{m,n} absorbs each
+    # before the product can overflow
+    term = seed.c * _powers(e, seed.m) * _powers(z2, seed.m) * _powers(zstep, seed.n)
+    # summed in table order, as the running sum np.cumsum keeps: at large ell
+    # the sum cancels heavily, and numpy's pairwise sum loses up to ten times
+    # more digits there
+    val = complex(np.cumsum(term)[-1])
+    dval = complex(np.cumsum(term * seed.weight)[-1])
+    top = float(np.abs(term[seed.top_order]).max(initial=0.0))
     phase = cmath.rect(1.0, (seed.ell + 1.0) * p.arg)
-    remainder = top * (abs(z2) * abs(e) + abs(zstep)) if top_mu > 0 else 0.0
+    remainder = top * (abs(z2) * abs(e) + abs(zstep))
     return phase * val, phase * dval / z, remainder, (seed.ell + 1.0) * math.log(p.modulus)
 
 
@@ -501,6 +523,12 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     z, v, v1, _, sq = (complex(q) for q in _ray_v(params, arg, x_max))
     if refine:
         tval = _tail_t_integral(params, arg, x_max)
+        if not cmath.isfinite(tval):
+            # a NaN here would only surface as a step-limit failure of the
+            # transport that follows, after tens of seconds
+            raise RuntimeError(
+                f"sector seed tail integral is not finite (k={k}, x_max={x_max:.6g}; "
+                f"alpha={a:g}, ell={params.ell:g}, E={params.energy:g})")
         w = sgn * (rr - tval)
         # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
         pref = (v / pt.cpow(2.0 * a)) ** -0.25

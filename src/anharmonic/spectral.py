@@ -208,14 +208,20 @@ def _phase_index(alpha: float, ell: float, energy: float) -> int:
     return int(round(wkb_phase(p) - 0.5))
 
 
+# Determinant evaluations the polish of one level may spend before it leaves
+# the level to the index check.
+_POLISH_EVALS = 10
+
+
 def eigenvalues(alpha: float, ell: float, n_max: int,
                 rel_tol: float = 1e-9) -> list[float]:
-    """First n_max + 1 eigenvalues by a sign scan of Q with WKB-paced steps.
+    """First n_max + 1 eigenvalues: predict each level, polish it, check the indices.
 
-    The scan step is a fixed fraction of the local level spacing 1/(dI/dE), so
-    consecutive roots cannot share a step; an index check against the
-    quantization phase I(E) catches any pair that still slipped through and
-    triggers a finer rescan of the gap.
+    Level n is predicted at its Bohr-Sommerfeld energy, the root of the
+    quantization condition I(E) = n + 1/2, and polished to a zero of Q by a
+    safeguarded secant (_polish).  An index check against I(E) then catches a
+    level whose polish failed or landed on a neighbour's root, and rescans the
+    gap it left in steps of a tenth of the local level spacing 1/(dI/dE).
     """
     ode_rtol = min(1e-9, max(rel_tol * 0.05, 5e-13))
     crit = critical_data(alpha, ell)
@@ -229,21 +235,18 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
         return 1.0 / max(wkb_phase_derivative(p), 1e-12)
 
     e_cap = 4.0 * asymptotic_spectrum(alpha, ell, n_max + 2) + 50.0
+    e_floor = crit.e_star * (1.0 + 1e-7)
     roots: list[float] = []
-    e_prev = crit.e_star * (1.0 + 1e-7)
-    q_prev = q_at(e_prev)
-    while len(roots) <= n_max:
-        step = 0.45 * spacing(e_prev)
-        e_next = e_prev + step
-        if e_next > e_cap:
+    for n in range(n_max + 1):
+        e_guess = max(float(bohr_sommerfeld_energy(alpha, ell, n)), e_floor)
+        if e_guess > e_cap:
             raise RuntimeError(
-                f"eigenvalue scan ran past its energy cap {e_cap:.6g} at E={e_next:.6g} "
+                f"eigenvalue scan ran past its energy cap {e_cap:.6g} at E={e_guess:.6g} "
                 f"with {len(roots)} of n_max + 1 = {n_max + 1} levels "
                 f"(alpha={alpha:g}, ell={ell:g})")
-        q_next = q_at(e_next)
-        if (q_prev.mantissa.real > 0) != (q_next.mantissa.real > 0):
-            roots.append(_bracket_root(q_at, e_prev, e_next, q_prev, q_next, rel_tol))
-        e_prev, q_prev = e_next, q_next
+        root = _polish(q_at, n, e_guess, spacing(e_guess), e_floor, e_cap, rel_tol)
+        if root is not None:
+            roots.append(root)
 
     for _ in range(3):
         index = [_phase_index(alpha, ell, r) for r in roots]
@@ -282,6 +285,59 @@ def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
 
     from scipy.optimize import brentq
     return float(brentq(f, e_lo, e_hi, xtol=rel_tol * max(1.0, e_hi), rtol=8.9e-16))
+
+
+def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,
+            rel_tol: float) -> float | None:
+    """Zero of Q near the predicted energy of level n, or None if none is found
+    within _POLISH_EVALS evaluations.
+
+    Re Q is negative just below the ground level and changes sign at every
+    level, so the sign of Q at the prediction tells on which side of level n
+    it lies, and the second point is taken a hundredth of the level spacing
+    gap toward the root.  Secant steps are capped at half a spacing until a
+    sign change brackets the root; after that a step that leaves the bracket
+    is replaced by bisection, and no step leaves [e_lo, e_hi].  Q enters as
+    Re Q exp(logscale - ref) with ref the logscale at the prediction: where
+    the prediction is the exact root (alpha = 1), |Q| there is at rounding
+    level, and a reference log|Q| would blow every later value up to the clip.
+    """
+    q = q_at(e_guess)
+    ref = q.logscale
+
+    def f(q: DeterminantValue) -> float:
+        return q.mantissa.real * math.exp(min(q.logscale - ref, 50.0))
+
+    e_a, f_a = e_guess, f(q)
+    if f_a == 0.0:
+        return e_a
+    # Re Q just below level n is positive for odd n: with that sign, step up
+    toward = 1.0 if (f_a > 0.0) == (n % 2 == 1) else -1.0
+    e_b = min(max(e_a + toward * 0.01 * gap, e_lo), e_hi)
+    ends = {f_a > 0.0: e_a}  # the latest energy on each side of the root
+    for _ in range(_POLISH_EVALS - 1):
+        f_b = f(q_at(e_b))
+        if f_b == 0.0:
+            return e_b
+        ends[f_b > 0.0] = e_b
+        if f_b == f_a:
+            return None
+        e_new = e_b - f_b * (e_b - e_a) / (f_b - f_a)
+        # tested before the safeguards: next to an exact root the step can
+        # round onto a bracket end
+        if abs(e_new - e_b) <= rel_tol * max(1.0, e_b):
+            return e_new
+        if len(ends) == 2:
+            lo, hi = sorted(ends.values())
+            if not lo < e_new < hi:
+                e_new = 0.5 * (lo + hi)
+        else:
+            e_new = e_b + max(-0.5 * gap, min(0.5 * gap, e_new - e_b))
+            e_new = min(max(e_new, e_lo), e_hi)
+            if e_new == e_b:
+                return None
+        e_a, f_a, e_b = e_b, f_b, e_new
+    return None
 
 
 def _rescan(q_at, spacing, lo: float, hi: float, rel_tol: float) -> list[float]:

@@ -57,6 +57,25 @@ class TestSeriesSeed:
         assert 0 < abs(val) < 1e-200
         assert rem < 1e-10 * abs(val)
 
+    @pytest.mark.parametrize("alpha,ell,energy,x,arg", [
+        (2.0, 0.0, 7.4, 0.8, 0.0), (0.3, -0.45, 2.0, 1.0, 0.7), (1.0, 100.0, 203.5, 1.6, 0.0)])
+    def test_array_sum_matches_the_term_loop(self, alpha, ell, energy, x, arg):
+        seed = frobenius_seed(alpha, ell)
+        p = CoverPoint(x, arg)
+        z = p.to_complex()
+        zstep = p.cpow(2.0 * alpha + 2.0)
+        val = dval = 0.0
+        for m, n, c in seed.coeffs:
+            term = c * complex(energy) ** m * (z * z) ** m * zstep ** n
+            val += term
+            dval += term * (ell + 1.0 + 2.0 * m + (2.0 * alpha + 2.0) * n)
+        phase = cmath.rect(1.0, (ell + 1.0) * arg)
+        got_val, got_dval, rem, loglead = integrate._frobenius_scaled(seed, energy, p)
+        assert abs(got_val - phase * val) < 1e-14 * abs(val)
+        assert abs(got_dval - phase * dval / z) < 1e-14 * abs(dval / z)
+        assert rem <= 1e-10 * abs(got_val)
+        assert loglead == (ell + 1.0) * math.log(x)
+
     def test_indicial_exponent(self):
         seed = frobenius_seed(2.0, 1.5)
         v1, _, _ = frobenius_eval(seed, 1.0, 1e-3)

@@ -194,6 +194,69 @@ class TestBracketRoot:
         assert got == float(brentq(f, lo, hi, xtol=1e-9 * max(1.0, hi), rtol=8.9e-16))
 
 
+class TestPredictAndPolish:
+    def test_few_determinants_per_level(self, monkeypatch):
+        calls = []
+        original = spectral.spectral_determinant
+
+        def counted(params, **kwargs):
+            calls.append(params.energy)
+            return original(params, **kwargs)
+        monkeypatch.setattr(spectral, "spectral_determinant", counted)
+        got = eigenvalues(2.0, 0.0, 4)
+        assert len(got) == 5
+        assert len(calls) <= 6 * len(got)
+
+    def test_levels_are_python_floats(self):
+        # from n = 5 on the prediction starts from the numpy-valued large-n
+        # asymptotics; numpy scalars must not reach the RK stepper
+        got = eigenvalues(1.0, 0.5, 5)
+        assert all(type(g) is float for g in got)
+        assert abs(got[5] / 24.0 - 1.0) < 1e-9
+
+    def test_misplaced_prediction_falls_back_to_the_rescan(self, monkeypatch):
+        # level 0 is predicted at level 1's energy: its polish finds level 1
+        # again, and only the index check and the rescan recover level 0
+        predict = spectral.bohr_sommerfeld_energy
+        monkeypatch.setattr(spectral, "bohr_sommerfeld_energy",
+                            lambda alpha, ell, n: predict(alpha, ell, max(n, 1)))
+        gaps = []
+        original = spectral._rescan
+
+        def counted(q_at, spacing, lo, hi, rel_tol):
+            gaps.append((lo, hi))
+            return original(q_at, spacing, lo, hi, rel_tol)
+        monkeypatch.setattr(spectral, "_rescan", counted)
+        got = eigenvalues(1.0, 0.5, 1)
+        assert len(gaps) == 1
+        assert len(got) == 2
+        for g, w in zip(got, [4.0, 8.0]):
+            assert abs(g / w - 1.0) < 1e-9
+
+    def test_polish_keeps_to_its_interval(self):
+        # the root lies below e_lo: every step is clipped there and the
+        # polish gives up instead of leaving [e_lo, e_hi]
+        seen = []
+
+        def q_at(e):
+            seen.append(e)
+            return DeterminantValue(complex(e - 1.0), 0.0)
+        assert spectral._polish(q_at, 0, 2.0, 1.0, 1.5, 3.0, 1e-9) is None
+        assert seen and min(seen) >= 1.5
+
+    def test_polish_stops_on_a_small_step(self):
+        def q(e):
+            return DeterminantValue(complex(math.sin(e - 2.0)), 0.3 * e)
+        calls = []
+
+        def q_at(e):
+            calls.append(e)
+            return q(e)
+        got = spectral._polish(q_at, 1, 2.3, 3.0, 0.5, 10.0, 1e-12)
+        assert abs(got - 2.0) < 1e-11
+        assert len(calls) <= spectral._POLISH_EVALS
+
+
 class TestLoudFailures:
     def test_energy_cap_names_the_scan(self, monkeypatch):
         monkeypatch.setattr(spectral, "asymptotic_spectrum", lambda *args: -12.0)
@@ -208,6 +271,15 @@ class TestLoudFailures:
         with pytest.raises(RuntimeError) as err:
             eigenvalues(1.0, 0.0, 1)
         assert "scan did not resolve indices 0..1 (alpha=1, ell=0)" in str(err.value)
+
+    def test_non_finite_seed_tail_names_the_parameters(self):
+        # the tail integral of the sector seed is NaN here; the failure must
+        # come at once and name the seed, not after a long transport
+        with pytest.raises(RuntimeError) as err:
+            sector_wronskian(OscillatorParams(1.03, 3.0, 0.5), 0, 1)
+        msg = str(err.value)
+        assert "tail integral is not finite" in msg
+        assert "alpha=1.03, ell=0.5, E=3" in msg and "k=0" in msg
 
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled
