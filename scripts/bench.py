@@ -2,7 +2,7 @@
 """Time the eigenvalue-scan layers and count their work; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
-checkout of the source tree:
+checkout of the source tree that has spectral._ode_rtol:
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
@@ -14,7 +14,7 @@ a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
 points.  Counts come from wrapping module functions of anharmonic.spectral
 from this script; times are plain time.perf_counter readings (best of
---repeat for the micro timings).
+REPEAT for the micro timings).
 """
 import argparse
 import json
@@ -47,7 +47,10 @@ DETERMINANTS = [(2.0, 0.0, 7.4), (1.0, 0.5, 9.0), (1.0, 100.0, 203.5)]
 SERIES = [(2.0, 0.0, 7.4, 0.2), (1.0, 0.5, 9.0, 0.1), (1.0, 100.0, 203.5, 1.6)]
 
 # the determinant options of the scan at its default rel_tol = 1e-9
-SCAN_RTOL = 5e-11
+SCAN_RTOL = spectral._ode_rtol(1e-9)
+
+# each micro timing is the best of this many repetitions
+REPEAT = 5
 
 
 class Counters:
@@ -102,21 +105,21 @@ def time_scans(counters: Counters) -> dict:
     return out
 
 
-def _best_us(call, repeat: int) -> float:
+def _best_us(call) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
     return best * 1e6
 
 
-def time_layers(repeat: int) -> dict:
+def time_layers() -> dict:
     dets = {}
     for alpha, ell, energy in DETERMINANTS:
         params = OscillatorParams(alpha, energy, ell)
         dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
-            lambda: spectral.spectral_determinant(params, refine=False, rtol=SCAN_RTOL), repeat)
+            lambda: spectral.spectral_determinant(params, refine=False, rtol=SCAN_RTOL))
     series = {}
     for alpha, ell, energy, x in SERIES:
         table = spectral._series_table(alpha, ell)
@@ -124,7 +127,7 @@ def time_layers(repeat: int) -> dict:
         # many calls per timing, of the unwrapped function: one call may take
         # only tens of microseconds
         us = _best_us(lambda: [integrate._frobenius_scaled(table, energy, point)
-                               for _ in range(50)], repeat) / 50
+                               for _ in range(50)]) / 50
         series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = us
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series}
 
@@ -133,8 +136,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="output goes to BENCH_<label>.json")
     ap.add_argument("--out-dir", default=".", help="directory of the output file")
-    ap.add_argument("--repeat", type=int, default=5,
-                    help="repetitions of each micro timing; the best is kept")
     args = ap.parse_args()
 
     pkg_dir = Path(anharmonic.__file__).resolve().parent
@@ -150,7 +151,7 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
-        "layers": time_layers(args.repeat),
+        "layers": time_layers(),
     }
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")

@@ -213,6 +213,11 @@ def _phase_index(alpha: float, ell: float, energy: float) -> int:
 _POLISH_EVALS = 10
 
 
+def _ode_rtol(rel_tol: float) -> float:
+    """ODE tolerance of the determinants an eigenvalue scan to rel_tol evaluates."""
+    return min(1e-9, max(rel_tol * 0.05, 5e-13))
+
+
 def eigenvalues(alpha: float, ell: float, n_max: int,
                 rel_tol: float = 1e-9) -> list[float]:
     """First n_max + 1 eigenvalues: predict each level, polish it, check the indices.
@@ -223,7 +228,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
     level whose polish failed or landed on a neighbour's root, and rescans the
     gap it left in steps of a tenth of the local level spacing 1/(dI/dE).
     """
-    ode_rtol = min(1e-9, max(rel_tol * 0.05, 5e-13))
+    ode_rtol = _ode_rtol(rel_tol)
     crit = critical_data(alpha, ell)
 
     def q_at(energy: float) -> DeterminantValue:
