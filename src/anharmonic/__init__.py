@@ -7,7 +7,6 @@ from .model import (
     TurningPointSet,
     critical_data,
     eval_forcing,
-    eval_potential,
     eval_reduced,
     to_hbar_coords,
     turning_points,
@@ -56,7 +55,6 @@ __all__ = [
     "eigenvalues",
     "error_functionals",
     "eval_forcing",
-    "eval_potential",
     "eval_reduced",
     "fock_goncharov",
     "path_from_complex",

@@ -19,9 +19,11 @@ from scipy.special import gamma as _gamma
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _blowup_constants,
     _cover_power,
     _forcing_payload,
     _reduced_jet,
+    _reduced_v,
     _real_pair,
     critical_data,
 )
@@ -185,7 +187,7 @@ class PathFrame:
         sign = 1.0 if path.sqrt_v_branch == "principal" else -1.0
         ts = np.linspace(0.0, 1.0, scout)
         for i in range(len(self.segments)):
-            roots = np.sqrt(self.derivative_triple(i, ts)[2]).tolist()
+            roots = np.sqrt(self.reduced(i, ts)).tolist()
             flips: list[float] = []
             signs = [sign]
             prev = sign * roots[0]
@@ -207,7 +209,7 @@ class PathFrame:
         # refine the branch-flip location with the same nearest-root continuation
         for _ in range(48):
             tm = 0.5 * (t0 + t1)
-            root = cmath.sqrt(self.derivative_triple(i_seg, tm)[2])
+            root = cmath.sqrt(self.reduced(i_seg, tm))
             cur = root if abs(root - left_val) <= abs(root + left_val) else -root
             if (1.0 if cur == root else -1.0) == left_sign:
                 t0, left_val = tm, cur
@@ -230,10 +232,12 @@ class PathFrame:
         return z, dz, v, v1, v2
 
     def reduced(self, i_seg: int, t):
-        return self.derivative_triple(i_seg, t)[2]
+        """V alone, with the path-consistent power branch."""
+        z, arg, _ = self.segments[i_seg].point(t)
+        return _reduced_v(self.params, z, _cover_power(2.0 * self.params.alpha, z, arg))
 
     def sqrt_v(self, i_seg: int, t):
-        return self._sign_at(i_seg, t) * np.sqrt(self.derivative_triple(i_seg, t)[2])
+        return self._sign_at(i_seg, t) * np.sqrt(self.reduced(i_seg, t))
 
     def forcing(self, i_seg: int, t):
         """Signed forcing density F(x(t)) using the continued branch of sqrt(V)."""
@@ -378,14 +382,14 @@ def bohr_sommerfeld_energy(alpha: float, ell: float, n: int,
 
 
 def _j1_zero(alpha: float) -> float:
-    return (0.5 / math.sqrt(math.pi)) * _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha)) \
-        / _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha))
+    return float((0.5 / math.sqrt(math.pi)) * _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha))
+                 / _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha)))
 
 
 def _large_n_bracket(alpha: float) -> float:
     # equals 1/(4*J1(0))
-    return (0.5 * math.sqrt(math.pi)) * _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha)) \
-        / _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha))
+    return float((0.5 * math.sqrt(math.pi)) * _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha))
+                 / _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha)))
 
 
 _REFERENCE_IDS = (
@@ -432,7 +436,7 @@ def asymptotic_reference(identifier: str, alpha: float, **kw) -> float | tuple[f
     if identifier == "j2_slope":
         return a ** (-1.0 / (a + 1.0)) / (2.0 * math.sqrt(2.0 * a + 2.0))
     if identifier == "j2_near_critical":
-        nu_star = (1.0 + a) / a ** (a / (a + 1.0))
+        nu_star, _ = _blowup_constants(a)
         return asymptotic_reference("j2_slope", a) * (kw["nu"] - nu_star)
     if identifier == "j2_large_nu":
         return _j1_zero(a) * kw["nu"] ** ((a + 1.0) / (2.0 * a)) - 0.5
@@ -457,15 +461,14 @@ def asymptotic_reference(identifier: str, alpha: float, **kw) -> float | tuple[f
         return n ** (-(a + 0.5))
     if identifier == "spectrum_fixed_n_large_ell":
         n, ell = kw["n"], kw["ell"]
-        lead = (a + 1.0) / a ** (a / (a + 1.0)) * ell ** (2.0 * a / (a + 1.0))
+        lead = _blowup_constants(a)[0] * ell ** (2.0 * a / (a + 1.0))
         kcoef = asymptotic_reference("harmonic_coefficient", a)
         return lead * (1.0 + kcoef * (n + 0.5) / ell)
     if identifier == "harmonic_coefficient":
         return 2.0 * a * math.sqrt(2.0) / math.sqrt(a + 1.0)
     if identifier == "coalescing_tps":
         nu = kw["nu"]
-        y_star = a ** (-1.0 / (2.0 * a + 2.0))
-        nu_star = (1.0 + a) / a ** (a / (a + 1.0))
+        nu_star, y_star = _blowup_constants(a)
         d = nu - nu_star
         if d < 0:
             raise ValueError("coalescing expansion needs nu >= nu_*")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CoverPoint, OscillatorParams, critical_data
+from .model import CoverPoint, OscillatorParams, _blowup_constants, to_hbar_coords
 from .action import (
     PathFrame,
     PathSpec,
@@ -28,7 +28,6 @@ from .action import (
     bohr_sommerfeld_energy,
     path_from_complex,
     reduced_wkb_integral,
-    wkb_phase,
     wkb_phase_derivative,
 )
 from .integrate import SolutionState, propagate
@@ -42,7 +41,6 @@ from .spectral import (
 from .geometry import (
     TraceStops,
     check_admissible,
-    default_stops,
     stokes_complex,
     topology_signature,
     trace_trajectory,
@@ -140,7 +138,7 @@ def check_large_n_rate() -> CheckResult:
 
 def _harmonic_residual(alpha: float, ell: float, e0: float) -> float:
     lead = alpha ** (alpha / (alpha + 1.0)) / (alpha + 1.0)
-    slope = 2.0 * alpha * math.sqrt(2.0) / math.sqrt(alpha + 1.0)
+    slope = asymptotic_reference("harmonic_coefficient", alpha)
     return abs(lead * ell ** (-2.0 * alpha / (alpha + 1.0)) * e0 - 1.0
                - slope * 0.5 / ell)
 
@@ -288,17 +286,16 @@ def check_wkb_error_bound() -> CheckResult:
 
 def check_hbar_scaling() -> CheckResult:
     alpha = 2.0
-    nu = 2.0 * (alpha + 1.0) / alpha ** (alpha / (alpha + 1.0))
+    nu = 2.0 * _blowup_constants(alpha)[0]
     y_nodes = [0.45 + 0.95j, 3.2 + 0.95j]
     ratios = []
-    for hbar in (0.5, 0.25, 0.125):
-        lam = 1.0 / hbar
+    for lam in (2.0, 4.0, 8.0):
         params = OscillatorParams(alpha, nu * lam ** (2.0 * alpha / (alpha + 1.0)),
                                   lam - 0.5)
-        scale = lam ** (1.0 / (alpha + 1.0))
-        path = _oriented(params, [scale * y for y in y_nodes])
+        co = to_hbar_coords(params, 2)
+        path = _oriented(params, [co.scale * y for y in y_nodes])
         ef = error_functionals(params, path)
-        ratios.append(ef.rho / hbar)
+        ratios.append(ef.rho / co.hbar)
     spread = max(ratios) / min(ratios)
     return CheckResult(
         name="hbar_scaling",
@@ -396,7 +393,7 @@ def check_j_asymptotics() -> CheckResult:
         rows.append("J1 alpha=%g normalized errors %s" % (alpha, [float(_fmt(e)) for e in errs]))
 
     alpha = 2.0
-    nu_star = (alpha + 1.0) / alpha ** (alpha / (alpha + 1.0))
+    nu_star, _ = _blowup_constants(alpha)
     slope = asymptotic_reference("j2_slope", alpha)
     errs = []
     for d in (0.1, 0.025, 0.00625):

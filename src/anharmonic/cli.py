@@ -13,7 +13,7 @@ import math
 import sys
 
 from . import __version__
-from .model import OscillatorParams, critical_data
+from .model import OscillatorParams
 from .action import reduced_wkb_integral, wkb_phase
 from .spectral import spectrum_table
 from .geometry import complex_to_json_dict, stokes_complex, trajectory_csv_rows

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .action import PathSpec, PathFrame, path_from_complex
+from .action import PathSpec, PathFrame
 from .model import (
     CoverPoint,
     OscillatorParams,
     _reduced_jet,
+    _reduced_v,
     critical_data,
     turning_points,
 )
@@ -40,7 +41,6 @@ __all__ = [
     "default_stops",
     "stokes_complex",
     "check_admissible",
-    "trajectory_to_path",
     "trajectory_csv_rows",
     "complex_to_json_dict",
     "topology_signature",
@@ -74,8 +74,6 @@ class TraceStops:
     radius_max: float
     radius_min: float
     max_steps: int = 200_000
-    sector_targets: tuple[int, ...] = ()
-    sector_radius: float = math.inf
     arg_window: tuple[float, float] | None = None
 
 
@@ -116,8 +114,8 @@ class AdmissibilityReport:
     bound: float
 
 
-def _potential_pair(params: OscillatorParams, v_mode: str, pole_coupling):
-    """Closure (z, arg) -> (V, V') for the chosen potential variant.
+def _potential(params: OscillatorParams, v_mode: str, pole_coupling):
+    """Closures (z, arg) -> V and (z, arg) -> (V, V') for the chosen potential.
 
     v_mode "full" is the reduced potential; "pure_power" and "pure_pole" are
     the model problems whose trajectories have closed forms, kept as test
@@ -126,27 +124,34 @@ def _potential_pair(params: OscillatorParams, v_mode: str, pole_coupling):
     a = params.alpha
     if v_mode == "full":
 
-        def vv(z: complex, arg: float):
-            xa = cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
-            v, v1, _ = _reduced_jet(params, z, xa)
-            return v, v1
+        def v(z: complex, arg: float):
+            return _reduced_v(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))
 
-        return vv
+        def v_pair(z: complex, arg: float):
+            return _reduced_jet(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))[:2]
+
+        return v, v_pair
     if v_mode == "pure_power":
 
-        def vv(z: complex, arg: float):
-            xa = cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
+        def v(z: complex, arg: float):
+            return cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
+
+        def v_pair(z: complex, arg: float):
+            xa = v(z, arg)
             return xa, 2.0 * a * xa / z
 
-        return vv
+        return v, v_pair
     if v_mode == "pure_pole":
         c = params.lam if pole_coupling is None else complex(pole_coupling)
         c2 = c * c
 
-        def vv(z: complex, arg: float):
+        def v(z: complex, arg: float):
+            return c2 / (z * z)
+
+        def v_pair(z: complex, arg: float):
             return c2 / (z * z), -2.0 * c2 / (z * z * z)
 
-        return vv
+        return v, v_pair
     raise ValueError("v_mode must be full, pure_power or pure_pole")
 
 
@@ -190,7 +195,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     if stops is None:
         stops = default_stops(params)
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
-    vv = _potential_pair(params, v_mode, pole_coupling)
+    v_of, v_pair = _potential(params, v_mode, pole_coupling)
     two_a_int = abs(2.0 * params.alpha - round(2.0 * params.alpha)) < 1e-12
     guards = [] if tp_guard is None else list(tp_guard)
     guard_z = [g[0].to_complex() for g in guards]
@@ -202,7 +207,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
 
     z = p0.to_complex()
     arg = p0.arg
-    v, _ = vv(z, arg)
+    v = v_of(z, arg)
     if v == 0:
         raise ValueError("trace must not start at a turning point")
     sq = cmath.sqrt(v)
@@ -222,7 +227,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     while n < stops.max_steps:
         n += 1
         # local step bound: sqrt(V) relative change and geometric caps
-        v, v1 = vv(z, arg)
+        v, v1 = v_pair(z, arg)
         if v == 0:
             termination = Termination("step_limit")
             break
@@ -241,8 +246,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
 
         # RK4 on x(tau) with the branch continued through the stages
         def rhs(zz: complex, aa: float, ref: complex) -> tuple[complex, complex]:
-            vz, _ = vv(zz, aa)
-            root = _match_sqrt(vz, ref)
+            root = _match_sqrt(v_of(zz, aa), ref)
             return phase / root, root
 
         r1 = _match_sqrt(v, sq)  # V at z is known from the step bound
@@ -262,10 +266,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         # Simpson accumulation of S along the realized chord
         zm = 0.5 * (z + znew)
         am = arg + cmath.phase(zm / z)
-        vm, _ = vv(zm, am)
-        vn, _ = vv(znew, argnew)
-        sm = _match_sqrt(vm, sq)
-        sqn = _match_sqrt(vn, sm)
+        sm = _match_sqrt(v_of(zm, am), sq)
+        sqn = _match_sqrt(v_of(znew, argnew), sm)
         s_acc += (znew - z) * (sq + 4.0 * sm + sqn) / 6.0
 
         z, arg, sq = znew, argnew, sqn
@@ -282,8 +284,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             zc = z + delta
             if zc != 0:
                 ac = arg + cmath.phase(zc / z)
-                vc, _ = vv(zc, ac)
-                sqc = _match_sqrt(vc, sq)
+                sqc = _match_sqrt(v_of(zc, ac), sq)
                 s_acc += delta * (sq + sqc) / 2.0
                 z, arg, sq = zc, ac, sqc
                 points[-1] = CoverPoint(abs(z), arg)
@@ -315,15 +316,6 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         if hit is not None:
             termination = Termination("near_turning_point", hit)
             break
-        if stops.sector_targets and mod > stops.sector_radius:
-            half = 0.5 * math.pi / (params.alpha + 1.0)
-            for k_sec in stops.sector_targets:
-                center = k_sec * math.pi / (params.alpha + 1.0)
-                if abs(arg - center) < 0.9 * half:
-                    termination = Termination("entered_sector", int(k_sec))
-                    break
-            if termination.kind == "entered_sector":
-                break
         # winding bookkeeping: spirals shrink each turn, bounded orbits do not
         winding = arg - turn_anchor_arg
         if abs(winding) >= 2.0 * math.pi * (len(turn_records) + 1):
@@ -471,7 +463,7 @@ def stokes_complex(params: OscillatorParams,
         for phi in _fan_directions(params, tp, beta, theta):
             z_launch = tp.to_complex() + cmath.rect(launch_r, phi)
             pt = CoverPoint.from_complex(z_launch, near_arg=tp.arg)
-            v, _ = _potential_pair(params, "full", None)(z_launch, pt.arg)
+            v = _reduced_v(params, z_launch, pt.cpow(2.0 * params.alpha))
             u = cmath.rect(1.0, theta) / cmath.sqrt(v)
             outward = (u.conjugate() * cmath.rect(1.0, phi)).real
             direction = 1 if outward > 0 else -1
@@ -582,19 +574,6 @@ def check_admissible(params: OscillatorParams, path: PathSpec,
     monotone = bool(np.all(d > tol) or np.all(d < -tol))
     ef = _grid_functionals(frame, ts, svals, fvals)
     return AdmissibilityReport(monotone=monotone, rho=ef.rho, beta=ef.beta, bound=ef.bound)
-
-
-def trajectory_to_path(traj: Trajectory, max_nodes: int = 200,
-                       sqrt_v_branch: str = "principal") -> PathSpec:
-    """Decimate a traced polyline into a piecewise-line PathSpec."""
-    pts = traj.points
-    if len(pts) < 2:
-        raise ValueError("trajectory too short to convert")
-    stride = max(1, (len(pts) - 1) // max_nodes)
-    nodes = list(pts[::stride])
-    if nodes[-1] is not pts[-1]:
-        nodes.append(pts[-1])
-    return PathSpec(tuple(nodes), tuple("line" for _ in nodes[:-1]), sqrt_v_branch)
 
 
 def trajectory_csv_rows(traj: Trajectory) -> list[tuple[float, float, float]]:

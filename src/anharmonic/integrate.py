@@ -24,6 +24,7 @@ from .model import (
     _cover_power,
     _forcing_payload,
     _reduced_jet,
+    sector_center_arg,
 )
 from .action import PathSpec, _Segment, _gauss8_increments
 from .volterra import iterate_grid, endpoint_slope_integral
@@ -514,7 +515,7 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     exact limit normalization since z -> 1 at infinity.
     """
     a = params.alpha
-    arg = k * math.pi / (a + 1.0)
+    arg = sector_center_arg(a, k)
     sgn = -((-1.0) ** k)
     pt = CoverPoint(x_max, arg)
     exp_ = r_expansion(a, params.energy)

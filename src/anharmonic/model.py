@@ -21,15 +21,12 @@ __all__ = [
     "TurningPointSet",
     "CriticalData",
     "HbarCoords",
-    "eval_potential",
     "eval_reduced",
     "eval_forcing",
     "critical_data",
     "turning_points",
     "to_hbar_coords",
     "sector_center_arg",
-    "sector_half_width",
-    "infinity_arg",
 ]
 
 
@@ -63,11 +60,6 @@ class CoverPoint:
 
     def rotated(self, dphi: float) -> "CoverPoint":
         return CoverPoint(self.modulus, self.arg + dphi)
-
-    def scaled(self, factor: float) -> "CoverPoint":
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CoverPoint(self.modulus * factor, self.arg)
 
 
 @dataclass(frozen=True)
@@ -115,8 +107,7 @@ class HbarCoords:
     """Semiclassical rescaling x = scale*y with psi'' = hbar^-2 * V_tilde * psi.
 
     regime 1 fixes ell and sends E to infinity; regime 2 couples E to ell.
-    The exact identity scale^2 * V(scale*y) = hbar^-2 * (y^2a - nu + (lam_eff*hbar... )
-    is exposed through reduced_in_y below and unit tested.
+    In both, scale^2 V(scale*y) = hbar^-2 (y^2a - nu + lam_eff^2 / y^2).
     """
 
     regime: int
@@ -130,13 +121,6 @@ def _as_cover(x, near_arg: float = 0.0) -> CoverPoint:
     if isinstance(x, CoverPoint):
         return x
     return CoverPoint.from_complex(complex(x), near_arg)
-
-
-def eval_potential(params: OscillatorParams, x) -> complex:
-    """Full potential U = x^(2a) + ell(ell+1)/x^2 - E at a cover point."""
-    p = _as_cover(x)
-    z = p.to_complex()
-    return p.cpow(2.0 * params.alpha) + params.ell * (params.ell + 1.0) / (z * z) - params.energy
 
 
 def eval_reduced(params: OscillatorParams, x) -> complex:
@@ -171,18 +155,23 @@ def _cover_power(s: float, z, arg):
     return np.exp(s * (np.log(np.abs(z)) + 1j * arg))
 
 
-def _reduced_jet(params: OscillatorParams, z, xpow):
-    """(V, V', V'') at x = z, given the cover power xpow = x^(2a).
+def _reduced_v(params: OscillatorParams, z, xpow):
+    """V at x = z, given the cover power xpow = x^(2a).
 
-    The one place the reduced potential and its derivatives are written out.
-    Plain arithmetic, so z and xpow may be Python complex scalars or numpy
-    arrays alike.
+    The one place the reduced potential is written out.  Plain arithmetic, so
+    z and xpow may be Python complex scalars or numpy arrays alike.
     """
+    lam = params.lam
+    return xpow - params.energy + lam * lam / (z * z)
+
+
+def _reduced_jet(params: OscillatorParams, z, xpow):
+    """(V, V', V'') at x = z, given the cover power xpow = x^(2a); scalars or arrays."""
     a2 = 2.0 * params.alpha
     lam = params.lam
     lam2 = lam * lam
     z2 = z * z
-    v = xpow - params.energy + lam2 / z2
+    v = _reduced_v(params, z, xpow)
     v1 = a2 * xpow / z - 2.0 * lam2 / (z2 * z)
     v2 = a2 * (a2 - 1.0) * xpow / z2 + 6.0 * lam2 / (z2 * z2)
     return v, v1, v2
@@ -193,6 +182,11 @@ def _forcing_payload(z, v, v1, v2):
     return 0.25 / (z * z) + (5.0 * v1 * v1 - 4.0 * v2 * v) / (16.0 * v * v)
 
 
+def _blowup_constants(alpha: float) -> tuple[float, float]:
+    """(nu_*, y_*): the minimum of y^(2a) + 1/y^2 and where it is attained."""
+    return (1.0 + alpha) / alpha ** (alpha / (alpha + 1.0)), alpha ** (-1.0 / (2.0 * alpha + 2.0))
+
+
 def critical_data(alpha: float, ell: float) -> CriticalData:
     """Minimum of x^(2a) + lam^2/x^2 and the blown-up critical constants."""
     lam = ell + 0.5
@@ -200,9 +194,7 @@ def critical_data(alpha: float, ell: float) -> CriticalData:
         raise ValueError("ell must exceed -1/2")
     e_star = alpha ** (-alpha / (1.0 + alpha)) * (1.0 + alpha) * lam ** (2.0 * alpha / (1.0 + alpha))
     x_star = alpha ** (-1.0 / (2.0 + 2.0 * alpha)) * lam ** (1.0 / (1.0 + alpha))
-    nu_star = (1.0 + alpha) / alpha ** (alpha / (alpha + 1.0))
-    y_star = alpha ** (-1.0 / (2.0 * alpha + 2.0))
-    return CriticalData(e_star, x_star, nu_star, y_star)
+    return CriticalData(e_star, x_star, *_blowup_constants(alpha))
 
 
 def _real_reduced(params: OscillatorParams, x: float) -> float:
@@ -263,7 +255,7 @@ def _newton_sector_roots(params: OscillatorParams) -> list[CoverPoint]:
     seeds = []
     for sign in (1.0, -1.0):
         for mod in (m_big, m_small, 0.5 * (m_big + m_small)):
-            for ph in (math.pi / a, 1.5 * math.pi / (a + 1.0), 2.0 * math.pi / (a + 1.0)):
+            for ph in (math.pi / a, sector_center_arg(a, 1.5), sector_center_arg(a, 2.0)):
                 seeds.append(CoverPoint(mod, sign * ph))
     found: list[CoverPoint] = []
     for seed in seeds:
@@ -353,21 +345,10 @@ def to_hbar_coords(params: OscillatorParams, regime: int) -> HbarCoords:
     raise ValueError("regime must be 1 or 2")
 
 
-def reduced_in_y(coords: HbarCoords, alpha: float, y: complex) -> complex:
-    """Rescaled reduced potential: scale^2 V(scale*y) = hbar^-2 * reduced_in_y."""
-    yy = complex(y)
-    return yy ** (2.0 * alpha) - coords.nu + coords.lam_eff ** 2 / (yy * yy)
+def sector_center_arg(alpha: float, k: float) -> float:
+    """arg x = k pi / (alpha + 1): the centre of decay sector k for integer k.
 
-
-def sector_center_arg(alpha: float, k: int) -> float:
-    """Central direction of the k-th decay sector."""
+    Half-integer k gives the ray where sectors k - 1/2 and k + 1/2 meet, and
+    other fractions (a mean of sector labels) the rays in between.
+    """
     return k * math.pi / (alpha + 1.0)
-
-
-def sector_half_width(alpha: float) -> float:
-    return 0.5 * math.pi / (alpha + 1.0)
-
-
-def infinity_arg(alpha: float, half_index: int) -> float:
-    """Direction of the escape ray between sectors half_index and half_index+1."""
-    return (half_index + 0.5) * math.pi / (alpha + 1.0)

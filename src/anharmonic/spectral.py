@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .model import CoverPoint, OscillatorParams, _real_pair, critical_data
+from .model import CoverPoint, OscillatorParams, _real_pair, critical_data, sector_center_arg
 from .action import (
     PathSpec,
     bohr_sommerfeld_energy,
@@ -171,7 +171,7 @@ def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
     parallel to working precision and their Wronskian drowns in cancellation).
     """
     state = sibuya_seed(params, k, x_max, refine=refine, tail_n=tail_n)
-    arg_k = k * math.pi / (params.alpha + 1.0)
+    arg_k = sector_center_arg(params.alpha, k)
     nodes = [CoverPoint(x_max, arg_k)]
     kinds: list[str] = []
     if abs(meet.modulus - x_max) > 1e-14:
@@ -243,7 +243,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
     e_floor = crit.e_star * (1.0 + 1e-7)
     roots: list[float] = []
     for n in range(n_max + 1):
-        e_guess = max(float(bohr_sommerfeld_energy(alpha, ell, n)), e_floor)
+        e_guess = max(bohr_sommerfeld_energy(alpha, ell, n), e_floor)
         if e_guess > e_cap:
             raise RuntimeError(
                 f"eigenvalue scan ran past its energy cap {e_cap:.6g} at E={e_guess:.6g} "
@@ -362,7 +362,7 @@ def _rescan(q_at, spacing, lo: float, hi: float, rel_tol: float) -> list[float]:
 
 def asymptotic_spectrum(alpha: float, ell: float, n: int) -> float:
     """Closed-form high-level approximation [B (4n + 2 ell + 1)]^(2a/(a+1))."""
-    return float(asymptotic_reference("spectrum_large_n", alpha, ell=ell, n=n))
+    return asymptotic_reference("spectrum_large_n", alpha, ell=ell, n=n)
 
 
 def spectrum_table(alpha: float, ell: float, n_max: int,
@@ -383,7 +383,7 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
 def sector_wronskian(params: OscillatorParams, j: int, k: int) -> tuple[complex, float]:
     """Wr[psi_j, psi_k] as (mantissa, logscale), met on the bisecting ray."""
     geo = _geometry(params)
-    meet = CoverPoint(geo.meet, 0.5 * (j + k) * math.pi / (params.alpha + 1.0))
+    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, 0.5 * (j + k)))
     sj = _psi_state(params, j, meet, geo.x_max)
     sk = _psi_state(params, k, meet, geo.x_max)
     return wronskian(sj, sk)
@@ -392,7 +392,7 @@ def sector_wronskian(params: OscillatorParams, j: int, k: int) -> tuple[complex,
 def stokes_multiplier(params: OscillatorParams, k: int = 0) -> complex:
     """sigma_k from the three seeds meeting on the sector-k ray."""
     geo = _geometry(params)
-    meet = CoverPoint(geo.meet, k * math.pi / (params.alpha + 1.0))
+    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, k))
     sm = _psi_state(params, k - 1, meet, geo.x_max)
     s0 = _psi_state(params, k, meet, geo.x_max)
     sp = _psi_state(params, k + 1, meet, geo.x_max)
@@ -411,7 +411,7 @@ def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int]) ->
     if len({a, b, c, d}) != 4:
         raise ValueError("the four sector labels must be distinct")
     geo = _geometry(params)
-    meet = CoverPoint(geo.meet, (a + b + c + d) / 4.0 * math.pi / (params.alpha + 1.0))
+    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, (a + b + c + d) / 4.0))
     states = {k: _psi_state(params, k, meet, geo.x_max) for k in (a, b, c, d)}
     m_ab, _ = wronskian(states[a], states[b])
     m_ad, _ = wronskian(states[a], states[d])

@@ -33,7 +33,6 @@ from .action import PathSpec, PathFrame
 __all__ = [
     "VolterraRun",
     "ErrorFunctionals",
-    "kernel_b",
     "error_functionals",
     "volterra_solve",
     "iterate_grid",
@@ -60,12 +59,10 @@ class ErrorFunctionals:
     rho: float
     beta: float
     bound: float
-    refined_rho: float | None = None
+    refined_rho: float
 
     @property
-    def refined_bound(self) -> float | None:
-        if self.refined_rho is None:
-            return None
+    def refined_bound(self) -> float:
         return math.expm1(self.refined_rho)
 
 
@@ -154,28 +151,22 @@ def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.concatenate(ts_all), np.concatenate(s_all), np.concatenate(f_all)
 
 
-def kernel_b(params: OscillatorParams, curve: PathSpec, t: float, s: float) -> complex:
-    """Kernel value B(t, s) between two global path parameters, s <= t."""
-    if s > t:
-        raise ValueError("kernel is supported on s <= t")
-    frame = PathFrame(params, curve)
-    acc = 0.0 + 0.0j
-    i0, i1 = int(math.floor(s)), min(int(math.ceil(t)) - 1, len(frame.segments) - 1)
-    for i in range(max(i0, 0), i1 + 1):
-        lo = max(s - i, 0.0)
-        hi = min(t - i, 1.0)
-        if hi <= lo:
-            continue
-        ts = np.linspace(lo, hi, 65)
-        acc += frame.cumulative_s(i, ts)[-1]
-    expo = -2.0 * acc
-    if expo.real > _EXP_CAP:
-        expo = complex(_EXP_CAP, expo.imag)
-    return 0.5 * (np.exp(expo) - 1.0)
+def _certify(rho: float, ts: np.ndarray, svals: np.ndarray,
+             fvals: np.ndarray) -> ErrorFunctionals:
+    """Complete rho with beta, the bound and the refined rho of the grid.
+
+    The refined rho weights |F| by |B(1, s)|, the kernel seen from the end node.
+    """
+    re = svals.real
+    beta = float(np.min(re - np.maximum.accumulate(re)))
+    expo = -2.0 * (svals[-1] - svals)
+    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
+    refined_rho = float(np.trapezoid(0.5 * np.abs(np.exp(expo) - 1.0) * np.abs(fvals), ts))
+    return ErrorFunctionals(rho, beta, _safe_bound(rho, beta), refined_rho)
 
 
 def _grid_functionals(frame: PathFrame, ts: np.ndarray, svals: np.ndarray,
-                      fvals: np.ndarray, refined: bool = False) -> ErrorFunctionals:
+                      fvals: np.ndarray) -> ErrorFunctionals:
     """rho by adaptive quadrature per segment, beta and refined rho on the grid."""
     rho = 0.0
     for i in range(len(frame.segments)):
@@ -183,24 +174,15 @@ def _grid_functionals(frame: PathFrame, ts: np.ndarray, svals: np.ndarray,
             return abs(frame.forcing(i, t) * frame.point(i, t)[2])
         val, _ = _sint.quad(speed, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)
         rho += val
-    re = svals.real
-    beta = float(np.min(re - np.maximum.accumulate(re)))
-    bound = _safe_bound(rho, beta)
-    refined_rho = None
-    if refined:
-        expo = -2.0 * (svals[-1] - svals)
-        np.clip(expo.real, None, _EXP_CAP, out=expo.real)
-        babs = 0.5 * np.abs(np.exp(expo) - 1.0)
-        refined_rho = float(np.trapezoid(babs * np.abs(fvals), ts))
-    return ErrorFunctionals(rho, beta, bound, refined_rho)
+    return _certify(rho, ts, svals, fvals)
 
 
 def error_functionals(params: OscillatorParams, curve: PathSpec,
-                      n: int = 1025, refined: bool = False) -> ErrorFunctionals:
+                      n: int = 1025) -> ErrorFunctionals:
     """Certified error data for a curve: rho by adaptive quadrature, beta and
     the refined functional on a grid of n points in total along the curve."""
     frame = PathFrame(params, curve)
-    return _grid_functionals(frame, *_frame_grid(frame, n), refined=refined)
+    return _grid_functionals(frame, *_frame_grid(frame, n))
 
 
 def volterra_solve(params: OscillatorParams, curve: PathSpec,
@@ -214,11 +196,5 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec,
     frame = PathFrame(params, curve)
     ts, svals, fvals = _frame_grid(frame, n)
     z, iters = iterate_grid(svals, fvals, ts, tol=tol)
-    rho = float(np.trapezoid(np.abs(fvals), ts))
-    re = svals.real
-    beta = float(np.min(re - np.maximum.accumulate(re)))
-    bound = _safe_bound(rho, beta)
-    expo = -2.0 * (svals[-1] - svals)
-    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
-    refined_rho = float(np.trapezoid(0.5 * np.abs(np.exp(expo) - 1.0) * np.abs(fvals), ts))
-    return VolterraRun(curve, ts, svals, z, rho, beta, bound, refined_rho, iters)
+    ef = _certify(float(np.trapezoid(np.abs(fvals), ts)), ts, svals, fvals)
+    return VolterraRun(curve, ts, svals, z, ef.rho, ef.beta, ef.bound, ef.refined_rho, iters)

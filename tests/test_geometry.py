@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate as sint
 
 from anharmonic import CoverPoint, OscillatorParams, eval_forcing, stokes_complex, topology_signature
-from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory, trajectory_to_path
+from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
 from anharmonic.checks import _horizontal_curve
 
 
@@ -140,11 +140,11 @@ class TestAdmissibility:
         ref, _ = sint.quad(speed, lo, hi, limit=300)
         assert abs(rep.rho - ref) < 1e-2 * ref
 
-    def test_trajectory_to_path_keeps_endpoints(self):
-        params = OscillatorParams(1.0, 2.0, 0.5)
-        tr = trace_trajectory(params, CoverPoint.from_complex(3.0 + 1.0j), 0.0, +1,
-                              TraceStops(radius_max=8.0, radius_min=1e-3))
-        path = trajectory_to_path(tr, max_nodes=50)
-        assert len(path.nodes) <= 50
-        assert abs(path.nodes[0].to_complex() - tr.points[0].to_complex()) < 1e-12
-        assert abs(path.nodes[-1].to_complex() - tr.points[-1].to_complex()) < 1e-12
+    def test_horizontal_curve_keeps_both_trace_ends(self):
+        params = OscillatorParams(1.0, 6.0, 0.5)
+        stops = TraceStops(radius_max=30.0, radius_min=1e-6, max_steps=120_000)
+        fwd = trace_trajectory(params, 8.0j, 0.0, +1, stops)
+        bwd = trace_trajectory(params, 8.0j, 0.0, -1, stops)
+        path = _horizontal_curve(params, 8.0j, 30.0)
+        assert path.nodes[0] == bwd.points[-1]
+        assert path.nodes[-1] == fwd.points[-1]

@@ -12,18 +12,12 @@ from anharmonic import (
     PathSpec,
     critical_data,
     eval_forcing,
-    eval_potential,
     eval_reduced,
     to_hbar_coords,
     turning_points,
 )
 from anharmonic.action import PathFrame
-from anharmonic.model import (
-    infinity_arg,
-    reduced_in_y,
-    sector_center_arg,
-    sector_half_width,
-)
+from anharmonic.model import sector_center_arg
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -132,7 +126,8 @@ class TestRescaling:
         co = to_hbar_coords(params, regime)
         y = complex(y_re, y_im)
         lhs = co.scale ** 2 * eval_reduced(params, CoverPoint.from_complex(co.scale * y))
-        rhs = reduced_in_y(co, params.alpha, y) / co.hbar ** 2
+        reduced_in_y = y ** (2.0 * params.alpha) - co.nu + co.lam_eff ** 2 / (y * y)
+        rhs = reduced_in_y / co.hbar ** 2
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
     def test_regime_two_constants(self):
@@ -177,17 +172,8 @@ class TestForcing:
             assert abs(eval_reduced(params, p) - v[k]) <= 1e-12 * abs(v[k])
             assert abs(eval_forcing(params, p, sqrt_v=sq[k]) - f[k]) <= 1e-12 * abs(f[k])
 
-    def test_potential_vs_reduced(self):
-        params = OscillatorParams(1.5, 4.0, 0.8)
-        x = CoverPoint.from_complex(1.2 + 0.7j)
-        diff = eval_reduced(params, x) - eval_potential(params, x)
-        assert abs(diff - 0.25 / x.to_complex() ** 2) < 1e-13
-
 
 def test_sector_layout():
     a = 1.0
     assert math.isclose(sector_center_arg(a, 1) - sector_center_arg(a, 0),
                         math.pi / 2.0)
-    assert math.isclose(sector_half_width(a), math.pi / 4.0)
-    # escape directions interleave the sector centers
-    assert sector_center_arg(a, 0) < infinity_arg(a, 0) < sector_center_arg(a, 1)

@@ -97,6 +97,13 @@ class TestQuarticWell:
         # the agreement improves with the level index
         assert devs[-1] < devs[0]
 
+    def test_semiclassical_energies_are_python_floats(self):
+        # numpy scalars passed on as energies slow the RK stepper several-fold;
+        # from n = 5 on the Bohr-Sommerfeld solve starts at the asymptotic value
+        assert type(bohr_sommerfeld_energy(2.0, 0.0, 7)) is float
+        tab = spectrum_table(2.0, 0.0, 6, methods=("bs", "asym"))
+        assert all(type(r.e_bs) is float and type(r.e_asym) is float for r in tab)
+
 
 class TestConnectionData:
     def test_adjacent_wronskians_are_constant(self):

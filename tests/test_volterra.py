@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
+from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
-from anharmonic.volterra import _safe_bound, iterate_grid, kernel_b
+from anharmonic.volterra import _frame_grid, _kernel_matrix, _safe_bound, iterate_grid
 
 
 def _curve(index):
@@ -62,8 +63,7 @@ class TestCertificates:
 
     def test_refinement_never_hurts(self):
         params, path = _curve(0)
-        ef = error_functionals(params, path, refined=True)
-        assert ef.refined_rho is not None
+        ef = error_functionals(params, path)
         assert ef.refined_rho <= ef.rho + 1e-15
         assert ef.refined_bound <= ef.bound + 1e-15
 
@@ -74,16 +74,24 @@ class TestCertificates:
         assert ef.beta > -1e-6
 
 
+def _kernel(index):
+    """(global ts, B(t_j, t_i)) on the grid the solver uses for a committed curve."""
+    params, path = _curve(index)
+    ts, svals, _ = _frame_grid(PathFrame(params, path), 201)
+    return ts, _kernel_matrix(svals, ts)
+
+
 class TestKernel:
     def test_vanishes_on_the_diagonal(self):
-        params, path = _curve(0)
-        assert abs(kernel_b(params, path, 0.37, 0.37)) < 1e-12
+        # and above it: only s < t enters the Volterra integral
+        _, b = _kernel(0)
+        assert np.all(np.triu(b) == 0.0)
 
     @pytest.mark.parametrize("t,s", [(0.9, 0.1), (0.6, 0.5), (1.0, 0.0)])
     def test_bounded_on_monotone_curves(self, t, s):
         # |(exp(-2 dS) - 1)/2| <= 1 once Re dS >= 0 along the curve
-        params, path = _curve(0)
-        assert abs(kernel_b(params, path, t, s)) <= 1.0 + 1e-9
+        ts, b = _kernel(0)
+        assert abs(b[np.argmin(abs(ts - t)), np.argmin(abs(ts - s))]) <= 1.0 + 1e-9
 
 
 class TestSafeBound:
