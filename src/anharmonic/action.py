@@ -122,10 +122,10 @@ def _dist_to_origin(za: complex, zb: complex) -> float:
     return abs(za + t * d)
 
 
-def path_from_complex(points, kinds=None, sqrt_v_branch: str = "principal", near_arg: float = 0.0) -> PathSpec:
-    """Build a PathSpec from plain complex points, lifting arguments continuously."""
+def path_from_complex(points, sqrt_v_branch: str = "principal") -> PathSpec:
+    """Build a line-segment PathSpec from plain complex points, lifting arguments continuously."""
     nodes = []
-    prev = near_arg
+    prev = 0.0
     for z in points:
         if isinstance(z, CoverPoint):
             pt = z
@@ -133,11 +133,7 @@ def path_from_complex(points, kinds=None, sqrt_v_branch: str = "principal", near
             pt = CoverPoint.from_complex(complex(z), near_arg=prev)
         nodes.append(pt)
         prev = pt.arg
-    if kinds is None:
-        kinds = ()
-    elif isinstance(kinds, str):
-        kinds = tuple(kinds for _ in range(len(nodes) - 1))
-    return PathSpec(tuple(nodes), tuple(kinds), sqrt_v_branch)
+    return PathSpec(tuple(nodes), (), sqrt_v_branch)
 
 
 class _Segment:
@@ -173,25 +169,25 @@ class PathFrame:
     """Evaluates V, the continued sqrt(V), and the forcing along a PathSpec.
 
     The square-root branch is fixed at the start node and continued by scouting
-    each segment on a fine grid: a sign flip relative to the principal branch
+    each segment on 129 points: a sign flip relative to the principal branch
     happens exactly where V crosses the negative real axis, and each crossing
     is located by bisection.  The segment parameter t of every evaluator may
     be a float or an array.
     """
 
-    def __init__(self, params: OscillatorParams, path: PathSpec, scout: int = 129):
+    def __init__(self, params: OscillatorParams, path: PathSpec):
         self.params = params
         self.path = path
         self.segments = [_Segment(k, a, b) for k, a, b in zip(path.parameterization, path.nodes, path.nodes[1:])]
         self._signs: list[tuple[np.ndarray, np.ndarray]] = []
         sign = 1.0 if path.sqrt_v_branch == "principal" else -1.0
-        ts = np.linspace(0.0, 1.0, scout)
+        ts = np.linspace(0.0, 1.0, 129)
         for i in range(len(self.segments)):
             roots = np.sqrt(self.reduced(i, ts)).tolist()
             flips: list[float] = []
             signs = [sign]
             prev = sign * roots[0]
-            for k in range(1, scout):
+            for k in range(1, len(roots)):
                 root = roots[k]
                 # continue the branch: pick the root nearer the previous value
                 cur = root if abs(root - prev) <= abs(root + prev) else -root
@@ -308,7 +304,7 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
     return val / math.pi
 
 
-def wkb_phase_derivative(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
+def wkb_phase_derivative(params: OscillatorParams) -> float:
     """dI/dE = (1/2pi) * integral dx / sqrt(E - x^2a - (ell+1/2)^2/x^2) > 0."""
     a = params.alpha
     lam = params.lam
@@ -328,7 +324,7 @@ def wkb_phase_derivative(params: OscillatorParams, abs_tol: float = 1e-12) -> fl
         h = r / bridge
         return 2.0 / math.sqrt(h)
 
-    val, _ = _quiet_quad(f, 0.0, 0.5 * math.pi, epsabs=abs_tol, epsrel=1e-12, limit=200)
+    val, _ = _quiet_quad(f, 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
     return val / (2.0 * math.pi)
 
 
@@ -343,9 +339,9 @@ def reduced_wkb_integral(alpha: float, kind: str, value: float, abs_tol: float =
     raise ValueError("kind must be 'J1' or 'J2'")
 
 
-def bohr_sommerfeld_energy(alpha: float, ell: float, n: int,
-                           tol: float = 1e-10, max_iter: int = 60) -> float:
-    """Solve I(E, ell) = n + 1/2 for E by guarded Newton with bisection fallback."""
+def bohr_sommerfeld_energy(alpha: float, ell: float, n: int) -> float:
+    """Solve I(E, ell) = n + 1/2 for E by guarded Newton with bisection fallback,
+    to a relative step of 1e-10 in at most 60 iterations."""
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     crit = critical_data(alpha, ell)
@@ -359,7 +355,7 @@ def bohr_sommerfeld_energy(alpha: float, ell: float, n: int,
         e = crit.e_star + target / slope
     lo, hi = crit.e_star, None
     params = OscillatorParams(alpha, e, ell)
-    for _ in range(max_iter):
+    for _ in range(60):
         params = params.with_energy(e)
         phi = wkb_phase(params) - target
         if phi > 0:
@@ -375,7 +371,7 @@ def bohr_sommerfeld_energy(alpha: float, ell: float, n: int,
                 e_new = 2.0 * e - crit.e_star
             else:
                 e_new = 0.5 * (lo + hi)
-        if abs(e_new - e) <= tol * max(1.0, abs(e)):
+        if abs(e_new - e) <= 1e-10 * max(1.0, abs(e)):
             return e_new
         e = e_new
     raise RuntimeError(f"quantisation solve failed to converge for n={n}")

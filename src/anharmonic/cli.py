@@ -138,14 +138,10 @@ def _meta(command: str) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-9,
-                   help="relative tolerance for iterative solvers")
-    p.add_argument("--abs-tol", type=float, default=1e-12,
-                   help="absolute tolerance for quadrature")
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format for table/graph data")
+                   help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=float, required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--method", choices=("exact", "bs", "asym", "all"), default="all")
-    _add_common(sp)
+    sp.add_argument("--rel-tol", type=float, default=1e-9,
+                    help="relative tolerance of the exact eigenvalues")
+    _add_output(sp)
 
     wp = sub.add_parser("wkb", help="action integral I or blown-up integrals J1, J2")
     wp.add_argument("--alpha", type=float, required=True)
@@ -170,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     wp.add_argument("--ell", type=float, default=None, help="ell for kind I")
     wp.add_argument("--u", type=float, default=None, help="argument for kind J1")
     wp.add_argument("--nu", type=float, default=None, help="argument for kind J2")
-    _add_common(wp)
+    wp.add_argument("--abs-tol", type=float, default=1e-12,
+                    help="absolute tolerance of the quadrature")
+    wp.add_argument("--out", default=None, help="output file (default: stdout)")
 
     st = sub.add_parser("stokes", help="trace the Stokes complex of theta-trajectories")
     st.add_argument("--alpha", type=float, required=True)
@@ -183,11 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict turning points to cover arguments [LO, HI]")
     st.add_argument("--no-polylines", action="store_true",
                     help="omit traced points from JSON output")
-    _add_common(st)
+    _add_output(st)
 
     vp = sub.add_parser("verify", help="run the verification suite and report")
     vp.add_argument("--profile", choices=("quick", "full"), default="quick")
-    _add_common(vp)
+    _add_output(vp)
     return ap
 
 
@@ -279,7 +279,6 @@ def cmd_stokes(args) -> int:
         doc["theta"] = args.theta
         doc.update(complex_to_json_dict(sc, params,
                                         include_polylines=not args.no_polylines))
-        doc["schema_version"] = 1
         _emit(dumps_json(doc), args.out)
     return EXIT_OK
 

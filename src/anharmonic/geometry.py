@@ -28,7 +28,7 @@ from .model import (
     critical_data,
     turning_points,
 )
-from .volterra import _frame_grid, _grid_functionals
+from .volterra import _FUNCTIONALS_N, _frame_grid, _grid_functionals
 
 __all__ = [
     "Termination",
@@ -114,12 +114,12 @@ class AdmissibilityReport:
     bound: float
 
 
-def _potential(params: OscillatorParams, v_mode: str, pole_coupling):
+def _potential(params: OscillatorParams, v_mode: str):
     """Closures (z, arg) -> V and (z, arg) -> (V, V') for the chosen potential.
 
-    v_mode "full" is the reduced potential; "pure_power" and "pure_pole" are
-    the model problems whose trajectories have closed forms, kept as test
-    hooks.  pole_coupling may be complex (spiral/circle regimes).
+    v_mode "full" is the reduced potential; "pure_power" (x^2a) and
+    "pure_pole" ((ell+1/2)^2/x^2) are the model problems whose trajectories
+    have closed forms, kept as test hooks.
     """
     a = params.alpha
     if v_mode == "full":
@@ -142,8 +142,7 @@ def _potential(params: OscillatorParams, v_mode: str, pole_coupling):
 
         return v, v_pair
     if v_mode == "pure_pole":
-        c = params.lam if pole_coupling is None else complex(pole_coupling)
-        c2 = c * c
+        c2 = params.lam * params.lam
 
         def v(z: complex, arg: float):
             return c2 / (z * z)
@@ -155,7 +154,7 @@ def _potential(params: OscillatorParams, v_mode: str, pole_coupling):
     raise ValueError("v_mode must be full, pure_power or pure_pole")
 
 
-def default_stops(params: OscillatorParams, max_steps: int = 200_000) -> TraceStops:
+def default_stops(params: OscillatorParams) -> TraceStops:
     """Radius bounds scaled to the turning point geometry."""
     tps = turning_points(params)
     mods = [m for m in ([] if tps.real_pair is None else list(tps.real_pair))]
@@ -166,7 +165,6 @@ def default_stops(params: OscillatorParams, max_steps: int = 200_000) -> TraceSt
     return TraceStops(
         radius_max=max(50.0, 10.0 * max(mods)),
         radius_min=1e-4 * min(mods),
-        max_steps=max_steps,
     )
 
 
@@ -177,7 +175,7 @@ def _match_sqrt(v: complex, ref: complex) -> complex:
 
 def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
                      stops: TraceStops | None = None, *,
-                     v_mode: str = "full", pole_coupling=None,
+                     v_mode: str = "full",
                      tp_guard=None, suppress_index: int | None = None,
                      suppress_radius: float = 0.0) -> Trajectory:
     """Trace the theta-trajectory of V dx^2 through x0.
@@ -195,7 +193,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     if stops is None:
         stops = default_stops(params)
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
-    v_of, v_pair = _potential(params, v_mode, pole_coupling)
+    v_of, v_pair = _potential(params, v_mode)
     two_a_int = abs(2.0 * params.alpha - round(2.0 * params.alpha)) < 1e-12
     guards = [] if tp_guard is None else list(tp_guard)
     guard_z = [g[0].to_complex() for g in guards]
@@ -428,7 +426,6 @@ def _polyline_midpoint(traj: Trajectory) -> complex:
 
 def stokes_complex(params: OscillatorParams,
                    sector_window: tuple[float, float] | None = None,
-                   max_steps: int = 200_000,
                    theta: float = 0.5 * math.pi) -> StokesComplex:
     """Assemble the graph of theta-trajectories emitted by turning points.
 
@@ -443,7 +440,7 @@ def stokes_complex(params: OscillatorParams,
     tp_list = _collect_tps(params, sector_window)
     if not tp_list:
         raise ValueError("no turning points found in the window")
-    stops = default_stops(params, max_steps=max_steps)
+    stops = default_stops(params)
     if sector_window is not None:
         stops = TraceStops(stops.radius_max, stops.radius_min, stops.max_steps,
                            arg_window=sector_window)
@@ -553,19 +550,17 @@ def stokes_complex(params: OscillatorParams,
     )
 
 
-def check_admissible(params: OscillatorParams, path: PathSpec,
-                     n: int = 1025) -> AdmissibilityReport:
+def check_admissible(params: OscillatorParams, path: PathSpec) -> AdmissibilityReport:
     """Certify a candidate path: monotone Re S plus (rho, beta) functionals.
 
-    n is the total number of grid points along the path, split evenly over
-    its segments; the one grid serves the monotonicity test and beta, while
-    rho comes from adaptive quadrature.  Monotonicity is judged against the
-    path's own scale: the threshold is a fixed fraction of the mean |dS| per
-    grid interval, so a path where Re S merely stalls (sqrt(V) locally
+    The grid of error_functionals serves the monotonicity test and beta,
+    while rho comes from adaptive quadrature.  Monotonicity is judged against
+    the path's own scale: the threshold is a fixed fraction of the mean |dS|
+    per grid interval, so a path where Re S merely stalls (sqrt(V) locally
     imaginary) is rejected.
     """
     frame = PathFrame(params, path)
-    ts, svals, fvals = _frame_grid(frame, n)
+    ts, svals, fvals = _frame_grid(frame, _FUNCTIONALS_N)
     # each segment starts where the previous one ended: drop the duplicate
     re = svals.real[np.concatenate(([True], np.diff(ts) > 0.0))]
     total_len = float(np.sum(np.abs(np.diff(svals))))

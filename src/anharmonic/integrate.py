@@ -92,8 +92,13 @@ def _sqrt1mt_coeff(k: int) -> float:
     return c * (-1.0) ** k
 
 
+def _r_kmax(alpha: float) -> int:
+    """kmax: R keeps the terms k <= kmax, whose x^(a(1-2k)+1) does not decay."""
+    return int(math.floor((1.0 + alpha) / (2.0 * alpha) + 1e-12))
+
+
 def r_expansion(alpha: float, energy: complex) -> RExpansion:
-    kmax = int(math.floor((1.0 + alpha) / (2.0 * alpha) + 1e-12))
+    kmax = _r_kmax(alpha)
     terms = [(1.0 / (alpha + 1.0) + 0.0j, alpha + 1.0)]
     log_coefficient = 0.0 + 0.0j
     log_flag = False
@@ -165,9 +170,10 @@ class FrobeniusSeed:
             object.__setattr__(self, name, arr)
 
 
-def frobenius_seed(alpha: float, ell: float, order: float = 120.0) -> FrobeniusSeed:
+def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
     if ell <= -0.5:
         raise ValueError("series solution needs ell > -1/2")
+    order = 120.0  # highest power mu = 2m + (2a+2)n of x kept
     step_n = 2.0 * alpha + 2.0
     table: dict[tuple[int, int], float] = {(0, 0): 1.0}
     out = [(0, 0, 1.0)]
@@ -315,7 +321,7 @@ def _make_rhs(params: OscillatorParams, seg):
 
 
 def _step_segment(rhs, u: complex, v: complex, sigma: float,
-                  rtol: float, atol: float, trace, xfun) -> tuple[complex, complex, float]:
+                  rtol: float, trace, xfun) -> tuple[complex, complex, float]:
     t = 0.0
     du0, dv0 = rhs(t, u, v)
     scale = abs(du0) + abs(dv0)
@@ -349,8 +355,8 @@ def _step_segment(rhs, u: complex, v: complex, sigma: float,
         k7u, k7v = rhs(t + h, un, vn)
         eu = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         ev = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
-        su = atol + rtol * max(abs(u), abs(un))
-        sv = atol + rtol * max(abs(v), abs(vn))
+        su = 1e-300 + rtol * max(abs(u), abs(un))
+        sv = 1e-300 + rtol * max(abs(v), abs(vn))
         err = max(abs(eu) / su, abs(ev) / sv)
         if err <= 1.0:
             t += h
@@ -375,7 +381,7 @@ def _step_segment(rhs, u: complex, v: complex, sigma: float,
 
 
 def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
-              rtol: float = 1e-9, atol: float = 1e-300, trace: list | None = None) -> SolutionState:
+              rtol: float = 1e-9, trace: list | None = None) -> SolutionState:
     """Transport a solution state along a path (adaptive 5th order, PI control).
 
     trace, when given, collects (t, x, psi, psi', logscale) rows at accepted steps,
@@ -394,7 +400,7 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
         local = [] if trace is not None else None
         xfun = (lambda t, seg=seg: seg.point(t)[0]) if trace is not None else None
         try:
-            u, v, sigma = _step_segment(rhs, u, v, sigma, rtol, atol, local, xfun)
+            u, v, sigma = _step_segment(rhs, u, v, sigma, rtol, local, xfun)
         except RuntimeError as exc:
             raise RuntimeError(
                 f"{exc} on the {seg.kind} segment from (|x|={seg.a.modulus:.6g}, "
@@ -432,7 +438,7 @@ def _sqrtv_minus_rprime(params: OscillatorParams, arg: float, y: float) -> compl
     """
     a = params.alpha
     pt = CoverPoint(y, arg)
-    kmax = int(math.floor((1.0 + a) / (2.0 * a) + 1e-12))
+    kmax = _r_kmax(a)
     w = params.energy * pt.cpow(-2.0 * a)
     mu = (params.lam ** 2) * pt.cpow(-2.0 * a - 2.0)
     t = w - mu
@@ -473,8 +479,8 @@ def _tail_t_integral(params: OscillatorParams, arg: float, x_max: float) -> comp
 
 
 def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: float,
-                   n_grid: int) -> tuple[complex, complex, float]:
-    """Boundary-layer correction on the ray tail: returns (z, z'/z at x_max, rho_tail).
+                   n_grid: int) -> tuple[complex, complex]:
+    """Boundary-layer correction on the ray tail: returns (z, z'/z) at x_max.
 
     Solves z = 1 + K[z] from infinity down to x_max on the u = x_max/x grid with
     trapezoid product integration; sgn is the exponent sign of the target solution
@@ -497,11 +503,10 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: floa
     svals = np.empty(n_grid, dtype=complex)
     svals[-1] = 0.0
     svals[:-1] = -np.cumsum(dels[::-1])[::-1]
-    z, iters = iterate_grid(svals, fvals, us)
-    rho_tail = float(np.trapezoid(np.abs(fvals), us))
+    z, _ = iterate_grid(svals, fvals, us)
     slope = endpoint_slope_integral(svals, fvals, z, us)
     zp_over_z = -(sgn * sq[-1]) * slope / z[-1]
-    return complex(z[-1]), zp_over_z, rho_tail
+    return complex(z[-1]), zp_over_z
 
 
 def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
@@ -533,7 +538,7 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
         w = sgn * (rr - tval)
         # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
         pref = (v / pt.cpow(2.0 * a)) ** -0.25
-        zc, zp_over_z, _ = _tail_volterra(params, arg, sgn, x_max, tail_n)
+        zc, zp_over_z = _tail_volterra(params, arg, sgn, x_max, tail_n)
         mant = pt.cpow(-0.5 * a) * pref * cmath.exp(1j * w.imag) * zc
         logp = sgn * sq - 0.25 * v1 / v + zp_over_z
         tag = f"sibuya_{k}"

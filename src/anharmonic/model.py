@@ -117,10 +117,10 @@ class HbarCoords:
     lam_eff: float
 
 
-def _as_cover(x, near_arg: float = 0.0) -> CoverPoint:
+def _as_cover(x) -> CoverPoint:
     if isinstance(x, CoverPoint):
         return x
-    return CoverPoint.from_complex(complex(x), near_arg)
+    return CoverPoint.from_complex(complex(x))
 
 
 def eval_reduced(params: OscillatorParams, x) -> complex:

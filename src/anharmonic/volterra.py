@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0
+# Grid size of the certified functionals (error_functionals, check_admissible).
+_FUNCTIONALS_N = 1025
 
 
 def _safe_bound(rho: float, beta: float) -> float:
@@ -100,8 +102,9 @@ def _trapezoid_weights(ts: np.ndarray) -> np.ndarray:
 
 
 def iterate_grid(svals: np.ndarray, fvals: np.ndarray, ts: np.ndarray,
-                 tol: float = 1e-13, max_iter: int = 80) -> tuple[np.ndarray, int]:
-    """Solve z = 1 + K[z] on a grid by fixed-point iteration.
+                 max_iter: int = 80) -> tuple[np.ndarray, int]:
+    """Solve z = 1 + K[z] on a grid by fixed-point iteration, until the
+    largest change is at most 1e-13 relative to max(1, |z|).
 
     svals are cumulative values of int b dx at the nodes, with b the branch
     of sqrt(V) that F is divided by (any common offset drops out of the
@@ -115,7 +118,7 @@ def iterate_grid(svals: np.ndarray, fvals: np.ndarray, ts: np.ndarray,
         znew = 1.0 + m @ z
         delta = float(np.max(np.abs(znew - z)))
         z = znew
-        if delta <= tol * max(1.0, float(np.max(np.abs(z)))):
+        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(z)))):
             return z, it
     raise RuntimeError(f"Volterra iteration did not settle in max_iter={max_iter} "
                        f"iterations on {len(ts)} nodes (last change {delta:.3g}); the "
@@ -177,16 +180,14 @@ def _grid_functionals(frame: PathFrame, ts: np.ndarray, svals: np.ndarray,
     return _certify(rho, ts, svals, fvals)
 
 
-def error_functionals(params: OscillatorParams, curve: PathSpec,
-                      n: int = 1025) -> ErrorFunctionals:
+def error_functionals(params: OscillatorParams, curve: PathSpec) -> ErrorFunctionals:
     """Certified error data for a curve: rho by adaptive quadrature, beta and
-    the refined functional on a grid of n points in total along the curve."""
+    the refined functional on a grid of _FUNCTIONALS_N points along the curve."""
     frame = PathFrame(params, curve)
-    return _grid_functionals(frame, *_frame_grid(frame, n))
+    return _grid_functionals(frame, *_frame_grid(frame, _FUNCTIONALS_N))
 
 
-def volterra_solve(params: OscillatorParams, curve: PathSpec,
-                   n: int = 601, tol: float = 1e-13) -> VolterraRun:
+def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> VolterraRun:
     """Solve z = 1 + K[z] along the curve and certify it.
 
     n is the total grid size along the curve, split evenly over its segments
@@ -195,6 +196,6 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec,
     """
     frame = PathFrame(params, curve)
     ts, svals, fvals = _frame_grid(frame, n)
-    z, iters = iterate_grid(svals, fvals, ts, tol=tol)
+    z, iters = iterate_grid(svals, fvals, ts)
     ef = _certify(float(np.trapezoid(np.abs(fvals), ts)), ts, svals, fvals)
     return VolterraRun(curve, ts, svals, z, ef.rho, ef.beta, ef.bound, ef.refined_rho, iters)

@@ -131,6 +131,21 @@ class TestExitCodes:
                             "--n-max", "2"], capsys)
         assert code == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--rel-tol", "1e-9"],
+        ["verify", "--abs-tol", "1e-12"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--rel-tol", "1e-9"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--abs-tol", "1e-12"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "0", "--rel-tol", "1e-9"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "0", "--format", "csv"],
+        ["spectrum", "--alpha", "1", "--ell", "0", "--n-max", "0", "--abs-tol", "1e-12"],
+    ], ids=lambda argv: "%s %s" % (argv[0], argv[-2]))
+    def test_flag_the_subcommand_does_not_read(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 64
+        assert "usage error" in err and argv[-2] in err
+        assert out == ""
+
     def test_numerical_failure(self, capsys):
         code, _, err = run(["wkb", "--alpha", "1", "--kind", "J1", "--u", "-5"],
                            capsys)

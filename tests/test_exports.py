@@ -1,4 +1,5 @@
-"""Every name a module exports exists, and every name it imports is used."""
+"""Every name a module exports exists, every name it imports is used, and
+every default of a private function is overridden by some call."""
 import ast
 import importlib
 import pkgutil
@@ -46,3 +47,64 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_unused_name():
     assert _unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == [
         "math", "path"]
+
+
+def _unset_private_defaults(sources: list[str]) -> list[str]:
+    """Defaulted parameters of module-level _private functions that no call
+    in the sources passes, as "function.parameter".
+
+    A parameter counts as passed when some call of the function (by name or
+    as a module attribute) reaches its position or names it; a starred
+    argument reaches every position, a ** argument every keyword.  Nested
+    functions are not checked.
+    """
+    trees = [ast.parse(s) for s in sources]
+    defaults = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+                params += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                           if d is not None]
+                if params:
+                    defaults[node.name] = params
+    passed = {name: set() for name in defaults}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in defaults:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            for i, arg in defaults[name]:
+                if (i is not None and (starred or i < len(node.args))) or any(
+                        kw.arg in (arg, None) for kw in node.keywords):
+                    passed[name].add(arg)
+    return sorted(f"{name}.{arg}" for name, params in defaults.items()
+                  for _, arg in params if arg not in passed[name])
+
+
+def test_every_private_default_is_passed_somewhere():
+    paths = sorted(Path(anharmonic.__file__).parent.glob("*.py"))
+    assert _unset_private_defaults([p.read_text() for p in paths]) == []
+
+
+def test_unset_default_check_sees_an_unset_parameter():
+    source = (
+        "def _f(a, b=1, c=2, *, d=3):\n"
+        "    def _inner(t, i=0):\n"
+        "        return t\n"
+        "    return _inner(a)\n"
+        "def _g(x=0):\n"
+        "    return x\n"
+        "def public(y=3):\n"
+        "    return y\n"
+        "_f(1, 2)\n"
+        "_g(x=5)\n"
+    )
+    assert _unset_private_defaults([source]) == ["_f.c", "_f.d"]
