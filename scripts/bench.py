@@ -12,9 +12,9 @@ evaluations and index-check rescans of three eigenvalue scans (the quartic to
 n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
-points.  Counts come from wrapping module functions of anharmonic.spectral
-from this script; times are plain time.perf_counter readings (best of
-REPEAT for the micro timings).
+points, and per r_zero at two.  Counts come from wrapping module functions
+of anharmonic.spectral from this script; times are plain time.perf_counter
+readings (best of REPEAT for the micro timings).
 """
 import argparse
 import json
@@ -45,6 +45,7 @@ SCANS = {
 # (alpha, ell, E) of the micro timings; the series is summed at the radius x
 DETERMINANTS = [(2.0, 0.0, 7.4), (1.0, 0.5, 9.0), (1.0, 100.0, 203.5)]
 SERIES = [(2.0, 0.0, 7.4, 0.2), (1.0, 0.5, 9.0, 0.1), (1.0, 100.0, 203.5, 1.6)]
+R_ZERO = [(1.0, 0.5, 9.0), (2.0, 0.5, 5.0)]
 
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
@@ -129,7 +130,13 @@ def time_layers() -> dict:
         us = _best_us(lambda: [integrate._frobenius_scaled(table, energy, point)
                                for _ in range(50)]) / 50
         series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = us
-    return {"spectral_determinant_us": dets, "frobenius_scaled_us": series}
+    r_zero = {}
+    for alpha, ell, energy in R_ZERO:
+        params = OscillatorParams(alpha, energy, ell)
+        r_zero[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
+            lambda: spectral.r_zero(params))
+    return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
+            "r_zero_us": r_zero}
 
 
 def main() -> None:

@@ -86,9 +86,6 @@ class Trajectory:
     termination: Termination
     level_drift: float
 
-    def end_point(self) -> CoverPoint:
-        return self.points[-1]
-
 
 @dataclass(frozen=True)
 class StokesEdge:
@@ -114,44 +111,17 @@ class AdmissibilityReport:
     bound: float
 
 
-def _potential(params: OscillatorParams, v_mode: str):
-    """Closures (z, arg) -> V and (z, arg) -> (V, V') for the chosen potential.
-
-    v_mode "full" is the reduced potential; "pure_power" (x^2a) and
-    "pure_pole" ((ell+1/2)^2/x^2) are the model problems whose trajectories
-    have closed forms, kept as test hooks.
-    """
+def _potential(params: OscillatorParams):
+    """Closures (z, arg) -> V and (z, arg) -> (V, V') of the reduced potential."""
     a = params.alpha
-    if v_mode == "full":
 
-        def v(z: complex, arg: float):
-            return _reduced_v(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))
+    def v(z: complex, arg: float):
+        return _reduced_v(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))
 
-        def v_pair(z: complex, arg: float):
-            return _reduced_jet(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))[:2]
+    def v_pair(z: complex, arg: float):
+        return _reduced_jet(params, z, cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg)))[:2]
 
-        return v, v_pair
-    if v_mode == "pure_power":
-
-        def v(z: complex, arg: float):
-            return cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
-
-        def v_pair(z: complex, arg: float):
-            xa = v(z, arg)
-            return xa, 2.0 * a * xa / z
-
-        return v, v_pair
-    if v_mode == "pure_pole":
-        c2 = params.lam * params.lam
-
-        def v(z: complex, arg: float):
-            return c2 / (z * z)
-
-        def v_pair(z: complex, arg: float):
-            return c2 / (z * z), -2.0 * c2 / (z * z * z)
-
-        return v, v_pair
-    raise ValueError("v_mode must be full, pure_power or pure_pole")
+    return v, v_pair
 
 
 def default_stops(params: OscillatorParams) -> TraceStops:
@@ -175,7 +145,6 @@ def _match_sqrt(v: complex, ref: complex) -> complex:
 
 def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
                      stops: TraceStops | None = None, *,
-                     v_mode: str = "full",
                      tp_guard=None, suppress_index: int | None = None,
                      suppress_radius: float = 0.0) -> Trajectory:
     """Trace the theta-trajectory of V dx^2 through x0.
@@ -193,7 +162,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     if stops is None:
         stops = default_stops(params)
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
-    v_of, v_pair = _potential(params, v_mode)
+    v_of, v_pair = _potential(params)
     two_a_int = abs(2.0 * params.alpha - round(2.0 * params.alpha)) < 1e-12
     guards = [] if tp_guard is None else list(tp_guard)
     guard_z = [g[0].to_complex() for g in guards]

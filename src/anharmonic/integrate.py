@@ -37,7 +37,6 @@ __all__ = [
     "big_R",
     "big_R_prime",
     "frobenius_seed",
-    "frobenius_eval",
     "sibuya_seed",
     "choose_x_max",
     "propagate",
@@ -227,16 +226,6 @@ def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
     phase = cmath.rect(1.0, (seed.ell + 1.0) * p.arg)
     remainder = top * (abs(z2) * abs(e) + abs(zstep))
     return phase * val, phase * dval / z, remainder, (seed.ell + 1.0) * math.log(p.modulus)
-
-
-def frobenius_eval(seed: FrobeniusSeed, energy: complex, x) -> tuple[complex, complex, float]:
-    """(value, derivative, truncation estimate) of the series solution at x."""
-    p = x if isinstance(x, CoverPoint) else CoverPoint.from_complex(complex(x))
-    val, dval, rem, loglead = _frobenius_scaled(seed, energy, p)
-    # the truncation estimate carries the same x^(ell+1) prefactor as the
-    # returned values, or callers comparing it against |value| misjudge large ell
-    lead = math.exp(loglead)
-    return val * lead, dval * lead, rem * lead
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +467,19 @@ def _tail_t_integral(params: OscillatorParams, arg: float, x_max: float) -> comp
     return complex(val[0], val[1]) * phase
 
 
-def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: float,
-                   n_grid: int) -> tuple[complex, complex]:
+# Nodes of the u = x_max/x grid of the tail Volterra equation.
+_TAIL_NODES = 801
+
+
+def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
+                   x_max: float) -> tuple[complex, complex]:
     """Boundary-layer correction on the ray tail: returns (z, z'/z) at x_max.
 
     Solves z = 1 + K[z] from infinity down to x_max on the u = x_max/x grid with
     trapezoid product integration; sgn is the exponent sign of the target solution
     (the curve runs from infinity inward so that Re S increases toward x_max).
     """
-    us = np.linspace(0.0, 1.0, n_grid)
+    us = np.linspace(0.0, 1.0, _TAIL_NODES)
     phase = cmath.rect(1.0, arg)
 
     def ds(u):
@@ -496,11 +489,11 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: floa
     # the kernel, so its (finite but enormous) value never needs precision
     dels = _gauss8_increments(ds, us)
     x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
-    fvals = np.zeros(n_grid, dtype=complex)
+    fvals = np.zeros(_TAIL_NODES, dtype=complex)
     fvals[1:] = (_forcing_payload(x, v, v1, v2) / (sgn * sq)) * (-x_max / (us[1:] ** 2)) * phase
     # anchor cumulative S at the x_max end: only differences enter the kernel,
     # and anchoring there keeps them accurate where exp(-2 dS) is of size one
-    svals = np.empty(n_grid, dtype=complex)
+    svals = np.empty(_TAIL_NODES, dtype=complex)
     svals[-1] = 0.0
     svals[:-1] = -np.cumsum(dels[::-1])[::-1]
     z, _ = iterate_grid(svals, fvals, us)
@@ -510,7 +503,7 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float, x_max: floa
 
 
 def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
-                refine: bool = True, tail_n: int = 801) -> SolutionState:
+                refine: bool = True) -> SolutionState:
     """Recessive solution of sector k, normalized to x^(-a/2) exp(-(-1)^k R(x)).
 
     The plain asymptotic value is corrected in two ways when refine is set: the
@@ -538,7 +531,7 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
         w = sgn * (rr - tval)
         # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
         pref = (v / pt.cpow(2.0 * a)) ** -0.25
-        zc, zp_over_z = _tail_volterra(params, arg, sgn, x_max, tail_n)
+        zc, zp_over_z = _tail_volterra(params, arg, sgn, x_max)
         mant = pt.cpow(-0.5 * a) * pref * cmath.exp(1j * w.imag) * zc
         logp = sgn * sq - 0.25 * v1 / v + zp_over_z
         tag = f"sibuya_{k}"

@@ -58,9 +58,6 @@ class CoverPoint:
     def clog(self) -> complex:
         return complex(math.log(self.modulus), self.arg)
 
-    def rotated(self, dphi: float) -> "CoverPoint":
-        return CoverPoint(self.modulus, self.arg + dphi)
-
 
 @dataclass(frozen=True)
 class OscillatorParams:
@@ -129,21 +126,18 @@ def eval_reduced(params: OscillatorParams, x) -> complex:
     return _reduced_jet(params, p.to_complex(), p.cpow(2.0 * params.alpha))[0]
 
 
-def eval_forcing(params: OscillatorParams, x, sqrt_v: complex | None = None) -> complex:
+def eval_forcing(params: OscillatorParams, x) -> complex:
     """Forcing density F with F dx the perturbation measure of the WKB transport.
 
     F = [ 1/(4x^2) + (5 V'^2 - 4 V'' V) / (16 V^2) ] / sqrt(V).  The first term is
-    V - U written in closed form (Langer shift), avoiding cancellation.  When the
-    caller tracks a particular branch of sqrt(V) along a path it should pass it in;
-    otherwise the principal branch is used.  Admissibility functionals only consume
+    V - U written in closed form (Langer shift), avoiding cancellation.  The
+    principal branch of sqrt(V) is used; admissibility functionals only consume
     |F|, which is branch free.
     """
     p = _as_cover(x)
     z = p.to_complex()
     v, v1, v2 = _reduced_jet(params, z, p.cpow(2.0 * params.alpha))
-    if sqrt_v is None:
-        sqrt_v = cmath.sqrt(v)
-    return _forcing_payload(z, v, v1, v2) / sqrt_v
+    return _forcing_payload(z, v, v1, v2) / cmath.sqrt(v)
 
 
 def _cover_power(s: float, z, arg):

@@ -13,6 +13,17 @@ Conventions used throughout (Wr[f, g] = f g' - f' g):
              eigenvalues and equals exp(-2 pi i I(E)) to leading order in the
              semiclassical regime.
 
+Sibuya's symmetry psi_k(x, E) ∝ psi_0(omega^-k x, omega^2k E), omega =
+e^(i theta) with theta = pi/(alpha + 1), turns R0 into determinants at the
+rotated energies (Dorey & Tateo, J. Phys. A 32 (1999) L419; Dorey, Dunning &
+Tateo, J. Phys. A 40 (2007) R205):
+
+    R0 = omega^(2 ell + 1) e^(2 i theta c) Q(omega^2 E) / Q(omega^-2 E),
+
+where c E^k is the coefficient of the log x term of R(x), present only at the
+thresholds alpha = 1/(2k - 1) and zero elsewhere.  For real alpha, ell and E
+the two determinants are complex conjugates, so one transport gives R0.
+
 Normalization fact used by the tests: Wr[psi_k, psi_{k+1}] = 2 (-1)^k exactly,
 since both normalized asymptotic forms hold between the two sectors and the
 cover powers cancel in the product.
@@ -39,6 +50,7 @@ from .integrate import (
     _frobenius_scaled,
     frobenius_seed,
     propagate,
+    r_expansion,
     sibuya_seed,
     wronskian,
 )
@@ -160,8 +172,7 @@ def _arc_nodes(modulus: float, arg_from: float, arg_to: float) -> list[CoverPoin
 
 
 def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
-               rtol: float = 1e-10, refine: bool = True,
-               tail_n: int = 801) -> SolutionState:
+               rtol: float = 1e-10, refine: bool = True) -> SolutionState:
     """Sector-k recessive solution, seeded at x_max and transported to meet.
 
     The route is ray first, arc second: inward transport on the native ray is
@@ -170,7 +181,7 @@ def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
     independent (at large modulus two transported dominant solutions become
     parallel to working precision and their Wronskian drowns in cancellation).
     """
-    state = sibuya_seed(params, k, x_max, refine=refine, tail_n=tail_n)
+    state = sibuya_seed(params, k, x_max, refine=refine)
     arg_k = sector_center_arg(params.alpha, k)
     nodes = [CoverPoint(x_max, arg_k)]
     kinds: list[str] = []
@@ -195,7 +206,16 @@ def spectral_determinant(params: OscillatorParams, refine: bool = True,
     seed; both transports run toward their stable direction, so the result is
     insensitive to seeding error (which only enters multiplicatively).
     """
-    geo = _geometry(params)
+    return _determinant(params, _geometry(params), refine, rtol)
+
+
+def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,
+                 rtol: float) -> DeterminantValue:
+    """Wr[chi, psi_0] at the energy of params, on radii geo found by the caller.
+
+    The radii come from a real energy, so params may carry a complex one:
+    r_zero evaluates Q at omega^2 E on the radii of the real E.
+    """
     chi = _chi_state(params, geo, rtol)
     psi = _psi_state(params, 0, CoverPoint(geo.x_match, 0.0), geo.x_max, rtol, refine)
     m, l = wronskian(chi, psi)
@@ -427,20 +447,19 @@ def r_zero(params: OscillatorParams) -> complex:
     multiple of psi_0 contained in chi) and stays near +1 between consecutive
     eigenvalues in the semiclassical regime.
 
-    psi_{+-1} are seeded at the contrast-budget radius, like every sector seed
-    here, but with a 2001-node tail Volterra grid and transport rtol 1e-11
-    (801 nodes and 1e-10 elsewhere), the settings the boundary-ratio
-    criterion (verify check 7) is calibrated with: with 801 nodes its worst
-    |R0 + 1| at the alpha = 2 eigenvalues rises from 5.7e-10 to 2.4e-9.
+    Computed from one determinant at the rotated energy omega^2 E (see the
+    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q(omega^2 E) +
+    2 theta c]).  Q(omega^2 E) is transported on the radii of the real E; at
+    the complex energy no turning point lies on the positive axis, so chi and
+    psi_0 both run toward their stable direction.
     """
     geo = _geometry(params)
-    chi = _chi_state(params, geo, 1e-11)
-    meet = CoverPoint(geo.x_match, 0.0)
-    sp = _psi_state(params, 1, meet, geo.x_max, 1e-11, tail_n=2001)
-    sm = _psi_state(params, -1, meet, geo.x_max, 1e-11, tail_n=2001)
-    m_num, l_num = wronskian(chi, sp)
-    m_den, l_den = wronskian(chi, sm)
-    return complex(-(m_num / m_den) * cmath.exp(l_num - l_den))
+    theta = sector_center_arg(params.alpha, 1)
+    c = r_expansion(params.alpha, params.energy).log_coefficient.real
+    rotated = params.with_energy(params.energy * cmath.rect(1.0, 2.0 * theta))
+    m = _determinant(rotated, geo, True, 1e-10).mantissa
+    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(m)
+                           + 2.0 * theta * c))
 
 
 def semiclassical_r_zero(params: OscillatorParams) -> complex:

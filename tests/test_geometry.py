@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate as sint
 
 from anharmonic import CoverPoint, OscillatorParams, eval_forcing, stokes_complex, topology_signature
+from anharmonic import geometry
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
 from anharmonic.checks import _horizontal_curve
 
@@ -25,37 +26,62 @@ def _polyline_distance(z, points):
     return min(_segment_distance(z, a, b) for a, b in zip(zs, zs[1:]))
 
 
+def _pure_power(params):
+    """V = x^2a, whose trajectories conserve Im(e^-i theta x^(a+1)/(a+1))."""
+    a = params.alpha
+
+    def v(z, arg):
+        return cmath.exp(2.0 * a * (math.log(abs(z)) + 1j * arg))
+
+    def v_pair(z, arg):
+        xa = v(z, arg)
+        return xa, 2.0 * a * xa / z
+    return v, v_pair
+
+
+def _pure_pole(params):
+    """V = (ell+1/2)^2/x^2, whose trajectories are rays and circles."""
+    c2 = params.lam * params.lam
+
+    def v(z, arg):
+        return c2 / (z * z)
+
+    def v_pair(z, arg):
+        return c2 / (z * z), -2.0 * c2 / (z * z * z)
+    return v, v_pair
+
+
 class TestModelTrajectories:
-    """Potential variants with closed-form trajectories."""
+    """Model potentials with closed-form trajectories, put in place of V."""
 
     @pytest.mark.parametrize("alpha", [1.0, 0.6])
-    def test_power_level_conservation(self, alpha):
+    def test_power_level_conservation(self, alpha, monkeypatch):
         # for V = x^2a the level Im(e^-i theta x^(a+1)/(a+1)) is conserved
+        monkeypatch.setattr(geometry, "_potential", _pure_power)
         params = OscillatorParams(alpha, 0.0, 0.0)
         x0 = CoverPoint.from_complex(1.5 + 0.8j)
         theta = 0.7
         tr = trace_trajectory(params, x0, theta, +1,
-                              TraceStops(radius_max=12.0, radius_min=1e-3),
-                              v_mode="pure_power")
+                              TraceStops(radius_max=12.0, radius_min=1e-3))
         s0 = x0.cpow(alpha + 1.0) / (alpha + 1.0)
         for q in tr.points:
             s = q.cpow(alpha + 1.0) / (alpha + 1.0)
             assert abs((cmath.exp(-1j * theta) * (s - s0)).imag) < 1e-6
         assert tr.termination.kind == "hit_radius_max"
 
-    def test_pole_ray(self):
+    def test_pole_ray(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_potential", _pure_pole)
         params = OscillatorParams(1.0, 0.0, 1.0)
         tr = trace_trajectory(params, CoverPoint(1.0, 0.4), 0.0, +1,
-                              TraceStops(radius_max=9.0, radius_min=1e-3),
-                              v_mode="pure_pole")
+                              TraceStops(radius_max=9.0, radius_min=1e-3))
         assert max(abs(q.arg - 0.4) for q in tr.points) < 1e-9
 
-    def test_pole_circle_tracks_the_cover(self):
+    def test_pole_circle_tracks_the_cover(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_potential", _pure_pole)
         params = OscillatorParams(1.0, 0.0, 1.0)
         tr = trace_trajectory(params, CoverPoint(2.0, 0.0), 0.5 * math.pi, +1,
                               TraceStops(radius_max=9.0, radius_min=1e-3,
-                                         max_steps=4000),
-                              v_mode="pure_pole")
+                                         max_steps=4000))
         assert max(abs(q.modulus - 2.0) for q in tr.points) < 1e-9
         # several full turns, argument unwound past 2 pi
         assert tr.points[-1].arg > 2.5 * math.pi

@@ -33,7 +33,7 @@ class TestCoverPoint:
     def test_power_sees_the_sheet(self):
         # same projection, one extra turn: x^s gains exp(2 pi i s)
         base = CoverPoint(2.0, 0.3)
-        lifted = base.rotated(2.0 * math.pi)
+        lifted = CoverPoint(base.modulus, base.arg + 2.0 * math.pi)
         s = 0.37 + 0.21j
         ratio = lifted.cpow(s) / base.cpow(s)
         assert abs(ratio - cmath.exp(2j * math.pi * s)) < 1e-12
@@ -170,7 +170,9 @@ class TestForcing:
         for k in range(len(ts)):
             p = CoverPoint(float(abs(z[k])), float(arg[k]))
             assert abs(eval_reduced(params, p) - v[k]) <= 1e-12 * abs(v[k])
-            assert abs(eval_forcing(params, p, sqrt_v=sq[k]) - f[k]) <= 1e-12 * abs(f[k])
+            # the branch-free product sqrt(V) F, so the principal branch serves
+            got = eval_forcing(params, p) * cmath.sqrt(v[k])
+            assert abs(got - f[k] * sq[k]) <= 1e-12 * abs(f[k] * sq[k])
 
 
 def test_sector_layout():

@@ -25,9 +25,10 @@ from anharmonic import (
 from anharmonic import model, spectral
 from anharmonic.integrate import (
     SolutionState,
-    frobenius_eval,
+    _frobenius_scaled,
     frobenius_seed,
     propagate,
+    r_expansion,
 )
 from anharmonic.spectral import DeterminantValue, _bracket_root, _chi_state, _geometry
 
@@ -49,6 +50,12 @@ def quartic_odd_levels(count, size=400):
     return ev[1:2 * count:2]
 
 
+# (alpha, ell, E): integer and non-integer 2 alpha, and the thresholds
+# alpha = 1 and 1/3 where R carries a log term
+ROTATED_POINTS = [(2.0, 0.5, 3.0), (1.5, 0.0, 10.0), (0.8, 0.3, 3.0), (1.0, 0.5, 5.0),
+                  (1.0 / 3.0, 0.5, 3.0)]
+
+
 class TestQuadraticWell:
     @pytest.mark.parametrize("ell", [0.0, 0.5])
     def test_spectrum_lies_on_the_lines(self, ell):
@@ -64,11 +71,11 @@ class TestQuadraticWell:
         want = -2.0 * gamma((2.0 * ell + 3.0) / 2.0) / gamma((2.0 * ell + 3.0 - energy) / 4.0)
         assert abs(got - want) < 1e-7 * abs(want)
 
-    @pytest.mark.parametrize("energy,ell", [(3.9, 0.3), (6.1, 1.2)])
+    @pytest.mark.parametrize("energy,ell", [(3.9, 0.3), (6.1, 1.2), (1.2, 0.0), (14.7, 0.5)])
     def test_boundary_ratio_closed_form(self, energy, ell):
         got = r_zero(OscillatorParams(1.0, energy, ell))
         want = cmath.exp(-2j * math.pi * (energy - 2.0 * ell - 1.0) / 4.0)
-        assert abs(got - want) < 1e-9
+        assert abs(got - want) < 1e-12
 
 
 class TestHarmonicSubregime:
@@ -142,6 +149,56 @@ class TestSpectralCriterion:
         res = abs(r_zero(params) * semiclassical_r_zero(params) - 1.0)
         assert res < 1e-6
 
+    def test_ratio_hits_minus_one_past_the_second_threshold(self):
+        # alpha = 1/3 = 1/(2k - 1) with k = 2: R has a log term c E^2 log x
+        # there, whose phase R0 must carry as well as at alpha = 1
+        alpha = 1.0 / 3.0
+        for e in eigenvalues(alpha, 0.5, 1):
+            assert abs(r_zero(OscillatorParams(alpha, e, 0.5)) + 1.0) < 1e-6
+
+
+class TestRotatedDeterminants:
+    """Q at the rotated energies omega^(+-2) E, omega = e^(i pi/(alpha+1))."""
+
+    @staticmethod
+    def rotated(params, sign):
+        # Q(omega^(2 sign) E) on the radii of the real E, times e^(i sign theta c)
+        theta = model.sector_center_arg(params.alpha, 1)
+        c = r_expansion(params.alpha, params.energy).log_coefficient.real
+        p = params.with_energy(params.energy * cmath.rect(1.0, 2.0 * sign * theta))
+        q = spectral._determinant(p, _geometry(params), True, 1e-10).value
+        return q, q * cmath.rect(1.0, sign * theta * c)
+
+    @pytest.mark.parametrize("alpha,ell,energy", ROTATED_POINTS)
+    def test_baxter_tq_relation(self, alpha, ell, energy):
+        # sigma_0(E) Q(E) = -i [omega^-(ell+1/2) Q~(omega^-2 E) + omega^(ell+1/2) Q~(omega^2 E)]
+        params = OscillatorParams(alpha, energy, ell)
+        theta = model.sector_center_arg(alpha, 1)
+        _, q_minus = self.rotated(params, -1)
+        _, q_plus = self.rotated(params, +1)
+        lhs = stokes_multiplier(params, 0) * spectral_determinant(params).value
+        rhs = -1j * (cmath.rect(1.0, -(ell + 0.5) * theta) * q_minus
+                     + cmath.rect(1.0, (ell + 0.5) * theta) * q_plus)
+        assert abs(lhs - rhs) < 1e-8 * abs(lhs)
+
+    @pytest.mark.parametrize("alpha,ell,energy", ROTATED_POINTS)
+    def test_rotations_are_conjugate(self, alpha, ell, energy):
+        params = OscillatorParams(alpha, energy, ell)
+        q_minus, _ = self.rotated(params, -1)
+        q_plus, _ = self.rotated(params, +1)
+        assert abs(q_minus - q_plus.conjugate()) < 1e-12 * abs(q_plus)
+
+    def test_one_sector_seed_per_boundary_ratio(self, monkeypatch):
+        seeds = []
+        original = spectral.sibuya_seed
+
+        def counted(params, k, *args, **kwargs):
+            seeds.append(k)
+            return original(params, k, *args, **kwargs)
+        monkeypatch.setattr(spectral, "sibuya_seed", counted)
+        r_zero(OscillatorParams(2.0, 5.0, 0.5))
+        assert seeds == [0]
+
 
 class TestDeterminantValue:
     def test_scaled_representation(self):
@@ -169,8 +226,9 @@ class TestChiSeed:
         rtol = 5e-13
         got = _chi_state(params, geo, rtol)
         x0 = min(0.05, 0.05 * geo.x_minus)  # the first rung of the ladder
-        val, dval, _ = frobenius_eval(frobenius_seed(alpha, ell), energy, x0)
-        start = SolutionState(CoverPoint(x0, 0.0), val, dval, 0.0, "chi").rescaled()
+        val, dval, _, loglead = _frobenius_scaled(frobenius_seed(alpha, ell), energy,
+                                                  CoverPoint(x0, 0.0))
+        start = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead, "chi").rescaled()
         path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
                         "principal")
         ref = propagate(params, start, path, rtol=rtol)
@@ -309,6 +367,7 @@ class TestWellGeometry:
         spectral_determinant,
         lambda params: sector_wronskian(params, 0, 1),
         wkb_phase,
+        r_zero,
     ])
     def test_complex_energy_is_refused(self, call):
         with pytest.raises(ValueError, match="turning point location expects "
