@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the eigenvalue-scan layers and count their work; write BENCH_<label>.json.
+"""Time the eigenvalue-scan, seed and Volterra layers; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
-checkout of the source tree that has spectral._ode_rtol:
+checkout of the source tree that has spectral._ode_rtol and spectral._geometry:
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
@@ -12,14 +12,21 @@ evaluations and index-check rescans of three eigenvalue scans (the quartic to
 n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
-points, and per r_zero at two.  Counts come from wrapping module functions
-of anharmonic.spectral from this script; times are plain time.perf_counter
-readings (best of REPEAT for the micro timings).
+points, per r_zero and per refined sibuya_seed at two, and per volterra_solve
+on one committed curve.  Counts come from wrapping module functions of
+anharmonic.spectral from this script; times are time.perf_counter readings.
+
+The micro timings (best of REPEAT) follow the host's speed, which drifts by a
+factor of two between runs on a shared machine.  So after each repetition the
+script also times the fixed pure-Python loop of perfbench/run.py; "layers"
+holds the timings rescaled to the reference speed at which that loop takes
+REF_SECONDS, "layers_raw" the plain readings and "reference" the factor.
 """
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -29,7 +36,8 @@ import numpy as np
 import scipy
 
 import anharmonic
-from anharmonic import integrate, spectral
+from anharmonic import integrate, spectral, volterra
+from anharmonic.checks import committed_curves
 from anharmonic.model import CoverPoint, OscillatorParams
 
 # (alpha, ell, n_max) of the timed scans
@@ -46,12 +54,19 @@ SCANS = {
 DETERMINANTS = [(2.0, 0.0, 7.4), (1.0, 0.5, 9.0), (1.0, 100.0, 203.5)]
 SERIES = [(2.0, 0.0, 7.4, 0.2), (1.0, 0.5, 9.0, 0.1), (1.0, 100.0, 203.5, 1.6)]
 R_ZERO = [(1.0, 0.5, 9.0), (2.0, 0.5, 5.0)]
+# (alpha, ell, E, k) of refined sector-k seeds at the spectral seed radius
+SEEDS = [(0.8, 1.94, 7.6, 0), (2.0, 0.5, 5.0, 0)]
+# (committed curve, grid size) of the Volterra solve
+VOLTERRA = ("inward_ray_alpha2", 601)
 
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
 
 # each micro timing is the best of this many repetitions
 REPEAT = 5
+# the reference loop of perfbench/run.py and its seconds at the reference speed
+REF_ITERATIONS = 20000
+REF_SECONDS = 0.003
 
 
 class Counters:
@@ -106,21 +121,33 @@ def time_scans(counters: Counters) -> dict:
     return out
 
 
-def _best_us(call) -> float:
+def reference_chunk() -> float:
+    """Seconds for a fixed pure-Python loop: the host's speed at this moment."""
+    start = time.perf_counter()
+    x = total = 0.0
+    for i in range(REF_ITERATIONS):
+        x = x * 0.999 + 0.001 * (i % 7)
+        total += x * x
+    return time.perf_counter() - start
+
+
+def _best_us(call, chunks: list) -> float:
+    """Best of REPEAT timings of call, in µs; a reference chunk follows each."""
     best = float("inf")
     for _ in range(REPEAT):
         start = time.perf_counter()
         call()
         best = min(best, time.perf_counter() - start)
+        chunks.append(reference_chunk())
     return best * 1e6
 
 
-def time_layers() -> dict:
+def time_layers(chunks: list) -> dict:
     dets = {}
     for alpha, ell, energy in DETERMINANTS:
         params = OscillatorParams(alpha, energy, ell)
         dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
-            lambda: spectral.spectral_determinant(params, refine=False, rtol=SCAN_RTOL))
+            lambda: spectral.spectral_determinant(params, refine=False, rtol=SCAN_RTOL), chunks)
     series = {}
     for alpha, ell, energy, x in SERIES:
         table = spectral._series_table(alpha, ell)
@@ -128,15 +155,24 @@ def time_layers() -> dict:
         # many calls per timing, of the unwrapped function: one call may take
         # only tens of microseconds
         us = _best_us(lambda: [integrate._frobenius_scaled(table, energy, point)
-                               for _ in range(50)]) / 50
+                               for _ in range(50)], chunks) / 50
         series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = us
     r_zero = {}
     for alpha, ell, energy in R_ZERO:
         params = OscillatorParams(alpha, energy, ell)
         r_zero[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
-            lambda: spectral.r_zero(params))
+            lambda: spectral.r_zero(params), chunks)
+    seeds = {}
+    for alpha, ell, energy, k in SEEDS:
+        params = OscillatorParams(alpha, energy, ell)
+        x_max = spectral._geometry(params).x_max
+        seeds[f"alpha={alpha:g},ell={ell:g},E={energy:g},k={k}"] = _best_us(
+            lambda: integrate.sibuya_seed(params, k, x_max), chunks)
+    name, n = VOLTERRA
+    _, params, curve = next(c for c in committed_curves() if c[0] == name)
+    solve = {f"{name},n={n}": _best_us(lambda: volterra.volterra_solve(params, curve, n), chunks)}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
-            "r_zero_us": r_zero}
+            "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve}
 
 
 def main() -> None:
@@ -158,8 +194,17 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
-        "layers": time_layers(),
     }
+    chunks: list[float] = []
+    raw = time_layers(chunks)
+    chunk_s = statistics.median(chunks)
+    speed = REF_SECONDS / chunk_s
+    record["reference"] = {"iterations": REF_ITERATIONS, "seconds_at_reference": REF_SECONDS,
+                           "chunks": len(chunks), "median_chunk_s": chunk_s,
+                           "speed_factor": speed}
+    record["layers"] = {layer: {key: us * speed for key, us in timings.items()}
+                        for layer, timings in raw.items()}
+    record["layers_raw"] = raw
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     for name, scan in record["scans"].items():

@@ -475,9 +475,9 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
                    x_max: float) -> tuple[complex, complex]:
     """Boundary-layer correction on the ray tail: returns (z, z'/z) at x_max.
 
-    Solves z = 1 + K[z] from infinity down to x_max on the u = x_max/x grid with
-    trapezoid product integration; sgn is the exponent sign of the target solution
-    (the curve runs from infinity inward so that Re S increases toward x_max).
+    Solves z = 1 + K[z] from infinity down to x_max on the u = x_max/x grid by the
+    O(n) trapezoid sweep of iterate_grid; sgn is the exponent sign of the target
+    solution (the curve runs from infinity inward so Re S increases toward x_max).
     """
     us = np.linspace(0.0, 1.0, _TAIL_NODES)
     phase = cmath.rect(1.0, arg)
@@ -485,8 +485,8 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
     def ds(u):
         return sgn * _ray_v(params, arg, x_max / u)[4] * (-x_max / (u * u)) * phase
     # per-interval phase increments by Gauss quadrature; the first interval
-    # reaches toward infinity, where exp(-2 dS) underflows harmlessly inside
-    # the kernel, so its (finite but enormous) value never needs precision
+    # reaches toward infinity, where F = 0 and the sweep's exp(-2 dS) underflows
+    # harmlessly, so its (finite but enormous) value never needs precision
     dels = _gauss8_increments(ds, us)
     x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
     fvals = np.zeros(_TAIL_NODES, dtype=complex)

@@ -10,8 +10,8 @@ integral equation z = 1 + K[z] for the ratio z = psi / Psi, with kernel
 and forcing density F = [ (V - U) + (5 V'^2 - 4 V'' V) / (16 V^2) ] / b.
 (The operator sign depends on which branch F is divided by; the bounds below
 only see |K|, so they hold for either convention.)  Everything here works on
-a sampled curve: cumulative phase S on a grid, the Nystrom iteration for z
-with trapezoid product integration, and the certified a-priori bounds
+a sampled curve: cumulative phase S on a grid, z by one O(n) forward sweep
+of the trapezoid Nystrom system, and the certified a-priori bounds
 
     rho  = int |F| |dx|,
     beta = inf_{s<=t} Re (S(t) - S(s)),
@@ -83,16 +83,6 @@ class VolterraRun:
     iterations: int
 
 
-def _kernel_matrix(svals: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Strictly lower triangular B(t_j, t_i) = (exp(-2 (S_j - S_i)) - 1) / 2."""
-    n = len(ts)
-    expo = -2.0 * (svals[:, None] - svals[None, :])
-    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
-    b = 0.5 * (np.exp(expo) - 1.0)
-    b[np.triu_indices(n)] = 0.0
-    return b
-
-
 def _trapezoid_weights(ts: np.ndarray) -> np.ndarray:
     dt = np.diff(ts)
     w = np.zeros(len(ts))
@@ -101,10 +91,14 @@ def _trapezoid_weights(ts: np.ndarray) -> np.ndarray:
     return w
 
 
-def iterate_grid(svals: np.ndarray, fvals: np.ndarray, ts: np.ndarray,
-                 max_iter: int = 80) -> tuple[np.ndarray, int]:
-    """Solve z = 1 + K[z] on a grid by fixed-point iteration, until the
-    largest change is at most 1e-13 relative to max(1, |z|).
+def iterate_grid(svals: np.ndarray, fvals: np.ndarray,
+                 ts: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve the trapezoid system of z = 1 + K[z] exactly, in O(n); returns (z, 1).
+
+    The system is lower triangular (B(t, t) = 0) and B has rank two, so with
+    g_i = F_i w_i z_i, z_j = 1 + (A_j - C_j)/2 for C_j = sum_{i<j} g_i and
+    A_j = sum_{i<j} exp(-2 (S_j - S_i)) g_i, each carried to the next node in
+    one step (step exponents capped at _EXP_CAP, as the kernel caps them).
 
     svals are cumulative values of int b dx at the nodes, with b the branch
     of sqrt(V) that F is divided by (any common offset drops out of the
@@ -112,17 +106,22 @@ def iterate_grid(svals: np.ndarray, fvals: np.ndarray, ts: np.ndarray,
     F(gamma(t)) gamma'(t).  Duplicated nodes (zero spacing) are allowed and
     give the one-sided trapezoid rule at segment corners.
     """
-    m = _kernel_matrix(svals, ts) * (fvals * _trapezoid_weights(ts))[None, :]
-    z = np.ones(len(ts), dtype=complex)
-    for it in range(1, max_iter + 1):
-        znew = 1.0 + m @ z
-        delta = float(np.max(np.abs(znew - z)))
-        z = znew
-        if delta <= 1e-13 * max(1.0, float(np.max(np.abs(z)))):
-            return z, it
-    raise RuntimeError(f"Volterra iteration did not settle in max_iter={max_iter} "
-                       f"iterations on {len(ts)} nodes (last change {delta:.3g}); the "
-                       "curve is likely far from admissible (rho too large)")
+    expo = -2.0 * np.diff(svals)
+    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
+    steps = np.exp(expo).tolist()
+    weighted = (fvals * _trapezoid_weights(ts)).tolist()
+    z = [1.0 + 0.0j]
+    a = c = 0.0j
+    for step, fw in zip(steps, weighted):
+        g = fw * z[-1]
+        a = step * (a + g)
+        c += g
+        z.append(1.0 + 0.5 * (a - c))
+    out = np.array(z, dtype=complex)
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError(f"Volterra sweep on {len(ts)} nodes gave a non-finite z; "
+                           "the curve is likely far from admissible (rho too large)")
+    return out, 1
 
 
 def endpoint_slope_integral(svals: np.ndarray, fvals: np.ndarray,
@@ -191,8 +190,7 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> V
     """Solve z = 1 + K[z] along the curve and certify it.
 
     n is the total grid size along the curve, split evenly over its segments
-    (at least 8 points each); the kernel matrix is dense in the grid, so
-    memory grows as n^2.
+    (at least 8 points each); time and memory are linear in n.
     """
     frame = PathFrame(params, curve)
     ts, svals, fvals = _frame_grid(frame, n)

@@ -1,13 +1,17 @@
 """Integral-equation solver and the certified error functionals."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
+from anharmonic import integrate, spectral
 from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
-from anharmonic.volterra import _frame_grid, _kernel_matrix, _safe_bound, iterate_grid
+from anharmonic.volterra import (_EXP_CAP, _frame_grid, _safe_bound, _trapezoid_weights,
+                                 iterate_grid)
 
 
 def _curve(index):
@@ -41,15 +45,14 @@ class TestIntegralEquation:
         run = volterra_solve(params, path)
         assert run.iterations < 30
 
-    def test_unsettled_iteration_names_its_budget(self):
+    def test_non_finite_solution_names_its_grid(self):
+        # Re S falls by 300 per node, so z grows by about e^600 a node and overflows
         ts = np.linspace(0.0, 1.0, 16)
-        svals, fvals = 3.0j * ts, np.full(16, 0.5 + 0j)
-        assert iterate_grid(svals, fvals, ts)[1] > 1
+        svals, fvals = -300.0 * np.arange(16) + 0j, np.full(16, 0.5 + 0j)
         with pytest.raises(RuntimeError) as err:
-            iterate_grid(svals, fvals, ts, max_iter=1)
+            iterate_grid(svals, fvals, ts)
         msg = str(err.value)
-        assert msg.startswith("Volterra iteration did not settle in max_iter=1 iterations "
-                              "on 16 nodes (last change ")
+        assert msg.startswith("Volterra sweep on 16 nodes gave a non-finite z")
         assert "rho too large" in msg
 
 
@@ -74,6 +77,17 @@ class TestCertificates:
         assert ef.beta > -1e-6
 
 
+def _kernel_matrix(svals, ts):
+    """Dense reference kernel: strictly lower triangular B(t_j, t_i)
+    = (exp(-2 (S_j - S_i)) - 1) / 2, exponents capped as the solver caps them."""
+    n = len(ts)
+    expo = -2.0 * (svals[:, None] - svals[None, :])
+    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
+    b = 0.5 * (np.exp(expo) - 1.0)
+    b[np.triu_indices(n)] = 0.0
+    return b
+
+
 def _kernel(index):
     """(global ts, B(t_j, t_i)) on the grid the solver uses for a committed curve."""
     params, path = _curve(index)
@@ -92,6 +106,57 @@ class TestKernel:
         # |(exp(-2 dS) - 1)/2| <= 1 once Re dS >= 0 along the curve
         ts, b = _kernel(0)
         assert abs(b[np.argmin(abs(ts - t)), np.argmin(abs(ts - s))]) <= 1.0 + 1e-9
+
+
+def _oracle_grid(case, monkeypatch):
+    """(svals, fvals, ts) of a committed curve (an index), of the ray tail that
+    a refined sector-k seed solves on ((alpha, ell, E, k)), or of a curve whose
+    Re S falls back by about 4.6 (beta < 0)."""
+    if isinstance(case, tuple):
+        alpha, ell, energy, k = case
+        params = OscillatorParams(alpha, energy, ell)
+        seen = []
+
+        def capture(svals, fvals, us):
+            seen.append((svals, fvals, us))
+            return iterate_grid(svals, fvals, us)
+        monkeypatch.setattr(integrate, "iterate_grid", capture)
+        integrate.sibuya_seed(params, k, spectral._geometry(params).x_max)
+        return seen[0]
+    if case == "beta-negative":
+        params = OscillatorParams(1.0, 2.0, 0.3)
+        path = path_from_complex([6.0, 6.0 + 3.0j, 6.0 + 0.5j])
+    else:
+        params, path = _curve(case)
+    ts, svals, fvals = _frame_grid(PathFrame(params, path), 601)
+    return svals, fvals, ts
+
+
+class TestSweep:
+    @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, (0.8, 1.94, 7.6, 0), (1.3, 0.8, 7.8, -1),
+                                      "beta-negative"],
+                             ids=lambda case: "-".join(map(str, case)) if isinstance(case, tuple)
+                             else str(case))
+    def test_equals_the_dense_triangular_solve(self, case, monkeypatch):
+        svals, fvals, ts = _oracle_grid(case, monkeypatch)
+        n = len(ts)
+        m = _kernel_matrix(svals, ts) * (fvals * _trapezoid_weights(ts))[None, :]
+        ref = solve_triangular(np.eye(n) - m, np.ones(n, dtype=complex), lower=True)
+        z, _ = iterate_grid(svals, fvals, ts)
+        assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_memory_is_linear_in_the_grid(self):
+        # one dense complex kernel on 2001 nodes would be 64 MB
+        ts = np.linspace(0.0, 1.0, 2001)
+        svals, fvals = 2.0 * ts + 1.0j * ts, 0.1 * np.exp(1.0j * ts)
+        tracemalloc.start()
+        try:
+            z, _ = iterate_grid(svals, fvals, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(z) == 2001
+        assert peak < 8e6
 
 
 class TestSafeBound:
