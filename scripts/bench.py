@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the eigenvalue-scan, seed and Volterra layers; write BENCH_<label>.json.
+"""Time the eigenvalue-scan, seed, Volterra and connection layers; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
 checkout of the source tree that has spectral._ode_rtol and spectral._geometry:
@@ -12,12 +12,15 @@ evaluations and index-check rescans of three eigenvalue scans (the quartic to
 n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
-points, per r_zero and per refined sibuya_seed at two, and per volterra_solve
-on one committed curve.  Counts come from wrapping module functions of
-anharmonic.spectral from this script; times are time.perf_counter readings.
+points, per r_zero and per refined sibuya_seed at two, per volterra_solve
+on one committed curve, and per stokes_multiplier (k = 0 and 1) and
+fock_goncharov((0, 2, 1, -1)) at two.  Counts come from wrapping module
+functions of anharmonic.spectral from this script; times are
+time.perf_counter readings.
 
-The micro timings (best of REPEAT) follow the host's speed, which drifts by a
-factor of two between runs on a shared machine.  So after each repetition the
+The micro timings (best of REPEAT, taken in rounds over all points) follow
+the host's speed, which drifts by a factor of two between runs on a shared
+machine.  So after each repetition the
 script also times the fixed pure-Python loop of perfbench/run.py; "layers"
 holds the timings rescaled to the reference speed at which that loop takes
 REF_SECONDS, "layers_raw" the plain readings and "reference" the factor.
@@ -30,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,14 +60,18 @@ SERIES = [(2.0, 0.0, 7.4, 0.2), (1.0, 0.5, 9.0, 0.1), (1.0, 100.0, 203.5, 1.6)]
 R_ZERO = [(1.0, 0.5, 9.0), (2.0, 0.5, 5.0)]
 # (alpha, ell, E, k) of refined sector-k seeds at the spectral seed radius
 SEEDS = [(0.8, 1.94, 7.6, 0), (2.0, 0.5, 5.0, 0)]
+# (alpha, ell, E) of the connection data: sigma_0, sigma_1 and one cross ratio
+CONNECTION = [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4)]
 # (committed curve, grid size) of the Volterra solve
 VOLTERRA = ("inward_ray_alpha2", 601)
 
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
 
-# each micro timing is the best of this many repetitions
-REPEAT = 5
+# each micro timing is the best of this many repetitions, taken in rounds
+REPEAT = 15
+# Frobenius series evaluations per timing
+SERIES_CALLS = 50
 # the reference loop of perfbench/run.py and its seconds at the reference speed
 REF_ITERATIONS = 20000
 REF_SECONDS = 0.003
@@ -131,48 +139,65 @@ def reference_chunk() -> float:
     return time.perf_counter() - start
 
 
-def _best_us(call, chunks: list) -> float:
-    """Best of REPEAT timings of call, in µs; a reference chunk follows each."""
-    best = float("inf")
-    for _ in range(REPEAT):
-        start = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - start)
-        chunks.append(reference_chunk())
-    return best * 1e6
+def _many(call, *args) -> None:
+    for _ in range(SERIES_CALLS):
+        call(*args)
 
 
-def time_layers(chunks: list) -> dict:
-    dets = {}
+def _layer_calls() -> dict:
+    """layer -> point -> (call, calls of the timed function per call)."""
+    dets, series, r_zero, seeds, connection = {}, {}, {}, {}, {}
     for alpha, ell, energy in DETERMINANTS:
         params = OscillatorParams(alpha, energy, ell)
-        dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
-            lambda: spectral.spectral_determinant(params, refine=False, rtol=SCAN_RTOL), chunks)
-    series = {}
+        dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(
+            spectral.spectral_determinant, params, refine=False, rtol=SCAN_RTOL), 1)
     for alpha, ell, energy, x in SERIES:
-        table = spectral._series_table(alpha, ell)
-        point = CoverPoint(x, 0.0)
         # many calls per timing, of the unwrapped function: one call may take
         # only tens of microseconds
-        us = _best_us(lambda: [integrate._frobenius_scaled(table, energy, point)
-                               for _ in range(50)], chunks) / 50
-        series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = us
-    r_zero = {}
+        series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = (partial(
+            _many, integrate._frobenius_scaled, spectral._series_table(alpha, ell), energy,
+            CoverPoint(x, 0.0)), SERIES_CALLS)
     for alpha, ell, energy in R_ZERO:
         params = OscillatorParams(alpha, energy, ell)
-        r_zero[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = _best_us(
-            lambda: spectral.r_zero(params), chunks)
-    seeds = {}
+        r_zero[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(spectral.r_zero, params), 1)
     for alpha, ell, energy, k in SEEDS:
         params = OscillatorParams(alpha, energy, ell)
         x_max = spectral._geometry(params).x_max
-        seeds[f"alpha={alpha:g},ell={ell:g},E={energy:g},k={k}"] = _best_us(
-            lambda: integrate.sibuya_seed(params, k, x_max), chunks)
+        seeds[f"alpha={alpha:g},ell={ell:g},E={energy:g},k={k}"] = (partial(
+            integrate.sibuya_seed, params, k, x_max), 1)
     name, n = VOLTERRA
     _, params, curve = next(c for c in committed_curves() if c[0] == name)
-    solve = {f"{name},n={n}": _best_us(lambda: volterra.volterra_solve(params, curve, n), chunks)}
+    solve = {f"{name},n={n}": (partial(volterra.volterra_solve, params, curve, n), 1)}
+    for alpha, ell, energy in CONNECTION:
+        params = OscillatorParams(alpha, energy, ell)
+        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
+        for k in (0, 1):
+            connection[f"stokes_multiplier,k={k},{point}"] = (partial(
+                spectral.stokes_multiplier, params, k), 1)
+        connection[f"fock_goncharov,(0,2,1,-1),{point}"] = (partial(
+            spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
-            "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve}
+            "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
+            "connection_us": connection}
+
+
+def time_layers(chunks: list) -> dict:
+    """Best of REPEAT timings of every point, in µs; a reference chunk follows each.
+
+    The repetitions run in rounds over all points, so that each point samples
+    the host across the whole run instead of during one stretch of it.
+    """
+    calls = _layer_calls()
+    best = {layer: dict.fromkeys(points, float("inf")) for layer, points in calls.items()}
+    for _ in range(REPEAT):
+        for layer, points in calls.items():
+            for key, (call, per) in points.items():
+                start = time.perf_counter()
+                call()
+                best[layer][key] = min(best[layer][key], (time.perf_counter() - start) / per)
+                chunks.append(reference_chunk())
+    return {layer: {key: sec * 1e6 for key, sec in points.items()}
+            for layer, points in best.items()}
 
 
 def main() -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import math
 import sys
 
@@ -50,30 +51,8 @@ def _json_scalar(x) -> str:
     if isinstance(x, float):
         if math.isnan(x) or math.isinf(x):
             return '"%s"' % repr(x)
-        s = format(x, ".17g")
-        return s
+        return format(x, ".17g")
     raise TypeError(f"unsupported scalar {type(x)!r}")
-
-
-def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20 or ord(ch) > 0x7E:
-            out.append("\\u%04x" % ord(ch))
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
 
 
 def dumps_json(obj, indent: int = 1, _level: int = 0) -> str:
@@ -84,7 +63,7 @@ def dumps_json(obj, indent: int = 1, _level: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            "%s%s: %s" % (pad, _json_string(str(k)), dumps_json(v, indent, _level + 1))
+            "%s%s: %s" % (pad, json.dumps(str(k)), dumps_json(v, indent, _level + 1))
             for k, v in obj.items()
         ]
         return "{\n%s\n%s}" % (",\n".join(items), close_pad)
@@ -95,12 +74,12 @@ def dumps_json(obj, indent: int = 1, _level: int = 0) -> str:
         flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
         if flat:
             return "[%s]" % ", ".join(
-                _json_string(v) if isinstance(v, str) else _json_scalar(v) for v in seq
+                json.dumps(v) if isinstance(v, str) else _json_scalar(v) for v in seq
             )
         items = [pad + dumps_json(v, indent, _level + 1) for v in seq]
         return "[\n%s\n%s]" % (",\n".join(items), close_pad)
     if isinstance(obj, str):
-        return _json_string(obj)
+        return json.dumps(obj)
     return _json_scalar(obj)
 
 

@@ -342,7 +342,6 @@ def to_hbar_coords(params: OscillatorParams, regime: int) -> HbarCoords:
 def sector_center_arg(alpha: float, k: float) -> float:
     """arg x = k pi / (alpha + 1): the centre of decay sector k for integer k.
 
-    Half-integer k gives the ray where sectors k - 1/2 and k + 1/2 meet, and
-    other fractions (a mean of sector labels) the rays in between.
+    Half-integer k gives the ray where sectors k - 1/2 and k + 1/2 meet.
     """
     return k * math.pi / (alpha + 1.0)

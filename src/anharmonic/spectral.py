@@ -14,27 +14,28 @@ Conventions used throughout (Wr[f, g] = f g' - f' g):
              semiclassical regime.
 
 Sibuya's symmetry psi_k(x, E) ∝ psi_0(omega^-k x, omega^2k E), omega =
-e^(i theta) with theta = pi/(alpha + 1), turns R0 into determinants at the
-rotated energies (Dorey & Tateo, J. Phys. A 32 (1999) L419; Dorey, Dunning &
-Tateo, J. Phys. A 40 (2007) R205):
-
-    R0 = omega^(2 ell + 1) e^(2 i theta c) Q(omega^2 E) / Q(omega^-2 E),
-
-where c E^k is the coefficient of the log x term of R(x), present only at the
-thresholds alpha = 1/(2k - 1) and zero elsewhere.  For real alpha, ell and E
-the two determinants are complex conjugates, so one transport gives R0.
-
-Normalization fact used by the tests: Wr[psi_k, psi_{k+1}] = 2 (-1)^k exactly,
-since both normalized asymptotic forms hold between the two sectors and the
-cover powers cancel in the product.
+e^(i theta), theta = pi/(alpha + 1), gives Wr[chi, psi_s] = omega^(s (ell -
+alpha/2)) Q~_s with Q~_s = Q(omega^2s E) exp(-i s theta c(omega^2s E)); c E^k
+is the coefficient of the log x term of R(x), nonzero only at the thresholds
+alpha = 1/(2k - 1).  For real alpha, ell and E, Q~_{-s} = conj Q~_s (Dorey &
+Tateo, J. Phys. A 32 (1999) L419; Dorey, Dunning & Tateo, J. Phys. A 40 (2007)
+R205).  As Wr[psi_k, psi_{k+1}] = 2 (-1)^k exactly (both normalized asymptotic
+forms hold between the two sectors), psi_{k+1} = psi_{k-1} + sigma_k psi_k.
+Its Wronskian with chi is the T-Q relation sigma_k = -i [omega^-(ell+1/2)
+Q~_{k-1} + omega^(ell+1/2) Q~_{k+1}] / Q~_k, and R0 = omega^(2 ell + 1) Q~_1 /
+Q~_{-1}.  Where omega^2k E is real and positive, Q~_k vanishes at eigenvalues
+and sigma_k = e^(2 i k theta c) sigma_0(omega^2k E) comes from psi_1, which is
+conj psi_{-1} on the positive axis.  The Stokes ladder Wr[psi_j, psi_m] =
+Wr[psi_j, psi_{m-2}] + sigma_{m-1} Wr[psi_j, psi_{m-1}] gives every other
+Wronskian without carrying two exponentially large solutions to one point.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .model import CoverPoint, OscillatorParams, _real_pair, critical_data, sector_center_arg
 from .action import (
@@ -109,8 +110,7 @@ class _Geometry(NamedTuple):
     x_plus: float   # outer turning point, or x_star
     x_match: float  # where chi meets psi_0 and R0 is formed
     x_max: float    # seed radius of the sector rays
-    meet: float     # radius where sector solutions meet: Re R is O(1) there and
-                    # solutions of different sectors are still independent
+    meet: float     # radius where psi_1 turns onto the positive axis, Re R O(1) there
 
 
 def _geometry(params: OscillatorParams) -> _Geometry:
@@ -164,38 +164,11 @@ def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> Solutio
     return propagate(params, state, path, rtol=rtol)
 
 
-def _arc_nodes(modulus: float, arg_from: float, arg_to: float) -> list[CoverPoint]:
-    """Arc endpoints chunked so each piece subtends at most pi/2."""
-    steps = max(1, int(math.ceil(abs(arg_to - arg_from) / (0.5 * math.pi))))
-    return [CoverPoint(modulus, arg_from + (arg_to - arg_from) * j / steps)
-            for j in range(1, steps + 1)]
-
-
-def _psi_state(params: OscillatorParams, k: int, meet: CoverPoint, x_max: float,
-               rtol: float = 1e-10, refine: bool = True) -> SolutionState:
-    """Sector-k recessive solution, seeded at x_max and transported to meet.
-
-    The route is ray first, arc second: inward transport on the native ray is
-    the stable direction for a recessive seed, and taking the arc at the small
-    meeting modulus keeps the solutions of different sectors numerically
-    independent (at large modulus two transported dominant solutions become
-    parallel to working precision and their Wronskian drowns in cancellation).
-    """
-    state = sibuya_seed(params, k, x_max, refine=refine)
-    arg_k = sector_center_arg(params.alpha, k)
-    nodes = [CoverPoint(x_max, arg_k)]
-    kinds: list[str] = []
-    if abs(meet.modulus - x_max) > 1e-14:
-        nodes.append(CoverPoint(meet.modulus, arg_k))
-        kinds.append("ray")
-    if abs(meet.arg - arg_k) > 1e-14:
-        arcs = _arc_nodes(meet.modulus, arg_k, meet.arg)
-        nodes.extend(arcs)
-        kinds.extend(["arc"] * len(arcs))
-    if not kinds:
-        return state
-    path = PathSpec(tuple(nodes), tuple(kinds), "principal")
-    return propagate(params, state, path, rtol=rtol)
+def _psi0_state(params: OscillatorParams, modulus: float, x_max: float, rtol: float,
+                refine: bool) -> SolutionState:
+    """psi_0 seeded at x_max and carried inward, its stable direction, to modulus."""
+    path = PathSpec((CoverPoint(x_max, 0.0), CoverPoint(modulus, 0.0)), ("ray",), "principal")
+    return propagate(params, sibuya_seed(params, 0, x_max, refine=refine), path, rtol=rtol)
 
 
 def spectral_determinant(params: OscillatorParams, refine: bool = True,
@@ -214,10 +187,10 @@ def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,
     """Wr[chi, psi_0] at the energy of params, on radii geo found by the caller.
 
     The radii come from a real energy, so params may carry a complex one:
-    r_zero evaluates Q at omega^2 E on the radii of the real E.
+    _rotated_q evaluates Q at omega^2s E on the radii of the real E.
     """
     chi = _chi_state(params, geo, rtol)
-    psi = _psi_state(params, 0, CoverPoint(geo.x_match, 0.0), geo.x_max, rtol, refine)
+    psi = _psi0_state(params, geo.x_match, geo.x_max, rtol, refine)
     m, l = wronskian(chi, psi)
     return DeterminantValue(m, l)
 
@@ -400,44 +373,98 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
     return out
 
 
-def sector_wronskian(params: OscillatorParams, j: int, k: int) -> tuple[complex, float]:
-    """Wr[psi_j, psi_k] as (mantissa, logscale), met on the bisecting ray."""
+# ODE tolerance of the transports behind the connection data and R0
+_CONNECTION_RTOL = 1e-10
+
+
+def _rotated_q(params: OscillatorParams, geo: _Geometry,
+               s: int) -> tuple[DeterminantValue, float]:
+    """Q(omega^2s E) on the radii geo of the real E, and the phase
+    -s theta c(omega^2s E) that turns it into Q~_s (module docstring)."""
+    theta = sector_center_arg(params.alpha, 1)
+    energy = params.energy * cmath.rect(1.0, 2.0 * s * theta)
+    c = r_expansion(params.alpha, energy).log_coefficient.real
+    return _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL), -s * theta * c
+
+
+def _psi1_hop(params: OscillatorParams, k: int) -> complex:
+    """sigma_0 at the real energy of params; k names the sigma_k it stands for.
+
+    psi_1 goes down its ray to meet and on an arc to the positive axis, where
+    Wr[psi_{-1}, psi_1] = 2i e^(2L) Im(conj(f) f') for its state (f, f', L).
+    Dividing by Wr[psi_{-1}, psi_0] (-2 for exact seeds) cancels the seeds'
+    shared normalization error, 3e-7 at alpha = 1/3."""
     geo = _geometry(params)
-    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, 0.5 * (j + k)))
-    sj = _psi_state(params, j, meet, geo.x_max)
-    sk = _psi_state(params, k, meet, geo.x_max)
-    return wronskian(sj, sk)
+    theta = sector_center_arg(params.alpha, 1)
+    path = PathSpec((CoverPoint(geo.x_max, theta), CoverPoint(geo.meet, theta),
+                     CoverPoint(geo.meet, 0.0)), ("ray", "arc"), "principal")
+    one = propagate(params, sibuya_seed(params, 1, geo.x_max), path, rtol=_CONNECTION_RTOL)
+    f, fp = one.value, one.derivative
+    im = (f.conjugate() * fp).imag
+    ratio = _CONNECTION_RTOL * 2.0 * abs(f) * abs(fp) / abs(im) if im else math.inf
+    if ratio > 1e-6:
+        raise RuntimeError(
+            f"Wr[psi_-1, psi_1] lost to cancellation: rtol 2|f||f'|/|Im(conj(f) f')| = {ratio:.3g}"
+            f" > 1e-6 (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g}, k={k})")
+    zero = _psi0_state(params, geo.meet, geo.x_max, _CONNECTION_RTOL, True)
+    m, l = wronskian(replace(one, value=f.conjugate(), derivative=fp.conjugate()), zero)
+    return 2j * im / m * math.exp(2.0 * one.logscale - l)
+
+
+def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int, complex]:
+    """sigma_k for each k in ks at the real energy of params (module docstring)."""
+    geo = _geometry(params)
+    theta = sector_center_arg(params.alpha, 1)
+    w = cmath.rect(1.0, (params.ell + 0.5) * theta)
+    rotated: dict[int, tuple[complex, float]] = {}
+
+    def q(s: int) -> tuple[complex, float]:  # Q~_s as (mantissa, logscale)
+        if abs(s) not in rotated:
+            v, phi = _rotated_q(params, geo, abs(s))
+            rotated[abs(s)] = (v.mantissa * cmath.rect(1.0, phi), v.logscale)
+        m, l = rotated[abs(s)]
+        return (m if s >= 0 else m.conjugate()), l
+
+    sigma = {}
+    for k in ks:
+        e = params.energy * cmath.rect(1.0, 2.0 * k * theta)  # omega^2k E
+        if abs(e.imag) <= 1e-12 * abs(e) and e.real > 0.0:
+            c = r_expansion(params.alpha, e).log_coefficient
+            sigma[k] = cmath.exp(2j * k * theta * c) * _psi1_hop(params.with_energy(e.real), k)
+        else:
+            (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
+            sigma[k] = -1j * (w * m2 * math.exp(l2 - l1) + m0 * math.exp(l0 - l1) / w) / m1
+    return sigma
+
+
+def _ladder(sigma: dict[int, complex], j: int, m: int) -> complex:
+    """Wr[psi_j, psi_m] by the Stokes ladder of the module docstring."""
+    lo, hi = min(j, m), max(j, m)
+    prev, cur = 0j, 2.0 * (-1.0) ** lo + 0j
+    for k in range(lo + 1, hi):
+        prev, cur = cur, prev + sigma[k] * cur
+    return (cur if hi > lo else prev) * (1.0 if m >= j else -1.0)
+
+
+def sector_wronskian(params: OscillatorParams, j: int, k: int) -> tuple[complex, float]:
+    """Wr[psi_j, psi_k] as (mantissa, logscale 0), from the multipliers between j and k."""
+    sigma = _stokes_multipliers(params, range(min(j, k) + 1, max(j, k)))
+    return _ladder(sigma, j, k), 0.0
 
 
 def stokes_multiplier(params: OscillatorParams, k: int = 0) -> complex:
-    """sigma_k from the three seeds meeting on the sector-k ray."""
-    geo = _geometry(params)
-    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, k))
-    sm = _psi_state(params, k - 1, meet, geo.x_max)
-    s0 = _psi_state(params, k, meet, geo.x_max)
-    sp = _psi_state(params, k + 1, meet, geo.x_max)
-    m_num, l_num = wronskian(sm, sp)
-    m_den, l_den = wronskian(sm, s0)
-    return (m_num / m_den) * cmath.exp(l_num - l_den)
+    """sigma_k = Wr[psi_{k-1}, psi_{k+1}] / Wr[psi_{k-1}, psi_k]."""
+    return _stokes_multipliers(params, (k,))[k]
 
 
 def fock_goncharov(params: OscillatorParams, quad: tuple[int, int, int, int]) -> complex:
-    """Quadruple ratio R_{(a,b,c,d)} = -W_a(b,d) / W_c(b,d) of sector solutions.
-
-    All four solutions are transported to one meeting point; the four
-    log-scales cancel identically in the ratio, so only mantissas survive.
-    """
+    """Quadruple ratio R_{(a,b,c,d)} = -W_a(b,d) / W_c(b,d) of ladder Wronskians."""
     a, b, c, d = quad
     if len({a, b, c, d}) != 4:
         raise ValueError("the four sector labels must be distinct")
-    geo = _geometry(params)
-    meet = CoverPoint(geo.meet, sector_center_arg(params.alpha, (a + b + c + d) / 4.0))
-    states = {k: _psi_state(params, k, meet, geo.x_max) for k in (a, b, c, d)}
-    m_ab, _ = wronskian(states[a], states[b])
-    m_ad, _ = wronskian(states[a], states[d])
-    m_cb, _ = wronskian(states[c], states[b])
-    m_cd, _ = wronskian(states[c], states[d])
-    return -(m_ab / m_ad) * (m_cd / m_cb)
+    sigma = _stokes_multipliers(params, range(min(quad) + 1, max(quad)))
+    return -(_ladder(sigma, a, b) / _ladder(sigma, a, d)) * (
+        _ladder(sigma, c, d) / _ladder(sigma, c, b))
 
 
 def r_zero(params: OscillatorParams) -> complex:
@@ -448,18 +475,13 @@ def r_zero(params: OscillatorParams) -> complex:
     eigenvalues in the semiclassical regime.
 
     Computed from one determinant at the rotated energy omega^2 E (see the
-    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q(omega^2 E) +
-    2 theta c]).  Q(omega^2 E) is transported on the radii of the real E; at
-    the complex energy no turning point lies on the positive axis, so chi and
-    psi_0 both run toward their stable direction.
+    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q~_1]), with Q~_1
+    = Q(omega^2 E) e^(i theta c(E)).
     """
-    geo = _geometry(params)
     theta = sector_center_arg(params.alpha, 1)
-    c = r_expansion(params.alpha, params.energy).log_coefficient.real
-    rotated = params.with_energy(params.energy * cmath.rect(1.0, 2.0 * theta))
-    m = _determinant(rotated, geo, True, 1e-10).mantissa
-    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(m)
-                           + 2.0 * theta * c))
+    q, phi = _rotated_q(params, _geometry(params), 1)
+    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(q.mantissa)
+                           + 2.0 * phi))
 
 
 def semiclassical_r_zero(params: OscillatorParams) -> complex:

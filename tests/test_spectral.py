@@ -29,6 +29,8 @@ from anharmonic.integrate import (
     frobenius_seed,
     propagate,
     r_expansion,
+    sibuya_seed,
+    wronskian,
 )
 from anharmonic.spectral import DeterminantValue, _bracket_root, _chi_state, _geometry
 
@@ -51,9 +53,38 @@ def quartic_odd_levels(count, size=400):
 
 
 # (alpha, ell, E): integer and non-integer 2 alpha, and the thresholds
-# alpha = 1 and 1/3 where R carries a log term
+# alpha = 1 and 1/3 where R carries a log term; up to E = 30 on both sides of
+# alpha = 1, each at least 0.2 from the nearest quantized I(E) = n + 1/2
 ROTATED_POINTS = [(2.0, 0.5, 3.0), (1.5, 0.0, 10.0), (0.8, 0.3, 3.0), (1.0, 0.5, 5.0),
-                  (1.0 / 3.0, 0.5, 3.0)]
+                  (1.0 / 3.0, 0.5, 3.0), (0.6, 0.0, 20.0), (0.6, 1.0, 30.0),
+                  (0.8, 1.0, 30.0), (2.0, 0.5, 30.0), (3.0, 1.5, 20.0)]
+
+
+def alpha1_wronskian(ell, energy, j, k):
+    """Wr[psi_j, psi_k] at alpha = 1 in closed form (mpmath, 30 digits).
+
+    With mu = (ell + 1/2)/2, the Wronskians D_+-(E) = Wr[chi_+-, psi_0] =
+    -2 Gamma(1 +- 2 mu) / Gamma(1/2 +- mu - E/4) of psi_0 with chi_+ ~ x^(ell+1)
+    and chi_- ~ x^(-ell) give psi_0 = (D_- chi_+ - D_+ chi_-)/(2 ell + 1).
+    Sibuya's symmetry psi_k(x, E) = c_k psi_0(i^-k x, (-1)^k E) with c_k =
+    i^(-k/2) e^((-1)^k i k pi E/4), and chi_+- rotating by i^(-k(ell+1)) and
+    i^(k ell), give each psi_k in the basis chi_+-.  ell must not be a
+    half-integer, where Gamma(1 - 2 mu) has a pole.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        mu = (mp.mpf(ell) + 0.5) / 2
+
+        def d(sign, e):
+            return -2 * mp.gamma(1 + sign * 2 * mu) / mp.gamma(0.5 + sign * mu - e / 4)
+
+        def basis(k):
+            ek = (-1) ** k * mp.mpf(energy)
+            ck = mp.expjpi(-k / 4.0) * mp.expjpi((-1) ** k * k * energy / 4)
+            return (ck * d(-1, ek) * mp.expjpi(-k * (ell + 1) / 2) / (2 * ell + 1),
+                    -ck * d(+1, ek) * mp.expjpi(k * ell / 2) / (2 * ell + 1))
+        (aj, bj), (ak, bk) = basis(j), basis(k)
+        return complex(-(2 * ell + 1) * (aj * bk - bj * ak))
 
 
 class TestQuadraticWell:
@@ -113,12 +144,60 @@ class TestQuarticWell:
 
 
 class TestConnectionData:
-    def test_adjacent_wronskians_are_constant(self):
-        params = OscillatorParams(1.0, 3.9, 0.3)
+    @pytest.mark.parametrize("ell", [0.3, 1.3, 2.2])
+    @pytest.mark.parametrize("energy", [9.0, 15.0, 21.0])
+    def test_every_wronskian_matches_the_alpha1_closed_form(self, ell, energy):
+        # sigma_-2 .. sigma_2 once, then the ladder for every pair |j|, |k| <= 3:
+        # sigma_+-1 by T-Q, sigma_0 and sigma_+-2 (omega^4 E = E) by the psi_1 hop
+        sigma = spectral._stokes_multipliers(OscillatorParams(1.0, energy, ell), range(-2, 3))
+        for j in range(-3, 4):
+            for k in range(-3, 4):
+                want = alpha1_wronskian(ell, energy, j, k)
+                got = spectral._ladder(sigma, j, k)
+                assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (j, k, got, want)
+
+    def test_public_entry_points_follow_the_ladder(self):
+        params = OscillatorParams(1.0, 21.0, 1.3)
+
+        def wr(j, k):
+            return alpha1_wronskian(1.3, 21.0, j, k)
+        m, ls = sector_wronskian(params, 3, -3)
+        assert abs(m * cmath.exp(ls) - wr(3, -3)) <= 1e-7 * abs(wr(3, -3))
+        want = wr(0, 2) / wr(0, 1)
+        assert abs(stokes_multiplier(params, 1) - want) <= 1e-7 * abs(want)
+        want = -(wr(0, 2) / wr(0, -1)) * (wr(1, -1) / wr(1, 2))
+        assert abs(fock_goncharov(params, (0, 2, 1, -1)) - want) <= 1e-7 * abs(want)
+
+    @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 0.5, 30.0), (1.5, 0.7, 8.0)])
+    def test_multipliers_match_seeds_met_on_the_sector_ray(self, alpha, ell, energy):
+        # the reference is the former route, reliable above alpha = 1 only:
+        # psi_{k-1}, psi_k and psi_{k+1} carried down their rays to meet and
+        # along one arc each to the ray of sector k
+        params = OscillatorParams(alpha, energy, ell)
+        geo = _geometry(params)
+
+        def met(j, k):
+            arg_j = model.sector_center_arg(alpha, j)
+            nodes = [CoverPoint(geo.x_max, arg_j), CoverPoint(geo.meet, arg_j)]
+            kinds = ["ray"]
+            if j != k:
+                nodes.append(CoverPoint(geo.meet, model.sector_center_arg(alpha, k)))
+                kinds.append("arc")
+            path = PathSpec(tuple(nodes), tuple(kinds), "principal")
+            return propagate(params, sibuya_seed(params, j, geo.x_max), path, rtol=1e-10)
+        for k in (-1, 1, 2):
+            below = met(k - 1, k)
+            (mn, ln), (md, ld) = wronskian(below, met(k + 1, k)), wronskian(below, met(k, k))
+            want = mn / md * cmath.exp(ln - ld)
+            assert abs(stokes_multiplier(params, k) - want) <= 1e-8 * abs(want)
+
+    def test_adjacent_wronskians_are_constant(self, monkeypatch):
+        # exact by the normalization of the sector solutions: no seed is built
+        monkeypatch.setattr(spectral, "sibuya_seed", None)
+        params = OscillatorParams(0.6, 10.0, 0.3)
         for k in (-1, 0, 1):
-            m, ls = sector_wronskian(params, k, k + 1)
-            got = m * cmath.exp(ls)
-            assert abs(got - 2.0 * (-1.0) ** k) < 1e-6
+            assert sector_wronskian(params, k, k + 1) == (2.0 * (-1.0) ** k, 0.0)
+            assert sector_wronskian(params, k + 1, k) == (-2.0 * (-1.0) ** k, 0.0)
 
     def test_multipliers_combine_into_the_cross_ratio(self):
         params = OscillatorParams(1.0, 3.9, 0.3)
@@ -338,13 +417,28 @@ class TestLoudFailures:
         assert "scan did not resolve indices 0..1 (alpha=1, ell=0)" in str(err.value)
 
     def test_non_finite_seed_tail_names_the_parameters(self):
-        # the tail integral of the sector seed is NaN here; the failure must
+        # the tail integral of the psi_1 seed is NaN here; the failure must
         # come at once and name the seed, not after a long transport
         with pytest.raises(RuntimeError) as err:
-            sector_wronskian(OscillatorParams(1.03, 3.0, 0.5), 0, 1)
+            stokes_multiplier(OscillatorParams(1.03, 3.0, 0.5), 0)
         msg = str(err.value)
         assert "tail integral is not finite" in msg
-        assert "alpha=1.03, ell=0.5, E=3" in msg and "k=0" in msg
+        assert "alpha=1.03, ell=0.5, E=3" in msg and "k=1" in msg
+
+    def test_cancelled_stokes_wronskian_names_the_multiplier(self, monkeypatch):
+        # psi_1 arrives nearly real: Im(conj(f) f') = 1e-9 against |f||f'| = 1
+        original = spectral.propagate
+
+        def near_real(params, state, path, rtol):
+            out = original(params, state, path, rtol=rtol)
+            return SolutionState(out.location, 1.0 + 0j, 1.0 + 1e-9j, out.logscale,
+                                 out.seed_tag)
+        monkeypatch.setattr(spectral, "propagate", near_real)
+        with pytest.raises(RuntimeError) as err:
+            stokes_multiplier(OscillatorParams(2.0, 5.0, 0.5), 0)
+        msg = str(err.value)
+        assert "Wr[psi_-1, psi_1] lost to cancellation" in msg and "= 0.2 > 1e-6" in msg
+        assert "alpha=2, ell=0.5, E=5, k=0" in msg
 
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled
