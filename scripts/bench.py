@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the eigenvalue-scan, seed, Volterra and connection layers; write BENCH_<label>.json.
+"""Time the scan, seed, Volterra, connection and Stokes layers; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
 checkout of the source tree that has spectral._ode_rtol and spectral._geometry:
@@ -13,9 +13,11 @@ n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
 points, per r_zero and per refined sibuya_seed at two, per volterra_solve
-on one committed curve, and per stokes_multiplier (k = 0 and 1) and
-fock_goncharov((0, 2, 1, -1)) at two.  Counts come from wrapping module
-functions of anharmonic.spectral from this script; times are
+on one committed curve, per stokes_multiplier (k = 0 and 1) and
+fock_goncharov((0, 2, 1, -1)) at two, and per stokes_complex at the three
+energies of the committed Stokes trichotomy, whose trace points (the sum over
+edges of the trajectory points) are recorded under "work".  Counts come from
+wrapping module functions of anharmonic.spectral from this script; times are
 time.perf_counter readings.
 
 The micro timings (best of REPEAT, taken in rounds over all points) follow
@@ -41,7 +43,8 @@ import scipy
 
 import anharmonic
 from anharmonic import integrate, spectral, volterra
-from anharmonic.checks import committed_curves
+from anharmonic.checks import committed_curves, trichotomy_cases
+from anharmonic.geometry import stokes_complex
 from anharmonic.model import CoverPoint, OscillatorParams
 
 # (alpha, ell, n_max) of the timed scans
@@ -144,6 +147,18 @@ def _many(call, *args) -> None:
         call(*args)
 
 
+def _stokes_cases() -> dict:
+    """point -> OscillatorParams of the committed Stokes trichotomy."""
+    return {f"alpha={c['alpha']:g},ell={c['ell']:g},E={c['energy']:g}":
+            OscillatorParams(c["alpha"], c["energy"], c["ell"]) for c in trichotomy_cases()}
+
+
+def stokes_points() -> dict:
+    """point -> trajectory points summed over the edges of its Stokes complex."""
+    return {key: sum(len(e.trajectory.points) for e in stokes_complex(params).edges)
+            for key, params in _stokes_cases().items()}
+
+
 def _layer_calls() -> dict:
     """layer -> point -> (call, calls of the timed function per call)."""
     dets, series, r_zero, seeds, connection = {}, {}, {}, {}, {}
@@ -176,9 +191,11 @@ def _layer_calls() -> dict:
                 spectral.stokes_multiplier, params, k), 1)
         connection[f"fock_goncharov,(0,2,1,-1),{point}"] = (partial(
             spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
+    stokes = {key: (partial(stokes_complex, params), 1)
+              for key, params in _stokes_cases().items()}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
-            "connection_us": connection}
+            "connection_us": connection, "stokes_complex_us": stokes}
 
 
 def time_layers(chunks: list) -> dict:
@@ -219,6 +236,7 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
+        "work": {"stokes_complex_points": stokes_points()},
     }
     chunks: list[float] = []
     raw = time_layers(chunks)

@@ -46,8 +46,9 @@ __all__ = [
     "topology_signature",
 ]
 
-# relative change of sqrt(V) allowed per step; drives the adaptive step size
-_STEP_FRAC = 0.015
+# bound on |V'| dx / (2|V|), the first-order relative change of sqrt(V)
+# over one step of length dx; drives the adaptive step size
+_STEP_FRAC = 0.03
 # looser creep-in factor once a trace is committed to a turning point ball
 _STEP_FRAC_ENDGAME = 0.06
 # Newton projection back onto the level set, every this many accepted steps
@@ -58,9 +59,17 @@ _CORRECT_EVERY = 10
 class Termination:
     """How a trace ended.
 
-    kind is one of hit_radius_max, hit_radius_min, near_turning_point,
-    entered_sector, spiral_into_origin, step_limit.  index carries the turning
-    point index or the sector index when the kind needs one.
+    kind is one of
+      hit_radius_max, hit_radius_min: |x| left [radius_min, radius_max];
+      near_turning_point: entered the guard ball of turning point index;
+      entered_sector: left the arg window into the sector index;
+      spiral_into_origin: a full turn about the origin shrank |x| by 5 %;
+      bounded_winding: three full turns about the origin, none of which
+        shrank |x| by 5 %: an orbit that neither spirals in nor escapes;
+      zero_of_v: a step started exactly on a zero of V;
+      step_limit: max_steps steps were taken.
+    index carries the turning point index or the sector index when the kind
+    needs one.
     """
 
     kind: str
@@ -154,6 +163,14 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     Im(e^{-i*theta} S) every few steps.  S is accumulated independently by
     Simpson's rule on the realized polyline, anchored at S(x0) = 0.
 
+    A step of length dx changes sqrt(V) by the relative amount
+    |V'| dx / (2|V|) to first order; each step keeps that below _STEP_FRAC
+    (_STEP_FRAC_ENDGAME within 50 guard radii of an armed guard), below
+    0.05 |x|, and below 0.35 times the distance to the nearest armed guard.
+    Near a zero of V of order beta at distance d this gives
+    dx = 2 _STEP_FRAC d / beta: the steps shrink in proportion to d, and
+    closing in on a guard ball takes a number of steps logarithmic in d.
+
     tp_guard is a list of (CoverPoint, exclusion_radius); entering a guard ball
     terminates the trace with near_turning_point(index).  suppress_index mutes
     that guard until the trace leaves suppress_radius around it (so an edge can
@@ -174,7 +191,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
 
     z = p0.to_complex()
     arg = p0.arg
-    v = v_of(z, arg)
+    v, v1 = v_pair(z, arg)
     if v == 0:
         raise ValueError("trace must not start at a turning point")
     sq = cmath.sqrt(v)
@@ -187,18 +204,17 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     drift_max = 0.0
     geo_scale = max(abs(z), stops.radius_min * 10.0)
     termination = Termination("step_limit")
-    turn_anchor_arg = arg
-    turn_records: list[tuple[float, float]] = []  # (winding, modulus)
+    turn_mods: list[float] = []  # |x| at each completed turn about the origin
 
     n = 0
     while n < stops.max_steps:
         n += 1
-        # local step bound: sqrt(V) relative change and geometric caps
-        v, v1 = v_pair(z, arg)
+        # local step bound: sqrt(V) relative change and geometric caps; the
+        # jet (v, v1) at z was evaluated where the previous step ended
         if v == 0:
-            termination = Termination("step_limit")
+            termination = Termination("zero_of_v")
             break
-        rate = abs(v1) / (2.0 * abs(v) ** 1.5)
+        rate = abs(v1) / (2.0 * abs(v))
         dx_cap = 0.05 * abs(z)
         frac = _STEP_FRAC
         if guards:
@@ -216,10 +232,9 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             root = _match_sqrt(v_of(zz, aa), ref)
             return phase / root, root
 
-        r1 = _match_sqrt(v, sq)  # V at z is known from the step bound
-        k1 = phase / r1
+        k1 = phase / sq
         z2 = z + 0.5 * dtau * k1
-        k2, r2 = rhs(z2, arg + cmath.phase(z2 / z), r1)
+        k2, r2 = rhs(z2, arg + cmath.phase(z2 / z), sq)
         z3 = z + 0.5 * dtau * k2
         k3, r3 = rhs(z3, arg + cmath.phase(z3 / z), r2)
         z4 = z + dtau * k3
@@ -234,7 +249,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         zm = 0.5 * (z + znew)
         am = arg + cmath.phase(zm / z)
         sm = _match_sqrt(v_of(zm, am), sq)
-        sqn = _match_sqrt(v_of(znew, argnew), sm)
+        v, v1 = v_pair(znew, argnew)
+        sqn = _match_sqrt(v, sm)
         s_acc += (znew - z) * (sq + 4.0 * sm + sqn) / 6.0
 
         z, arg, sq = znew, argnew, sqn
@@ -251,7 +267,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             zc = z + delta
             if zc != 0:
                 ac = arg + cmath.phase(zc / z)
-                sqc = _match_sqrt(v_of(zc, ac), sq)
+                v, v1 = v_pair(zc, ac)
+                sqc = _match_sqrt(v, sq)
                 s_acc += delta * (sq + sqc) / 2.0
                 z, arg, sq = zc, ac, sqc
                 points[-1] = CoverPoint(abs(z), arg)
@@ -284,17 +301,15 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             termination = Termination("near_turning_point", hit)
             break
         # winding bookkeeping: spirals shrink each turn, bounded orbits do not
-        winding = arg - turn_anchor_arg
-        if abs(winding) >= 2.0 * math.pi * (len(turn_records) + 1):
-            turn_records.append((winding, mod))
-            if len(turn_records) >= 1:
-                prev_mod = points[0].modulus if len(turn_records) == 1 else turn_records[-2][1]
-                if mod < 0.95 * prev_mod:
-                    termination = Termination("spiral_into_origin")
-                    break
-                if len(turn_records) >= 3 and mod > 0.5 * prev_mod:
-                    termination = Termination("step_limit")
-                    break
+        if abs(arg - p0.arg) >= 2.0 * math.pi * (len(turn_mods) + 1):
+            prev_mod = turn_mods[-1] if turn_mods else points[0].modulus
+            turn_mods.append(mod)
+            if mod < 0.95 * prev_mod:
+                termination = Termination("spiral_into_origin")
+                break
+            if len(turn_mods) >= 3:
+                termination = Termination("bounded_winding")
+                break
 
     return Trajectory(
         theta=theta,
@@ -450,8 +465,11 @@ def stokes_complex(params: OscillatorParams,
                 label = "exit_%d" % term.index
             else:
                 label = "unresolved"
+                end = traj.points[-1]
                 warnings.append(
-                    "trace from tp%d along phi=%.3f hit the step limit" % (i, phi))
+                    "trace from tp%d along phi=%.3f ended by %s after %d points"
+                    " at |x|=%.3g, arg=%.3g"
+                    % (i, phi, term.kind, len(traj.points), end.modulus, end.arg))
             traces.append((i, traj, label))
 
     edges: list[StokesEdge] = []

@@ -7,7 +7,8 @@ from importlib import resources
 import pytest
 from scipy import integrate as sint
 
-from anharmonic import CoverPoint, OscillatorParams, eval_forcing, stokes_complex, topology_signature
+from anharmonic import (CoverPoint, OscillatorParams, critical_data, eval_forcing, stokes_complex,
+                        topology_signature)
 from anharmonic import geometry
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
 from anharmonic.checks import _horizontal_curve
@@ -85,6 +86,13 @@ class TestModelTrajectories:
         assert max(abs(q.modulus - 2.0) for q in tr.points) < 1e-9
         # several full turns, argument unwound past 2 pi
         assert tr.points[-1].arg > 2.5 * math.pi
+        # three turns without shrinking end the trace before max_steps does
+        assert tr.termination.kind == "bounded_winding"
+        assert len(tr.points) < 4000
+        short = trace_trajectory(params, CoverPoint(2.0, 0.0), 0.5 * math.pi, +1,
+                                 TraceStops(radius_max=9.0, radius_min=1e-3, max_steps=50))
+        assert short.termination.kind == "step_limit"
+        assert len(short.points) == 51
 
 
 class TestTracing:
@@ -133,6 +141,34 @@ class TestStokesGraphs:
     def test_no_warnings_in_the_standard_cases(self):
         sc = stokes_complex(OscillatorParams(1.0, 4.0, 0.5))
         assert sc.warnings == ()
+
+    def test_unresolved_trace_warning_names_the_exit(self):
+        # two traces of this complex wind about the origin on a bounded orbit
+        alpha, ell = 0.51, 1.64
+        params = OscillatorParams(alpha, 2.45 * critical_data(alpha, ell).e_star, ell)
+        sc = stokes_complex(params)
+        assert len(sc.warnings) == 2
+        assert all("ended by bounded_winding" in w for w in sc.warnings)
+        assert "tp0|unresolved" in topology_signature(sc)["edges"]
+
+    def test_double_turning_point_edges_keep_the_closed_form_level(self):
+        # at alpha = 1, ell = 1/2, E = 2 the potential is V = (x - 1/x)^2, so
+        # S = x^2/2 - log x and every vertical trajectory from the double
+        # turning points x = +-1 keeps Re S = 1/2
+        sc = stokes_complex(OscillatorParams(1.0, 2.0, 0.5))
+        worst = max(abs((z * z).real / 2.0 - math.log(abs(z)) - 0.5)
+                    for e in sc.edges for z in (q.to_complex() for q in e.trajectory.points))
+        assert worst <= 1e-6
+
+    def test_trace_work_and_drift_are_bounded(self):
+        # counts and levels, not timings: near a turning point the step shrinks
+        # in proportion to the distance to it, which keeps the double turning
+        # points of E = 2 within the same order of points as simple ones
+        sc = stokes_complex(OscillatorParams(1.0, 2.0, 0.5))
+        assert sum(len(e.trajectory.points) for e in sc.edges) <= 5000
+        for case in self._fixture()["cases"]:
+            sc = stokes_complex(OscillatorParams(case["alpha"], case["energy"], case["ell"]))
+            assert max(e.trajectory.level_drift for e in sc.edges) <= 1e-6, case["name"]
 
 
 class TestAdmissibility:
