@@ -14,11 +14,13 @@ a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
 points, per r_zero and per refined sibuya_seed at two, per volterra_solve
 on one committed curve, per stokes_multiplier (k = 0 and 1) and
-fock_goncharov((0, 2, 1, -1)) at two, and per stokes_complex at the three
+fock_goncharov((0, 2, 1, -1)) at two, per stokes_complex at the three
 energies of the committed Stokes trichotomy, whose trace points (the sum over
-edges of the trajectory points) are recorded under "work".  Counts come from
-wrapping module functions of anharmonic.spectral from this script; times are
-time.perf_counter readings.
+edges of the trajectory points) are recorded under "work", and per propagate
+on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
+rhs calls are also recorded under "work".  Counts come from wrapping module
+functions of anharmonic.spectral and anharmonic.integrate from this script;
+times are time.perf_counter readings.
 
 The micro timings (best of REPEAT, taken in rounds over all points) follow
 the host's speed, which drifts by a factor of two between runs on a shared
@@ -43,8 +45,10 @@ import scipy
 
 import anharmonic
 from anharmonic import integrate, spectral, volterra
+from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import stokes_complex
+from anharmonic.integrate import SolutionState
 from anharmonic.model import CoverPoint, OscillatorParams
 
 # (alpha, ell, n_max) of the timed scans
@@ -67,6 +71,11 @@ SEEDS = [(0.8, 1.94, 7.6, 0), (2.0, 0.5, 5.0, 0)]
 CONNECTION = [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4)]
 # (committed curve, grid size) of the Volterra solve
 VOLTERRA = ("inward_ray_alpha2", 601)
+# (alpha, ell, E, segment kind, start, end) of the timed transports of the
+# state (psi, psi') = (1, 0): a ray out of the quartic well into its growing
+# tail, and an arc through the alpha = 1 Stokes sectors
+PROPAGATE = [(2.0, 0.0, 7.4, "ray", CoverPoint(0.5, 0.0), CoverPoint(6.0, 0.0)),
+             (1.0, 0.5, 9.0, "arc", CoverPoint(6.0, 0.0), CoverPoint(6.0, 2.5))]
 
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
@@ -159,6 +168,62 @@ def stokes_points() -> dict:
             for key, params in _stokes_cases().items()}
 
 
+def _transports() -> dict:
+    """point -> (params, state, path) of the PROPAGATE transports."""
+    out = {}
+    for alpha, ell, energy, kind, start, end in PROPAGATE:
+        key = (f"{kind},alpha={alpha:g},ell={ell:g},E={energy:g},"
+               f"|x|={start.modulus:g}->{end.modulus:g},arg={start.arg:g}->{end.arg:g}")
+        out[key] = (OscillatorParams(alpha, energy, ell),
+                    SolutionState(start, 1.0, 0.0, 0.0, "bench"), PathSpec((start, end), (kind,)))
+    return out
+
+
+def _counted_rhs_calls(call) -> int:
+    """rhs evaluations of the RK stepper made by call(), from wrapping _make_rhs."""
+    calls = [0]
+    original = integrate._make_rhs
+
+    def make(params, seg):
+        rhs = original(params, seg)
+
+        def counted(t, u, v):
+            calls[0] += 1
+            return rhs(t, u, v)
+        return counted
+    integrate._make_rhs = make
+    try:
+        call()
+    finally:
+        integrate._make_rhs = original
+    return calls[0]
+
+
+def propagate_work() -> dict:
+    """point -> accepted and rejected steps and rhs calls of one propagate.
+
+    Accepted steps are the trace rows.  A segment costs one rhs call plus a
+    fixed number per attempted step, measured on the zero solution, whose
+    every step is accepted; the attempts beyond the accepted steps were
+    rejected.
+    """
+    zero = SolutionState(CoverPoint(1.0, 0.0), 0.0, 0.0, 0.0, "zero")
+    rows: list = []
+    calls = _counted_rhs_calls(lambda: integrate.propagate(
+        OscillatorParams(1.0, 1.0, 0.5), zero,
+        PathSpec((CoverPoint(1.0, 0.0), CoverPoint(2.0, 0.0)), ("ray",)), trace=rows))
+    per_step = (calls - 1) // len(rows)
+    out = {}
+    for key, (params, state, path) in _transports().items():
+        rows = []
+        calls = _counted_rhs_calls(lambda: integrate.propagate(
+            params, state, path, rtol=SCAN_RTOL, trace=rows))
+        attempts = (calls - path.n_segments) // per_step
+        out[key] = {"accepted_steps": len(rows), "rejected_steps": attempts - len(rows),
+                    "rhs_calls": calls, "rhs_calls_per_step": per_step}
+    return out
+
+
 def _layer_calls() -> dict:
     """layer -> point -> (call, calls of the timed function per call)."""
     dets, series, r_zero, seeds, connection = {}, {}, {}, {}, {}
@@ -193,9 +258,12 @@ def _layer_calls() -> dict:
             spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
     stokes = {key: (partial(stokes_complex, params), 1)
               for key, params in _stokes_cases().items()}
+    transport = {key: (partial(integrate.propagate, *args, rtol=SCAN_RTOL), 1)
+                 for key, args in _transports().items()}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
-            "connection_us": connection, "stokes_complex_us": stokes}
+            "connection_us": connection, "stokes_complex_us": stokes,
+            "propagate_us": transport}
 
 
 def time_layers(chunks: list) -> dict:
@@ -236,7 +304,7 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
-        "work": {"stokes_complex_points": stokes_points()},
+        "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work()},
     }
     chunks: list[float] = []
     raw = time_layers(chunks)

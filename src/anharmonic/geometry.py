@@ -343,12 +343,17 @@ def _snap_axis(p: CoverPoint) -> CoverPoint:
     return p
 
 
+def _coincide(p: CoverPoint, q: CoverPoint) -> bool:
+    """The same root up to root-finder noise: closer than 1e-5 of its modulus."""
+    return abs(p.to_complex() - q.to_complex()) < 1e-5 * (p.modulus + q.modulus)
+
+
 def _cluster_points(raw: list[CoverPoint]) -> list[tuple[CoverPoint, int]]:
     """Merge near-coincident roots; multiplicity = cluster size."""
     out: list[tuple[CoverPoint, int]] = []
     for p in map(_snap_axis, raw):
         for i, (q, m) in enumerate(out):
-            if abs(p.to_complex() - q.to_complex()) < 1e-5 * (p.modulus + q.modulus):
+            if _coincide(p, q):
                 out[i] = (q, m + 1)
                 break
         else:
@@ -359,17 +364,11 @@ def _cluster_points(raw: list[CoverPoint]) -> list[tuple[CoverPoint, int]]:
 def _collect_tps(params: OscillatorParams,
                  sector_window: tuple[float, float] | None) -> list[tuple[CoverPoint, int]]:
     tps = turning_points(params)
-    raw: list[CoverPoint] = []
-    merged: list[tuple[CoverPoint, int]] = []
-    if tps.real_pair is not None:
-        xm, xp = tps.real_pair
-        if xp - xm <= 1e-7 * xp:
-            merged.append((CoverPoint(0.5 * (xm + xp), 0.0), 2))
-        else:
-            raw.append(CoverPoint(xm, 0.0))
-            raw.append(CoverPoint(xp, 0.0))
-    raw.extend(tps.sector_points)
-    merged.extend(_cluster_points(raw))
+    real = [CoverPoint(x, 0.0) for x in tps.real_pair or ()]
+    # near E = E* the root finder returns the real double point again, split
+    # into a pair just off the axis: it is already in the real pair
+    sector = [p for p in tps.sector_points if not any(_coincide(p, q) for q in real)]
+    merged = _cluster_points(real + sector)
     if sector_window is not None:
         lo, hi = sector_window
         merged = [(p, m) for p, m in merged if lo - 1e-9 <= p.arg <= hi + 1e-9]

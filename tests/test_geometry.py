@@ -142,6 +142,18 @@ class TestStokesGraphs:
         sc = stokes_complex(OscillatorParams(1.0, 4.0, 0.5))
         assert sc.warnings == ()
 
+    @pytest.mark.parametrize("alpha,ell", [(2.0, 1.0), (3.0, 0.3)])
+    def test_real_double_point_is_one_vertex_at_the_critical_energy(self, alpha, ell):
+        # at E = E* the root finder also returns the double point x* split just
+        # off the axis; counted a second time it left unpaired edge traces
+        crit = critical_data(alpha, ell)
+        sc = stokes_complex(OscillatorParams(alpha, crit.e_star, ell))
+        assert sc.warnings == ()
+        at_x_star = [v for v, p in sc.vertex_points.items()
+                     if p is not None and abs(p.to_complex() - crit.x_star) < 1e-6 * crit.x_star]
+        assert len(at_x_star) == 1
+        assert sc.vertex_multiplicity[at_x_star[0]] == 2
+
     def test_unresolved_trace_warning_names_the_exit(self):
         # two traces of this complex wind about the origin on a bounded orbit
         alpha, ell = 0.51, 1.64

@@ -17,8 +17,9 @@ from anharmonic.integrate import (
     r_expansion,
     wronskian,
 )
+from anharmonic.action import _Segment
 from anharmonic.model import critical_data
-from anharmonic.spectral import _geometry
+from anharmonic.spectral import _geometry, eigenvalues
 
 mp.mp.dps = 25
 
@@ -174,6 +175,63 @@ class TestTransport:
         s2 = SolutionState(x, 0.0, 3.0, 1.0, "b")
         m, ls = wronskian(s1, s2)
         assert abs(m * cmath.exp(ls) - 3.0 * cmath.exp(1.5)) < 1e-12
+
+
+class TestDOP853:
+    def test_tableau_order_conditions(self):
+        c, a, b = integrate._C, integrate._A, integrate._B
+        assert c[0] == 0.0 and len(a) == len(c) - 1 and len(b) == len(c)
+        for i, row in enumerate(a, start=1):
+            assert len(row) == i
+            assert math.isclose(sum(row), c[i], rel_tol=0.0, abs_tol=1e-14)
+        # quadrature conditions of order 8
+        for k in range(1, 9):
+            got = sum(bi * ci ** (k - 1) for bi, ci in zip(b, c))
+            assert math.isclose(got, 1.0 / k, rel_tol=0.0, abs_tol=1e-14), k
+        for weights in (integrate._E5, integrate._E3):
+            assert len(weights) == len(c)
+            assert abs(sum(weights)) < 1e-14
+
+    def test_alpha1_spectrum_at_a_tight_tolerance(self):
+        # an order-8 pair must still meet the tightest tolerance callers request
+        ell, rel_tol = 0.5, 1e-11
+        levels = eigenvalues(1.0, ell, 10, rel_tol=rel_tol)
+        worst = max(abs(e - (4 * n + 2 * ell + 3)) / (4 * n + 2 * ell + 3)
+                    for n, e in enumerate(levels))
+        assert worst <= rel_tol / 10
+
+    def test_stop_points_are_landed_on_and_keep_the_end_state(self):
+        params = OscillatorParams(2.0, 7.4, 0.0)
+        a, b = CoverPoint(0.5, 0.0), CoverPoint(6.0, 0.0)
+        seg = _Segment("ray", a, b)
+        stops = [k / 8 for k in range(1, 9)]
+        rows = []
+        states = integrate._transport_segment(params, seg, 1.0, 0.0, 0.0, 1e-11, stops, rows,
+                                              lambda t: seg.point(t)[0])
+        assert len(states) == len(stops)
+        ts = [row[0] for row in rows]
+        assert all(t in ts for t in stops) and ts == sorted(set(ts))
+        # each stop state is the transport of (1, 0) to that radius
+        for t, (u, v, sigma) in zip(stops, states):
+            end = CoverPoint(0.5 + 5.5 * t, 0.0)
+            ref = propagate(params, SolutionState(a, 1.0, 0.0, 0.0, "r"),
+                            PathSpec((a, end), ("ray",)), rtol=1e-11)
+            got = u * cmath.exp(sigma)
+            want = ref.value * cmath.exp(ref.logscale)
+            assert abs(got - want) <= 1e-8 * abs(want), t
+
+    def test_trace_has_one_row_per_accepted_step(self):
+        params = OscillatorParams(1.0, 9.0, 0.5)
+        nodes = (CoverPoint(6.0, 0.0), CoverPoint(6.0, 1.0), CoverPoint(3.0, 1.0))
+        start = SolutionState(nodes[0], 1.0, 0.0, 0.0, "t")
+        rows = []
+        out = propagate(params, start, PathSpec(nodes, ("arc", "ray")), trace=rows)
+        ts = [row[0] for row in rows]
+        assert ts == sorted(set(ts)) and 1.0 in ts and ts[-1] == 2.0
+        t, x, u, v, sigma = rows[-1]
+        assert abs(x - nodes[-1].to_complex()) < 1e-12
+        end = u * cmath.exp(sigma)
+        assert abs(end - out.value * cmath.exp(out.logscale)) < 1e-12 * abs(end)
 
 
 class TestSeedRadius:

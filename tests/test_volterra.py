@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
-from anharmonic import integrate, spectral
+from anharmonic import checks, integrate, spectral
 from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
 from anharmonic.volterra import (_EXP_CAP, _frame_grid, _safe_bound, _trapezoid_weights,
@@ -17,6 +17,33 @@ from anharmonic.volterra import (_EXP_CAP, _frame_grid, _safe_bound, _trapezoid_
 def _curve(index):
     name, params, path = committed_curves()[index]
     return params, path
+
+
+class TestMeasuredDeviation:
+    def test_one_transport_per_segment(self, monkeypatch):
+        # restarting the transport at each of the 400 comparison points took
+        # 151,468 rhs calls here
+        _, params, path = next(c for c in committed_curves() if c[0] == "inward_ray_alpha2")
+        calls = [0]
+        original = integrate._make_rhs
+
+        def make(params, seg):
+            rhs = original(params, seg)
+
+            def counted(t, u, v):
+                calls[0] += 1
+                return rhs(t, u, v)
+            return counted
+        monkeypatch.setattr(integrate, "_make_rhs", make)
+        measured_wkb_deviation(params, path)
+        assert calls[0] <= 50_000
+
+    def test_converged_in_the_transport_tolerance(self, monkeypatch):
+        devs = [measured_wkb_deviation(params, path) for _, params, path in committed_curves()]
+        monkeypatch.setattr(checks, "_DEVIATION_RTOL", 1e-13)
+        for dev, (name, params, path) in zip(devs, committed_curves()):
+            ref = measured_wkb_deviation(params, path)
+            assert abs(dev - ref) <= 1e-7 * ref, name
 
 
 class TestIntegralEquation:
