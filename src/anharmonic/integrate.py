@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sint
 
 from .model import (
     CoverPoint,
@@ -72,9 +71,7 @@ class SolutionState:
 class RExpansion:
     """Truncated exponent R(x) = x^(a+1)/(a+1) + sum_k c_k E^k x^(a(1-2k)+1)/(a(1-2k)+1).
 
-    Terms with vanishing exponent turn into c_k E^k log x (log_flag).  d_alpha is
-    the decay rate of sqrt(V) - R', e_alpha = min(d_alpha, alpha+1) the rate in
-    the normalization of the asymptotic solutions.
+    Terms with vanishing exponent turn into c_k E^k log x (log_flag).
     """
 
     alpha: float
@@ -82,8 +79,6 @@ class RExpansion:
     terms: tuple[tuple[complex, float], ...]  # (coefficient, exponent)
     log_coefficient: complex
     log_flag: bool
-    d_alpha: float
-    e_alpha: float
 
 
 def _sqrt1mt_coeff(k: int) -> float:
@@ -113,9 +108,7 @@ def r_expansion(alpha: float, energy: complex) -> RExpansion:
             log_flag = True
         else:
             terms.append((coef / expo, expo))
-    d_alpha = alpha * (1.0 + 2.0 * kmax) - 1.0
-    return RExpansion(alpha, e, tuple(terms), log_coefficient, log_flag,
-                      d_alpha, min(d_alpha, alpha + 1.0))
+    return RExpansion(alpha, e, tuple(terms), log_coefficient, log_flag)
 
 
 def big_R(exp_: RExpansion, x) -> complex:
@@ -546,55 +539,60 @@ def _ray_v(params: OscillatorParams, arg: float, r):
     return z, v, v1, v2, sq
 
 
-def _sqrtv_minus_rprime(params: OscillatorParams, arg: float, y: float) -> complex:
-    """sqrt(V) - R' on the ray, stable against cancellation at large y.
+# The tail stretch is summed by 8-point Gauss on panels whose end radii are at
+# most in the ratio _PANEL_RATIO, and checked against panels twice as wide.
+_PANEL_RATIO = 1.1
+_SETTLE = 1e-10
 
-    Both terms are x^alpha times a function of w = E x^(-2a); for small w the
-    difference is evaluated by the tail of the binomial series of sqrt(1 - t),
-    never by subtracting near-equal quantities.  The truncated series in R'
-    always has the polynomial shape sum c_k w^k (the log term, when present,
-    differentiates into the same pattern).
+
+def _tail_t_integral(params: OscillatorParams, k: int, x_max: float) -> complex:
+    """T(x_max) = int (sqrt(V) - R') dx from X = x_max on the ray of sector k to infinity.
+
+    The integrand is x^a [sqrt(1 - w + mu) - sum_{j<=kmax} c_j w^j] with
+    w = E x^(-2a) and mu = lam^2 x^(-2a-2).  Where |w| + |mu| <= 1/2, expanding
+    the root binomially and integrating term by term gives
+        T = -X^(a+1) sum_{j>=1} c_j sum_i C(j,i) w^(j-i) (-mu)^i / (a(1-2j) + 1 - 2i)
+    at X, less the terms j <= kmax, i = 0 of R'; every power left decays
+    faster than 1/x.  Where |w| + |mu| > 1/2 at x_max (even > 1, where the
+    series diverges, at the seed radius of large ell near the well bottom),
+    Gauss panels integrate the stretch out to x_1 = x_max (2 |w| + 2 |mu|)^(1/2a),
+    where the sum is 1/2, and the series is summed at x_1.  Panels twice as
+    wide must agree to _SETTLE (x_1^(a+1) - x_max^(a+1)), which leaves the
+    fine ones good to about 1e-13 of that; at or just outside a turning point
+    they do not, and T raises.
     """
-    a = params.alpha
-    pt = CoverPoint(y, arg)
+    a, e, lam2 = params.alpha, params.energy, params.lam ** 2
+    arg = sector_center_arg(a, k)
     kmax = _r_kmax(a)
-    w = params.energy * pt.cpow(-2.0 * a)
-    mu = (params.lam ** 2) * pt.cpow(-2.0 * a - 2.0)
-    t = w - mu
-    if abs(t) + abs(mu) <= 0.35:
-        g = 0.0 + 0.0j
-        for j in range(1, kmax + 1):
-            # c_j [(w - mu)^j - w^j], expanded so the difference stays small
-            diff = 0.0 + 0.0j
-            binom = 1.0
-            for i in range(1, j + 1):
-                binom *= (j - i + 1) / i
-                diff += binom * (-mu) ** i * w ** (j - i)
-            g += _sqrt1mt_coeff(j) * diff
-        term = 1.0 + 0.0j
-        for j in range(kmax + 1, kmax + 121):
-            c = _sqrt1mt_coeff(j)
-            term = t ** j
-            g += c * term
-            if abs(term) < 1e-22:
-                break
-        return pt.cpow(a) * g
-    poly = 0.0 + 0.0j
-    for k in range(kmax + 1):
-        poly += _sqrt1mt_coeff(k) * w ** k
-    return pt.cpow(a) * (cmath.sqrt(1.0 - t) - poly)
+    r = abs(e) * x_max ** (-2.0 * a) + lam2 * x_max ** (-2.0 * a - 2.0)
+    x_1 = x_max * max(1.0, 2.0 * r) ** (0.5 / a)
 
-
-def _tail_t_integral(params: OscillatorParams, arg: float, x_max: float) -> complex:
-    """T(x_max) = int_{x_max}^inf (sqrt(V) - R') dy along the ray."""
-    def f(s: float) -> np.ndarray:
-        # y = x_max / s maps (0,1] to [x_max, inf)
-        y = x_max / s
-        w = _sqrtv_minus_rprime(params, arg, y) * (x_max / (s * s))
-        return np.array([w.real, w.imag])
-    val, _ = _sint.quad_vec(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
-    phase = cmath.rect(1.0, arg)
-    return complex(val[0], val[1]) * phase
+    def integrand(y):  # (sqrt(V) - R') dx/dy at |x| = y on the ray
+        w = e * _cover_power(-2.0 * a, y, arg)
+        mu = lam2 * _cover_power(-2.0 * a - 2.0, y, arg)
+        r_prime = sum(_sqrt1mt_coeff(j) * w ** j for j in range(kmax + 1))
+        return _cover_power(a, y, arg) * (np.sqrt(1.0 - w + mu) - r_prime) * cmath.rect(1.0, arg)
+    pairs = 1 + int(math.log(x_1 / x_max) / (2.0 * math.log(_PANEL_RATIO)))
+    edges = x_max * (x_1 / x_max) ** np.linspace(0.0, 1.0, 2 * pairs + 1)
+    fine, coarse = (complex(_gauss8_increments(integrand, t).sum()) for t in (edges, edges[::2]))
+    if not abs(fine - coarse) <= _SETTLE * (x_1 ** (a + 1.0) - x_max ** (a + 1.0)):
+        raise RuntimeError(
+            f"sector seed tail integral does not settle at x_max={x_max:.6g} (k={k}, "
+            f"|w|+|mu|={r:.6g}; alpha={a:g}, ell={params.ell:g}, E={params.energy:g})")
+    pt = CoverPoint(x_1, arg)
+    w, mu = e * pt.cpow(-2.0 * a), lam2 * pt.cpow(-2.0 * a - 2.0)
+    row = np.ones(1, dtype=complex)  # C(j, i) w^(j-i) (-mu)^i for i = 0 .. j
+    total, c = 0j, 1.0
+    # row j is bounded by |c_j| (|w| + |mu|)^j / |a(1-2j) + 1|, and |w| + |mu|
+    # <= 1/2 here: the rows past the last one summed are below 1e-17
+    rows = kmax + 1 + int(math.log(1e-17) / math.log(max(abs(w) + abs(mu), 1e-17)))
+    for j in range(1, rows + 1):
+        row = np.append(w * row, 0.0) - np.append(0.0, mu * row)
+        c *= (j - 1.5) / j  # c_j of _sqrt1mt_coeff, as a running product
+        den = a * (1.0 - 2.0 * j) + 1.0 - 2.0 * np.arange(j + 1)
+        lo = 1 if j <= kmax else 0
+        total += c * complex(np.sum(row[lo:] / den[lo:]))
+    return fine - pt.cpow(a + 1.0) * total
 
 
 # Nodes of the u = x_max/x grid of the tail Volterra equation.
@@ -637,7 +635,8 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     """Recessive solution of sector k, normalized to x^(-a/2) exp(-(-1)^k R(x)).
 
     The plain asymptotic value is corrected in two ways when refine is set: the
-    exact tail integral T = int (sqrt V - R') replaces the truncated series
+    exact tail integral T = int (sqrt V - R') (_tail_t_integral, which raises
+    at or just outside a turning point) replaces the truncated series
     remainder, and a Volterra boundary-layer factor z(x_max) (solved on the
     compactified tail of the ray) restores the true solution, still with the
     exact limit normalization since z -> 1 at infinity.
@@ -651,13 +650,7 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     # Python scalars from here on: the RK stepper is slow on numpy ones
     z, v, v1, _, sq = (complex(q) for q in _ray_v(params, arg, x_max))
     if refine:
-        tval = _tail_t_integral(params, arg, x_max)
-        if not cmath.isfinite(tval):
-            # a NaN here would only surface as a step-limit failure of the
-            # transport that follows, after tens of seconds
-            raise RuntimeError(
-                f"sector seed tail integral is not finite (k={k}, x_max={x_max:.6g}; "
-                f"alpha={a:g}, ell={params.ell:g}, E={params.energy:g})")
+        tval = _tail_t_integral(params, k, x_max)
         w = sgn * (rr - tval)
         # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
         pref = (v / pt.cpow(2.0 * a)) ** -0.25

@@ -387,14 +387,14 @@ def _rotated_q(params: OscillatorParams, geo: _Geometry,
     return _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL), -s * theta * c
 
 
-def _psi1_hop(params: OscillatorParams, k: int) -> complex:
-    """sigma_0 at the real energy of params; k names the sigma_k it stands for.
+def _psi1_hop(params: OscillatorParams, geo: _Geometry, k: int) -> complex:
+    """sigma_0 at the real energy of params, on the caller's radii geo; k names
+    the sigma_k it stands for.
 
     psi_1 goes down its ray to meet and on an arc to the positive axis, where
     Wr[psi_{-1}, psi_1] = 2i e^(2L) Im(conj(f) f') for its state (f, f', L).
     Dividing by Wr[psi_{-1}, psi_0] (-2 for exact seeds) cancels the seeds'
     shared normalization error, 3e-7 at alpha = 1/3."""
-    geo = _geometry(params)
     theta = sector_center_arg(params.alpha, 1)
     path = PathSpec((CoverPoint(geo.x_max, theta), CoverPoint(geo.meet, theta),
                      CoverPoint(geo.meet, 0.0)), ("ray", "arc"), "principal")
@@ -430,7 +430,8 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
         e = params.energy * cmath.rect(1.0, 2.0 * k * theta)  # omega^2k E
         if abs(e.imag) <= 1e-12 * abs(e) and e.real > 0.0:
             c = r_expansion(params.alpha, e).log_coefficient
-            sigma[k] = cmath.exp(2j * k * theta * c) * _psi1_hop(params.with_energy(e.real), k)
+            hop = _psi1_hop(params.with_energy(e.real), geo, k)
+            sigma[k] = cmath.exp(2j * k * theta * c) * hop
         else:
             (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
             sigma[k] = -1j * (w * m2 * math.exp(l2 - l1) + m0 * math.exp(l0 - l1) / w) / m1

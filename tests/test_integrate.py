@@ -18,7 +18,7 @@ from anharmonic.integrate import (
     wronskian,
 )
 from anharmonic.action import _Segment
-from anharmonic.model import critical_data
+from anharmonic.model import critical_data, sector_center_arg
 from anharmonic.spectral import _geometry, eigenvalues
 
 mp.mp.dps = 25
@@ -115,6 +115,39 @@ class TestExponentExpansion:
         x = CoverPoint(3.0, 0.0)
         ref = 3.0 ** 1.6 / 1.6 - 0.5 * e * 3.0 ** 0.4 / 0.4
         assert abs(big_R(exp_, x) - ref) < 1e-12 * abs(ref)
+
+
+class TestTailIntegral:
+    # alpha around the thresholds 1/5, 1/3 and 1 at E = 3, ell = 1/2, and
+    # ell = 1000 just below the well bottom E* = 582.102, where |w| + |mu| =
+    # 1.37 at the seed radius and the stretch before the series is integrated
+    @pytest.mark.parametrize("alpha,ell,energy,k", [
+        (0.2, 0.5, 3.0, 1), (1.0 / 3.0, 0.5, 3.0, 1), (1.0, 0.5, 3.0, 1), (1.03, 0.5, 3.0, 1),
+        (2.0, 0.5, 3.0, 1), (0.7, 1000.0, 582.1, 0), (0.7, 1000.0, 582.1, 1)])
+    def test_against_quadrature_on_a_ray_segment(self, alpha, ell, energy, k):
+        # T(x1) - T(x2) = int_x1^x2 (sqrt(V) - R') dx on the ray of sector k,
+        # by mpmath at 30 digits.  A finite segment from the seed radius keeps
+        # the integrand's cancellation mild; toward infinity it is total
+        params = OscillatorParams(alpha, energy, ell)
+        theta = sector_center_arg(alpha, k)
+        x1 = _geometry(params).x_max
+        x2 = 4.0 * x1
+        with mp.workdps(30):
+            phase = mp.expj(theta)
+            energy, lam2 = mp.mpf(params.energy), mp.mpf(params.lam) ** 2
+            coeffs = [(-1) ** j * mp.binomial(mp.mpf(0.5), j)
+                      for j in range(integrate._r_kmax(alpha) + 1)]
+
+            def integrand(y):  # (sqrt(V) - R')(x) dx/dy at x = y e^(i theta)
+                xa = y ** alpha * mp.expj(alpha * theta)
+                w = energy / (xa * xa)
+                mu = lam2 / (xa * xa * (y * phase) ** 2)
+                r_prime = sum(c * w ** j for j, c in enumerate(coeffs))
+                return xa * (mp.sqrt(1 - w + mu) - r_prime) * phase
+            nodes = [x1 * 4 ** (mp.mpf(i) / 8) for i in range(9)]
+            ref = complex(mp.quad(integrand, nodes))
+        got = integrate._tail_t_integral(params, k, x1) - integrate._tail_t_integral(params, k, x2)
+        assert abs(got - ref) < 1e-13 * abs(ref)
 
 
 class TestTransport:

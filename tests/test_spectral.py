@@ -54,10 +54,14 @@ def quartic_odd_levels(count, size=400):
 
 # (alpha, ell, E): integer and non-integer 2 alpha, and the thresholds
 # alpha = 1 and 1/3 where R carries a log term; up to E = 30 on both sides of
-# alpha = 1, each at least 0.2 from the nearest quantized I(E) = n + 1/2
+# alpha = 1, each at least 0.2 from the nearest quantized I(E) = n + 1/2; and
+# the windows just above the thresholds 1/5, 1/3 and 1, where the tail
+# integral's leading term carries 1/d_alpha with d_alpha -> 0+
 ROTATED_POINTS = [(2.0, 0.5, 3.0), (1.5, 0.0, 10.0), (0.8, 0.3, 3.0), (1.0, 0.5, 5.0),
                   (1.0 / 3.0, 0.5, 3.0), (0.6, 0.0, 20.0), (0.6, 1.0, 30.0),
-                  (0.8, 1.0, 30.0), (2.0, 0.5, 30.0), (3.0, 1.5, 20.0)]
+                  (0.8, 1.0, 30.0), (2.0, 0.5, 30.0), (3.0, 1.5, 20.0),
+                  (0.21, 0.5, 3.0), (0.34, 0.5, 3.0), (1.01, 0.5, 3.0), (1.03, 0.5, 3.0),
+                  (1.06, 0.5, 3.0)]
 
 
 def alpha1_wronskian(ell, energy, j, k):
@@ -227,6 +231,16 @@ class TestSpectralCriterion:
         params = OscillatorParams(1.0, e, ell)
         res = abs(r_zero(params) * semiclassical_r_zero(params) - 1.0)
         assert res < 1e-6
+
+    def test_continuous_through_the_threshold(self):
+        # R0 = -i at alpha = 1 (E = 3, ell = 1/2) and moves by 0.014 either
+        # side of it.  D and sigma_0 jump there instead (D = -7.6e64, -0.55,
+        # -4.0e-66 at alpha = 0.99, 1, 1.01): the term of R that alpha = 1
+        # turns into a log enters their normalization with 1/d_alpha
+        at_one = r_zero(OscillatorParams(1.0, 3.0, 0.5))
+        assert abs(at_one + 1j) < 1e-9
+        for alpha in (0.99, 1.01):
+            assert abs(r_zero(OscillatorParams(alpha, 3.0, 0.5)) - at_one) < 0.02
 
     def test_ratio_hits_minus_one_past_the_second_threshold(self):
         # alpha = 1/3 = 1/(2k - 1) with k = 2: R has a log term c E^2 log x
@@ -416,14 +430,21 @@ class TestLoudFailures:
             eigenvalues(1.0, 0.0, 1)
         assert "scan did not resolve indices 0..1 (alpha=1, ell=0)" in str(err.value)
 
-    def test_non_finite_seed_tail_names_the_parameters(self):
-        # the tail integral of the psi_1 seed is NaN here; the failure must
-        # come at once and name the seed, not after a long transport
-        with pytest.raises(RuntimeError) as err:
-            stokes_multiplier(OscillatorParams(1.03, 3.0, 0.5), 0)
-        msg = str(err.value)
-        assert "tail integral is not finite" in msg
-        assert "alpha=1.03, ell=0.5, E=3" in msg and "k=1" in msg
+    def test_unconverged_seed_tail_names_the_parameters(self):
+        # the tail integral of a refined seed does not settle with x_max at the
+        # turning point x_+ (|w| + |mu| = 1.2918 there) or just outside it
+        # (1.2635 at 1.01 x_+), where sqrt(V) has its branch point.  The
+        # failure must come at once and name the seed, not after a long
+        # transport
+        params = OscillatorParams(1.0, 3.0, 0.5)
+        x_plus = _geometry(params).x_plus
+        for x_max, r in ((x_plus, "1.2918"), (1.01 * x_plus, "1.2635")):
+            with pytest.raises(RuntimeError) as err:
+                sibuya_seed(params, 0, x_max)
+            msg = str(err.value)
+            assert f"tail integral does not settle at x_max={x_max:.6g}" in msg
+            assert "k=0" in msg and f"|w|+|mu|={r}" in msg
+            assert "alpha=1, ell=0.5, E=3" in msg
 
     def test_cancelled_stokes_wronskian_names_the_multiplier(self, monkeypatch):
         # psi_1 arrives nearly real: Im(conj(f) f') = 1e-9 against |f||f'| = 1
@@ -483,3 +504,6 @@ class TestWellGeometry:
                     monkeypatch.setattr(mod, name, counted)
         spectral_determinant(OscillatorParams(2.0, 7.4, 0.0))
         assert calls == {"_real_pair": 1, "turning_points": 0}
+        # sigma_0 takes its psi_1 hop on the radii of the same search
+        stokes_multiplier(OscillatorParams(2.0, 7.4, 0.0), 0)
+        assert calls == {"_real_pair": 2, "turning_points": 0}
