@@ -2,7 +2,8 @@
 """Time the scan, seed, Volterra, connection and Stokes layers; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
-checkout of the source tree that has spectral._ode_rtol and spectral._geometry:
+checkout of the source tree that has spectral._ode_rtol, spectral._geometry
+and the four-field SolutionState (no seed_tag):
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
@@ -175,7 +176,7 @@ def _transports() -> dict:
         key = (f"{kind},alpha={alpha:g},ell={ell:g},E={energy:g},"
                f"|x|={start.modulus:g}->{end.modulus:g},arg={start.arg:g}->{end.arg:g}")
         out[key] = (OscillatorParams(alpha, energy, ell),
-                    SolutionState(start, 1.0, 0.0, 0.0, "bench"), PathSpec((start, end), (kind,)))
+                    SolutionState(start, 1.0, 0.0, 0.0), PathSpec((start, end), (kind,)))
     return out
 
 
@@ -207,7 +208,7 @@ def propagate_work() -> dict:
     every step is accepted; the attempts beyond the accepted steps were
     rejected.
     """
-    zero = SolutionState(CoverPoint(1.0, 0.0), 0.0, 0.0, 0.0, "zero")
+    zero = SolutionState(CoverPoint(1.0, 0.0), 0.0, 0.0, 0.0)
     rows: list = []
     calls = _counted_rhs_calls(lambda: integrate.propagate(
         OscillatorParams(1.0, 1.0, 0.5), zero,

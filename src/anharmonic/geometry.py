@@ -23,6 +23,7 @@ from .action import PathSpec, PathFrame
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _integer_power,
     _reduced_jet,
     _reduced_v,
     critical_data,
@@ -180,7 +181,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         stops = default_stops(params)
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
     v_of, v_pair = _potential(params)
-    two_a_int = abs(2.0 * params.alpha - round(2.0 * params.alpha)) < 1e-12
+    two_a_int = _integer_power(params.alpha) is not None
     guards = [] if tp_guard is None else list(tp_guard)
     guard_z = [g[0].to_complex() for g in guards]
     guard_arg = [g[0].arg for g in guards]
@@ -324,11 +325,11 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
 def _infinity_label(alpha: float, arg: float) -> str:
     half = arg * (alpha + 1.0) / math.pi - 0.5
     k = round(half)
-    two_a = 2.0 * alpha
-    if abs(two_a - round(two_a)) < 1e-12:
+    n = _integer_power(alpha)
+    if n is not None:
         # V is single valued, the graph is periodic with period 2(alpha+1);
         # report escape directions in the principal window
-        period = int(round(two_a)) + 2
+        period = n + 2
         offset = period // 2
         k = (k + offset) % period - offset
     return "inf_%d/2" % (2 * k + 1)

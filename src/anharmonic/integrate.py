@@ -25,6 +25,7 @@ from .model import (
     OscillatorParams,
     _cover_power,
     _forcing_payload,
+    _integer_power,
     _reduced_jet,
     sector_center_arg,
 )
@@ -54,14 +55,13 @@ class SolutionState:
     value: complex
     derivative: complex
     logscale: float
-    seed_tag: str
 
     def rescaled(self) -> "SolutionState":
         m = max(abs(self.value), abs(self.derivative))
         if m == 0.0:
             return self
         return SolutionState(self.location, self.value / m, self.derivative / m,
-                             self.logscale + math.log(m), self.seed_tag)
+                             self.logscale + math.log(m))
 
 
 # ---------------------------------------------------------------------------
@@ -295,38 +295,39 @@ _E3 = tuple(b - bh for b, bh in zip(_B, (
 _MAX_STEPS = 2_000_000
 
 
-def _make_rhs(params: OscillatorParams, seg):
-    """Compile U(x(t)) * dx/dt evaluation for one path segment."""
-    a = params.alpha
+def _make_rhs(params: OscillatorParams, seg: _Segment):
+    """Compile (u, v)' = (x' v, x' U(x) u) along one path segment x(t), 0 <= t <= 1.
+
+    One closure per segment shape.  Arcs take x^(2a) = |x|^(2a) exp(2a i arg x)
+    at every alpha.  Rays and lines with 2 alpha an integer n share the chord
+    x = za + t dz, where x^(2a) = x ** n is entire and needs no branch.  Other
+    rays take |x|^(2a) times the ray's fixed phase, and other lines lift
+    arg x continuously along the chord.
+    """
     e = params.energy
     c2 = params.ell * (params.ell + 1.0)
-    two_a = 2.0 * a
-    n_int = int(round(two_a))
-    kind = seg.kind
+    two_a = 2.0 * params.alpha
+    n = _integer_power(params.alpha)
 
-    if abs(two_a - n_int) < 1e-12 and 1 <= n_int <= 8:
-        # x^(2a) is entire: branch-free integer power
-        if kind == "arc":
-            mod, arg0, dphi = seg.a.modulus, seg.a.arg, seg.dphi
-
-            def xfun(t: float) -> tuple[complex, complex]:
-                x = cmath.rect(mod, arg0 + t * dphi)
-                return x, 1j * dphi * x
-        else:
-            za, dz = seg.za, seg.dz
-
-            def xfun(t: float) -> tuple[complex, complex]:
-                return za + t * dz, dz
+    if seg.kind == "arc":
+        mod, arg0, dphi = seg.a.modulus, seg.a.arg, seg.dphi
+        mpow = math.pow(mod, two_a)
 
         def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
-            x, dx = xfun(t)
-            p = x
-            for _ in range(n_int - 1):
-                p = p * x
-            return dx * v, dx * (p + c2 / (x * x) - e) * u
+            arg = arg0 + t * dphi
+            x = cmath.rect(mod, arg)
+            dx = 1j * dphi * x
+            return dx * v, dx * (mpow * cmath.exp(1j * two_a * arg) + c2 / (x * x) - e) * u
         return rhs
 
-    if kind == "ray":
+    za, dz = seg.za, seg.dz
+    if n is not None:
+        def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
+            x = za + t * dz
+            return dz * v, dz * (x ** n + c2 / (x * x) - e) * u
+        return rhs
+
+    if seg.kind == "ray":
         m0, dm = seg.a.modulus, seg.b.modulus - seg.a.modulus
         ephi = cmath.rect(1.0, seg.a.arg)
         phase = cmath.exp(1j * two_a * seg.a.arg)
@@ -338,19 +339,7 @@ def _make_rhs(params: OscillatorParams, seg):
             return dx * v, dx * (math.pow(m, two_a) * phase + c2 / (x * x) - e) * u
         return rhs
 
-    if kind == "arc":
-        mod, arg0, dphi = seg.a.modulus, seg.a.arg, seg.dphi
-        mpow = math.pow(mod, two_a)
-
-        def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
-            arg = arg0 + t * dphi
-            x = cmath.rect(mod, arg)
-            dx = 1j * dphi * x
-            return dx * v, dx * (mpow * cmath.exp(1j * two_a * arg) + c2 / (x * x) - e) * u
-        return rhs
-
-    # generic chord with continuous argument lift
-    za, dz, arg0 = seg.za, seg.dz, seg.a.arg
+    arg0 = seg.a.arg
 
     def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
         x = za + t * dz
@@ -360,15 +349,17 @@ def _make_rhs(params: OscillatorParams, seg):
     return rhs
 
 
-def _step_segment(rhs, u: complex, v: complex, sigma: float, rtol: float,
-                  stops, trace, xfun) -> list[tuple[complex, complex, float]]:
-    """Integrate (u, v)' = rhs(t, u, v) from t = 0 over the increasing stops.
+def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: complex,
+                       sigma: float, rtol: float, stops,
+                       trace=None) -> list[tuple[complex, complex, float]]:
+    """Transport (psi, psi') = (u, v) exp(sigma) along seg from t = 0 over the increasing stops.
 
     Returns (u, v, logscale) at each stop.  The step lands exactly on each
     stop; a step shortened to land there does not shrink the steps after it.
     Every attempted step costs 12 rhs calls, and one more starts the segment.
-    trace, when given, collects (t, xfun(t), u, v, logscale) at accepted steps.
+    trace, when given, collects (t, u, v, logscale) at accepted steps.
     """
+    rhs = _make_rhs(params, seg)
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
     ((a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4),
      (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6),
@@ -388,7 +379,11 @@ def _step_segment(rhs, u: complex, v: complex, sigma: float, rtol: float,
     for stop in stops:
         while t < stop:
             if nsteps > _MAX_STEPS:
-                raise RuntimeError(f"step limit exceeded in propagation at t={t:.6g}, h={h:.3g}")
+                raise RuntimeError(
+                    f"step limit exceeded in propagation at t={t:.6g}, h={h:.3g} on the "
+                    f"{seg.kind} segment from (|x|={seg.a.modulus:.6g}, arg={seg.a.arg:.6g}) "
+                    f"to (|x|={seg.b.modulus:.6g}, arg={seg.b.arg:.6g}) "
+                    f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})")
             nsteps += 1
             land = t + h >= stop
             hs = stop - t if land else h
@@ -479,24 +474,11 @@ def _step_segment(rhs, u: complex, v: complex, sigma: float, rtol: float,
                 k1v /= m
                 sigma += math.log(m)
             if trace is not None:
-                trace.append((t, xfun(t), u, v, sigma))
+                trace.append((t, u, v, sigma))
             grown = hs * min(5.0, 0.9 * err ** -0.125) if err > 0.0 else 5.0 * hs
             h = max(h, grown) if land else grown
         out.append((u, v, sigma))
     return out
-
-
-def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: complex,
-                       sigma: float, rtol: float, stops, trace=None,
-                       xfun=None) -> list[tuple[complex, complex, float]]:
-    """_step_segment on one path segment; a step-limit failure names the segment."""
-    try:
-        return _step_segment(_make_rhs(params, seg), u, v, sigma, rtol, stops, trace, xfun)
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"{exc} on the {seg.kind} segment from (|x|={seg.a.modulus:.6g}, "
-            f"arg={seg.a.arg:.6g}) to (|x|={seg.b.modulus:.6g}, arg={seg.b.arg:.6g}) "
-            f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})") from None
 
 
 def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
@@ -516,11 +498,10 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
     segs = [_Segment(k, a, b) for k, a, b in zip(path.parameterization, path.nodes, path.nodes[1:])]
     for i, seg in enumerate(segs):
         local = [] if trace is not None else None
-        xfun = (lambda t, seg=seg: seg.point(t)[0]) if trace is not None else None
-        u, v, sigma = _transport_segment(params, seg, u, v, sigma, rtol, (1.0,), local, xfun)[0]
+        u, v, sigma = _transport_segment(params, seg, u, v, sigma, rtol, (1.0,), local)[0]
         if trace is not None:
-            trace.extend((i + tt, x, uu, vv, ss) for tt, x, uu, vv, ss in local)
-    out = SolutionState(path.nodes[-1], u, v, sigma, state.seed_tag)
+            trace.extend((i + tt, seg.point(tt)[0], uu, vv, ss) for tt, uu, vv, ss in local)
+    out = SolutionState(path.nodes[-1], u, v, sigma)
     return out.rescaled()
 
 
@@ -657,13 +638,11 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
         zc, zp_over_z = _tail_volterra(params, arg, sgn, x_max)
         mant = pt.cpow(-0.5 * a) * pref * cmath.exp(1j * w.imag) * zc
         logp = sgn * sq - 0.25 * v1 / v + zp_over_z
-        tag = f"sibuya_{k}"
     else:
         w = sgn * rr
         mant = pt.cpow(-0.5 * a) * cmath.exp(1j * w.imag)
         logp = sgn * big_R_prime(exp_, pt) - 0.5 * a / z
-        tag = f"sibuya_{k}_plain"
-    state = SolutionState(pt, mant, mant * logp, w.real, tag)
+    state = SolutionState(pt, mant, mant * logp, w.real)
     return state.rescaled()
 
 

@@ -222,9 +222,15 @@ def _bisect_root(params: OscillatorParams, lo: float, hi: float) -> float:
     return x
 
 
-def _polynomial_sector_roots(params: OscillatorParams) -> list[CoverPoint]:
-    # 2*alpha integral: x^(2a+2) - E x^2 + lam^2 is entire, use the companion matrix
-    deg = int(round(2.0 * params.alpha)) + 2
+def _integer_power(alpha: float) -> int | None:
+    """n when 2 alpha is the integer n (to 1e-12), else None: x^(2a) is then entire."""
+    n = round(2.0 * alpha)
+    return n if abs(2.0 * alpha - n) < 1e-12 else None
+
+
+def _polynomial_sector_roots(params: OscillatorParams, n: int) -> list[CoverPoint]:
+    # 2*alpha = n integral: x^(n+2) - E x^2 + lam^2 is entire, use the companion matrix
+    deg = n + 2
     coeffs = np.zeros(deg + 1, dtype=complex)
     coeffs[0] = 1.0
     coeffs[deg - 2] = -params.energy
@@ -311,9 +317,9 @@ def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
 def turning_points(params: OscillatorParams) -> TurningPointSet:
     """Zeros of V near the real sector: the positive pair plus adjacent complex roots."""
     real_pair = _real_pair(params)
-    two_a = 2.0 * params.alpha
-    if abs(two_a - round(two_a)) < 1e-12:
-        sector = _polynomial_sector_roots(params)
+    n = _integer_power(params.alpha)
+    if n is not None:
+        sector = _polynomial_sector_roots(params, n)
     else:
         sector = _newton_sector_roots(params)
     sector.sort(key=lambda p: (p.arg, p.modulus))

@@ -158,7 +158,7 @@ def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> Solutio
             break
         x0 = 2.0 * x0
         val, dval, rem, loglead = trial
-    state = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead, "chi_plus").rescaled()
+    state = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead).rescaled()
     path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
                     "principal")
     return propagate(params, state, path, rtol=rtol)
@@ -419,10 +419,18 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     rotated: dict[int, tuple[complex, float]] = {}
 
     def q(s: int) -> tuple[complex, float]:  # Q~_s as (mantissa, logscale)
-        if abs(s) not in rotated:
-            v, phi = _rotated_q(params, geo, abs(s))
-            rotated[abs(s)] = (v.mantissa * cmath.rect(1.0, phi), v.logscale)
-        m, l = rotated[abs(s)]
+        n = abs(s)
+        if n not in rotated:
+            turns = sector_center_arg(params.alpha, n) / math.pi  # 2 s theta in whole turns
+            if n and abs(turns - round(turns)) < 1e-12:
+                # omega^2s E = E: Q~_s is Q~_0 = Q(E) turned by its own phase
+                m0, l0 = q(0)
+                c = r_expansion(params.alpha, params.energy).log_coefficient.real
+                rotated[n] = (m0 * cmath.rect(1.0, -n * theta * c), l0)
+            else:
+                v, phi = _rotated_q(params, geo, n)
+                rotated[n] = (v.mantissa * cmath.rect(1.0, phi), v.logscale)
+        m, l = rotated[n]
         return (m if s >= 0 else m.conjugate()), l
 
     sigma = {}

@@ -18,7 +18,7 @@ from anharmonic.integrate import (
     wronskian,
 )
 from anharmonic.action import _Segment
-from anharmonic.model import critical_data, sector_center_arg
+from anharmonic.model import critical_data, eval_reduced, sector_center_arg
 from anharmonic.spectral import _geometry, eigenvalues
 
 mp.mp.dps = 25
@@ -158,7 +158,7 @@ class TestTransport:
         h = mp.mpf("1e-10")
         w0 = whittaker_w(e, ell, 8.0)
         wd0 = (whittaker_w(e, ell, 8.0 + h) - whittaker_w(e, ell, 8.0 - h)) / (2 * h)
-        st_ = SolutionState(a, complex(w0), complex(wd0), 0.0, "oracle")
+        st_ = SolutionState(a, complex(w0), complex(wd0), 0.0)
         out = propagate(params, st_, PathSpec((a, b), ("line",), "principal"),
                         rtol=1e-11)
         got = out.value * cmath.exp(out.logscale)
@@ -173,7 +173,7 @@ class TestTransport:
         h = mp.mpf("1e-12")
         w0 = whittaker_w(e, ell, 4.0)
         wd0 = (whittaker_w(e, ell, 4.0 + h) - whittaker_w(e, ell, 4.0 - h)) / (2 * h)
-        st_ = SolutionState(a, complex(w0), complex(wd0), 0.0, "oracle")
+        st_ = SolutionState(a, complex(w0), complex(wd0), 0.0)
         out = propagate(params, st_, PathSpec((a, b), ("arc",), "principal"),
                         rtol=1e-11)
         got = out.value * cmath.exp(out.logscale)
@@ -193,7 +193,7 @@ class TestTransport:
         b = CoverPoint.from_complex(complex(re1, im1))
         if abs(a.to_complex() - b.to_complex()) < 1e-3:
             return
-        st_ = SolutionState(a, 1.0 + 0.2j, -0.3 + 0.1j, 0.0, "t")
+        st_ = SolutionState(a, 1.0 + 0.2j, -0.3 + 0.1j, 0.0)
         fwd = propagate(params, st_, PathSpec((a, b), ("line",), "principal"),
                         rtol=1e-10)
         back = propagate(params, fwd, PathSpec((b, a), ("line",), "principal"),
@@ -204,10 +204,33 @@ class TestTransport:
 
     def test_wronskian_of_independent_data(self):
         x = CoverPoint(2.0, 0.0)
-        s1 = SolutionState(x, 1.0, 0.0, 0.5, "a")
-        s2 = SolutionState(x, 0.0, 3.0, 1.0, "b")
+        s1 = SolutionState(x, 1.0, 0.0, 0.5)
+        s2 = SolutionState(x, 0.0, 3.0, 1.0)
         m, ls = wronskian(s1, s2)
         assert abs(m * cmath.exp(ls) - 3.0 * cmath.exp(1.5)) < 1e-12
+
+
+class TestRhs:
+    @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 2.5, 4.5])
+    @pytest.mark.parametrize("kind,a,b", [
+        ("ray", CoverPoint(0.7, 4.0), CoverPoint(3.1, 4.0)),
+        ("arc", CoverPoint(2.3, -0.5), CoverPoint(2.3, 3.6)),
+        ("line", CoverPoint(1.2, 2.5), CoverPoint(2.6, 3.8)),
+    ])
+    def test_matches_the_written_out_potential(self, alpha, kind, a, b):
+        # (x' v, x' (V - 1/(4x^2)) u) with V from eval_reduced on the cover;
+        # 2 alpha = 9 takes the integer-power rhs, 0.6 the branch-lifted ones
+        params = OscillatorParams(alpha, 5.3 - 1.7j, 0.8)
+        seg = _Segment(kind, a, b)
+        rhs = integrate._make_rhs(params, seg)
+        u, v = 0.3 - 1.1j, -0.7 + 0.4j
+        for t in (0.0, 0.37, 0.81, 1.0):
+            x, arg, dx = seg.point(t)
+            x, dx = complex(x), complex(dx)
+            pot = eval_reduced(params, CoverPoint(abs(x), float(arg))) - 0.25 / (x * x)
+            du, dv = rhs(t, u, v)
+            assert abs(du - dx * v) <= 1e-13 * abs(dx * v), t
+            assert abs(dv - dx * pot * u) <= 1e-13 * abs(dx * pot * u), t
 
 
 class TestDOP853:
@@ -239,15 +262,14 @@ class TestDOP853:
         seg = _Segment("ray", a, b)
         stops = [k / 8 for k in range(1, 9)]
         rows = []
-        states = integrate._transport_segment(params, seg, 1.0, 0.0, 0.0, 1e-11, stops, rows,
-                                              lambda t: seg.point(t)[0])
+        states = integrate._transport_segment(params, seg, 1.0, 0.0, 0.0, 1e-11, stops, rows)
         assert len(states) == len(stops)
         ts = [row[0] for row in rows]
         assert all(t in ts for t in stops) and ts == sorted(set(ts))
         # each stop state is the transport of (1, 0) to that radius
         for t, (u, v, sigma) in zip(stops, states):
             end = CoverPoint(0.5 + 5.5 * t, 0.0)
-            ref = propagate(params, SolutionState(a, 1.0, 0.0, 0.0, "r"),
+            ref = propagate(params, SolutionState(a, 1.0, 0.0, 0.0),
                             PathSpec((a, end), ("ray",)), rtol=1e-11)
             got = u * cmath.exp(sigma)
             want = ref.value * cmath.exp(ref.logscale)
@@ -256,7 +278,7 @@ class TestDOP853:
     def test_trace_has_one_row_per_accepted_step(self):
         params = OscillatorParams(1.0, 9.0, 0.5)
         nodes = (CoverPoint(6.0, 0.0), CoverPoint(6.0, 1.0), CoverPoint(3.0, 1.0))
-        start = SolutionState(nodes[0], 1.0, 0.0, 0.0, "t")
+        start = SolutionState(nodes[0], 1.0, 0.0, 0.0)
         rows = []
         out = propagate(params, start, PathSpec(nodes, ("arc", "ray")), trace=rows)
         ts = [row[0] for row in rows]
@@ -292,7 +314,7 @@ class TestStepLimit:
         monkeypatch.setattr(integrate, "_MAX_STEPS", 3)
         params = OscillatorParams(1.0, 40.0, 0.5)
         start = CoverPoint(1.0, 0.0)
-        state = SolutionState(start, 1.0, 0.0, 0.0, "test")
+        state = SolutionState(start, 1.0, 0.0, 0.0)
         path = PathSpec((start, CoverPoint(6.0, 0.0)), ("ray",), "principal")
         with pytest.raises(RuntimeError) as err:
             propagate(params, state, path)

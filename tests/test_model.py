@@ -17,7 +17,7 @@ from anharmonic import (
     turning_points,
 )
 from anharmonic.action import PathFrame
-from anharmonic.model import sector_center_arg
+from anharmonic.model import _integer_power, sector_center_arg
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -88,6 +88,11 @@ class TestTurningPoints:
         assert tp.real_pair is not None
         assert abs(tp.real_pair[0] - cd.x_star) < 1e-7
         assert abs(tp.real_pair[1] - cd.x_star) < 1e-7
+
+    def test_integer_power_within_the_tolerance(self):
+        # 2 alpha = n to 1e-12 makes x^(2a) entire: companion-matrix roots, x ** n rhs
+        assert [_integer_power(a) for a in (0.5, 1.0, 4.5, 4.5 + 1e-13)] == [1, 2, 9, 9]
+        assert _integer_power(0.6) is None and _integer_power(4.5 + 1e-11) is None
 
     def test_schwarz_symmetry(self):
         # real energy: the zero set is closed under conjugation

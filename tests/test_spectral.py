@@ -210,6 +210,26 @@ class TestConnectionData:
         r = fock_goncharov(params, (0, 2, 1, -1))
         assert abs(s0 * s1 - r) < 1e-7 * max(1.0, abs(r))
 
+    def test_whole_turn_rotation_reuses_the_real_determinant(self, monkeypatch):
+        # at alpha = 1, omega^+-4 E = E: sigma_+-1 needs Q(E) and Q(omega^+-2 E) only
+        calls = []
+        original = spectral._determinant
+
+        def counted(params, geo, refine, rtol):
+            calls.append(params.energy)
+            return original(params, geo, refine, rtol)
+        monkeypatch.setattr(spectral, "_determinant", counted)
+        params = OscillatorParams(1.0, 3.9, 0.3)
+        for call in (lambda: stokes_multiplier(params, 1), lambda: stokes_multiplier(params, -1),
+                     lambda: fock_goncharov(params, (0, 2, 1, -1))):
+            calls.clear()
+            call()
+            assert len(calls) == 2
+        # at alpha = 2, omega^4 E is no whole turn away: three determinants
+        calls.clear()
+        stokes_multiplier(OscillatorParams(2.0, 7.4, 0.5), 1)
+        assert len(calls) == 3
+
     def test_cross_ratio_rejects_repeats(self):
         with pytest.raises(ValueError):
             fock_goncharov(OscillatorParams(1.0, 3.9, 0.3), (0, 1, 1, 2))
@@ -321,7 +341,7 @@ class TestChiSeed:
         x0 = min(0.05, 0.05 * geo.x_minus)  # the first rung of the ladder
         val, dval, _, loglead = _frobenius_scaled(frobenius_seed(alpha, ell), energy,
                                                   CoverPoint(x0, 0.0))
-        start = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead, "chi").rescaled()
+        start = SolutionState(CoverPoint(x0, 0.0), val, dval, loglead).rescaled()
         path = PathSpec((CoverPoint(x0, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
                         "principal")
         ref = propagate(params, start, path, rtol=rtol)
@@ -452,8 +472,7 @@ class TestLoudFailures:
 
         def near_real(params, state, path, rtol):
             out = original(params, state, path, rtol=rtol)
-            return SolutionState(out.location, 1.0 + 0j, 1.0 + 1e-9j, out.logscale,
-                                 out.seed_tag)
+            return SolutionState(out.location, 1.0 + 0j, 1.0 + 1e-9j, out.logscale)
         monkeypatch.setattr(spectral, "propagate", near_real)
         with pytest.raises(RuntimeError) as err:
             stokes_multiplier(OscillatorParams(2.0, 5.0, 0.5), 0)
