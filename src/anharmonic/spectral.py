@@ -217,7 +217,12 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
 
     Level n is predicted at its Bohr-Sommerfeld energy, the root of the
     quantization condition I(E) = n + 1/2, and polished to a zero of Q by a
-    safeguarded secant (_polish).  An index check against I(E) then catches a
+    safeguarded secant (_polish).  The polish takes its second point at the
+    previous level's miss |root - prediction|, so where the prediction is
+    good it starts next to the root; it stops on the secant's own error
+    estimate, and never evaluates Q again at an energy it already holds
+    (at alpha = 1, where the prediction is exact, a level costs two
+    determinants).  An index check against I(E) then catches a
     level whose polish failed or landed on a neighbour's root, and rescans the
     gap it left in steps of a tenth of the local level spacing 1/(dI/dE).
     """
@@ -235,6 +240,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
     e_cap = 4.0 * asymptotic_spectrum(alpha, ell, n_max + 2) + 50.0
     e_floor = crit.e_star * (1.0 + 1e-7)
     roots: list[float] = []
+    miss = math.inf  # |root - prediction| of the previous level
     for n in range(n_max + 1):
         e_guess = max(bohr_sommerfeld_energy(alpha, ell, n), e_floor)
         if e_guess > e_cap:
@@ -242,7 +248,8 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
                 f"eigenvalue scan ran past its energy cap {e_cap:.6g} at E={e_guess:.6g} "
                 f"with {len(roots)} of n_max + 1 = {n_max + 1} levels "
                 f"(alpha={alpha:g}, ell={ell:g})")
-        root = _polish(q_at, n, e_guess, spacing(e_guess), e_floor, e_cap, rel_tol)
+        root = _polish(q_at, n, e_guess, spacing(e_guess), e_floor, e_cap, rel_tol, miss)
+        miss = math.inf if root is None else abs(root - e_guess)
         if root is not None:
             roots.append(root)
 
@@ -286,19 +293,30 @@ def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
 
 
 def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,
-            rel_tol: float) -> float | None:
+            rel_tol: float, miss: float = math.inf) -> float | None:
     """Zero of Q near the predicted energy of level n, or None if none is found
     within _POLISH_EVALS evaluations.
 
     Re Q is negative just below the ground level and changes sign at every
     level, so the sign of Q at the prediction tells on which side of level n
-    it lies, and the second point is taken a hundredth of the level spacing
-    gap toward the root.  Secant steps are capped at half a spacing until a
-    sign change brackets the root; after that a step that leaves the bracket
-    is replaced by bisection, and no step leaves [e_lo, e_hi].  Q enters as
-    Re Q exp(logscale - ref) with ref the logscale at the prediction: where
-    the prediction is the exact root (alpha = 1), |Q| there is at rounding
-    level, and a reference log|Q| would blow every later value up to the clip.
+    it lies.  The second point is taken toward the root at the distance miss,
+    the previous level's |root - prediction|, kept between 1e-6 and 1e-2 of
+    the level spacing gap (a hundredth when there is no previous miss).
+    Secant steps are capped at half a spacing until a sign change brackets
+    the root; after that a step that leaves the bracket is replaced by
+    bisection, and no step leaves [e_lo, e_hi].
+
+    The secant root e_new is returned without evaluating Q there when its step
+    is within the tolerance or, if the safeguards leave the step unchanged,
+    (A) when it lands within the tolerance of the older of its two points
+    e_a, where Q is already known, or (B) from the third evaluation on, when
+    the secant's error estimate |f[e_p, e_a, e_b] / f[e_a, e_b]| |e_new - e_a|
+    |e_new - e_b| is at most a tenth of the tolerance.
+
+    Q enters as Re Q exp(logscale - ref) with ref the logscale at the
+    prediction: where the prediction is the exact root (alpha = 1), |Q| there
+    is at rounding level, and a reference log|Q| would blow every later value
+    up to the clip.
     """
     q = q_at(e_guess)
     ref = q.logscale
@@ -311,7 +329,9 @@ def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,
         return e_a
     # Re Q just below level n is positive for odd n: with that sign, step up
     toward = 1.0 if (f_a > 0.0) == (n % 2 == 1) else -1.0
-    e_b = min(max(e_a + toward * 0.01 * gap, e_lo), e_hi)
+    offset = min(max(miss, 1e-6 * gap), 0.01 * gap)
+    e_b = min(max(e_a + toward * offset, e_lo), e_hi)
+    e_p = f_p = None  # the evaluation before e_a
     ends = {f_a > 0.0: e_a}  # the latest energy on each side of the root
     for _ in range(_POLISH_EVALS - 1):
         f_b = f(q_at(e_b))
@@ -320,21 +340,29 @@ def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,
         ends[f_b > 0.0] = e_b
         if f_b == f_a:
             return None
-        e_new = e_b - f_b * (e_b - e_a) / (f_b - f_a)
+        slope = (f_b - f_a) / (e_b - e_a)
+        e_new = e_b - f_b / slope
+        tol = rel_tol * max(1.0, e_b)
         # tested before the safeguards: next to an exact root the step can
         # round onto a bracket end
-        if abs(e_new - e_b) <= rel_tol * max(1.0, e_b):
+        if abs(e_new - e_b) <= tol:
             return e_new
         if len(ends) == 2:
             lo, hi = sorted(ends.values())
-            if not lo < e_new < hi:
-                e_new = 0.5 * (lo + hi)
+            e_next = e_new if lo < e_new < hi else 0.5 * (lo + hi)
         else:
-            e_new = e_b + max(-0.5 * gap, min(0.5 * gap, e_new - e_b))
-            e_new = min(max(e_new, e_lo), e_hi)
-            if e_new == e_b:
+            e_next = e_b + max(-0.5 * gap, min(0.5 * gap, e_new - e_b))
+            e_next = min(max(e_next, e_lo), e_hi)
+            if e_next == e_b:
                 return None
-        e_a, f_a, e_b = e_b, f_b, e_new
+        if e_next == e_new:
+            if abs(e_new - e_a) <= tol:
+                return e_new
+            if e_p is not None:
+                curve = (slope - (f_a - f_p) / (e_a - e_p)) / (e_b - e_p)
+                if abs(curve / slope * (e_new - e_a) * (e_new - e_b)) <= 0.1 * tol:
+                    return e_new
+        e_p, f_p, e_a, f_a, e_b = e_a, f_a, e_b, f_b, e_next
     return None
 
 

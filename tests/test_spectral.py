@@ -372,18 +372,43 @@ class TestBracketRoot:
         assert got == float(brentq(f, lo, hi, xtol=1e-9 * max(1.0, hi), rtol=8.9e-16))
 
 
+def counted_determinants(monkeypatch):
+    """The energies of every spectral_determinant call from here on."""
+    calls = []
+    original = spectral.spectral_determinant
+
+    def counted(params, **kwargs):
+        calls.append(params.energy)
+        return original(params, **kwargs)
+    monkeypatch.setattr(spectral, "spectral_determinant", counted)
+    return calls
+
+
 class TestPredictAndPolish:
     def test_few_determinants_per_level(self, monkeypatch):
-        calls = []
-        original = spectral.spectral_determinant
-
-        def counted(params, **kwargs):
-            calls.append(params.energy)
-            return original(params, **kwargs)
-        monkeypatch.setattr(spectral, "spectral_determinant", counted)
+        calls = counted_determinants(monkeypatch)
         got = eigenvalues(2.0, 0.0, 4)
         assert len(got) == 5
-        assert len(calls) <= 6 * len(got)
+        assert len(calls) <= 4.5 * len(got)
+
+    def test_exact_prediction_costs_two_determinants(self, monkeypatch):
+        # at alpha = 1 the prediction is the root: the secant through it and
+        # the second point lands back on it, where Q is already known
+        calls = counted_determinants(monkeypatch)
+        got = eigenvalues(1.0, 0.5, 5)
+        assert len(got) == 6
+        assert len(calls) == 12
+
+    # (alpha, ell, n_max): both sides of alpha = 1, ell = -0.4 and ell = 10
+    @pytest.mark.parametrize("alpha,ell,n_max", [(0.34, 0.5, 2), (0.6, -0.4, 2),
+                                                 (1.5, 2.0, 3), (2.0, 10.0, 2),
+                                                 (3.0, 1.0, 3)])
+    def test_levels_match_a_tight_scan(self, alpha, ell, n_max):
+        # the polish stops on its error estimate at a tenth of the tolerance
+        got = eigenvalues(alpha, ell, n_max)
+        tight = eigenvalues(alpha, ell, n_max, rel_tol=1e-13)
+        for g, t in zip(got, tight):
+            assert abs(g / t - 1.0) <= 1e-10
 
     def test_levels_are_python_floats(self):
         # from n = 5 on the prediction starts from the numpy-valued large-n
@@ -433,6 +458,26 @@ class TestPredictAndPolish:
         got = spectral._polish(q_at, 1, 2.3, 3.0, 0.5, 10.0, 1e-12)
         assert abs(got - 2.0) < 1e-11
         assert len(calls) <= spectral._POLISH_EVALS
+
+    def test_polish_is_accurate_on_a_curved_determinant(self):
+        # started a tenth of a spacing off, the error estimate must not stop
+        # the secant while the curvature still moves its root
+        def q_at(e):
+            d = e - 2.0
+            return DeterminantValue(complex(d * (1.0 + 40.0 * d * d)), 0.3 * e)
+        got = spectral._polish(q_at, 0, 2.1, 1.0, 0.5, 10.0, 1e-9)
+        assert abs(got - 2.0) <= 1e-10 * 2.0
+
+    def test_polish_returns_on_a_root_next_to_the_prediction(self):
+        # the secant lands 1e-14 from the prediction, where Q is already known
+        calls = []
+
+        def q_at(e):
+            calls.append(e)
+            return DeterminantValue(complex(math.sin(e - 2.0 - 1e-14)), 0.3 * e)
+        got = spectral._polish(q_at, 0, 2.0, 1.0, 0.5, 10.0, 1e-9)
+        assert abs(got - 2.0) < 1e-12
+        assert len(calls) == 2
 
 
 class TestLoudFailures:
