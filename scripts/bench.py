@@ -9,7 +9,8 @@ and the four-field SolutionState (no seed_tag):
 
 Recorded: interpreter and library versions, core count and the git commit of
 the measured sources; seconds, determinant evaluations, Frobenius series
-evaluations and index-check rescans of three eigenvalue scans (the quartic to
+evaluations, index-check rescans and wkb_phase and wkb_phase_derivative
+quadratures of three eigenvalue scans (the quartic to
 n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
@@ -20,8 +21,8 @@ energies of the committed Stokes trichotomy, whose trace points (the sum over
 edges of the trajectory points) are recorded under "work", and per propagate
 on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
 rhs calls are also recorded under "work".  Counts come from wrapping module
-functions of anharmonic.spectral and anharmonic.integrate from this script;
-times are time.perf_counter readings.
+functions of anharmonic.spectral, anharmonic.action and anharmonic.integrate
+from this script; times are time.perf_counter readings.
 
 The micro timings (best of REPEAT, taken in rounds over all points) follow
 the host's speed, which drifts by a factor of two between runs on a shared
@@ -45,7 +46,7 @@ import numpy as np
 import scipy
 
 import anharmonic
-from anharmonic import integrate, spectral, volterra
+from anharmonic import action, integrate, spectral, volterra
 from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import stokes_complex
@@ -91,19 +92,26 @@ REF_SECONDS = 0.003
 
 
 class Counters:
-    """Call counts of wrapped module functions of anharmonic.spectral."""
+    """Call counts of wrapped module functions, by function name.
 
-    NAMES = ("spectral_determinant", "_frobenius_scaled", "_rescan")
+    The quadratures wkb_phase and wkb_phase_derivative are wrapped in both
+    modules that call them: action, where the quantisation solve looks them
+    up, and spectral, where the index check and the scan spacing do.
+    """
+
+    BINDINGS = ((spectral, "spectral_determinant"), (spectral, "_frobenius_scaled"),
+                (spectral, "_rescan"), (action, "wkb_phase"), (spectral, "wkb_phase"),
+                (action, "wkb_phase_derivative"), (spectral, "wkb_phase_derivative"))
 
     def __init__(self):
-        self.calls = dict.fromkeys(self.NAMES, 0)
-        for name in self.NAMES:
-            original = getattr(spectral, name)
+        self.calls = {name: 0 for _, name in self.BINDINGS}
+        for module, name in self.BINDINGS:
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original, **kwargs):
                 self.calls[name] += 1
                 return original(*args, **kwargs)
-            setattr(spectral, name, counted)
+            setattr(module, name, counted)
 
     def snapshot(self) -> dict:
         return dict(self.calls)
@@ -137,6 +145,9 @@ def time_scans(counters: Counters) -> dict:
             "determinant_calls_per_level": dets / count,
             "frobenius_calls": after["_frobenius_scaled"] - before["_frobenius_scaled"],
             "rescans": after["_rescan"] - before["_rescan"],
+            "wkb_phase_calls": after["wkb_phase"] - before["wkb_phase"],
+            "wkb_phase_derivative_calls": (after["wkb_phase_derivative"]
+                                           - before["wkb_phase_derivative"]),
             "eigenvalues": levels,
         }
     return out
@@ -322,7 +333,8 @@ def main() -> None:
     for name, scan in record["scans"].items():
         print(f"{name:16s} {scan['seconds']:7.2f} s  {scan['determinant_calls']:4d} determinants"
               f"  {scan['determinant_calls_per_level']:.2f} per level"
-              f"  {scan['rescans']} rescans", file=sys.stderr)
+              f"  {scan['rescans']} rescans  {scan['wkb_phase_calls']} wkb_phase"
+              f"  {scan['wkb_phase_derivative_calls']} wkb_phase_derivative", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as _sint
+from scipy.optimize import brentq
 from scipy.special import gamma as _gamma
 
 from .model import (
@@ -340,41 +341,33 @@ def reduced_wkb_integral(alpha: float, kind: str, value: float, abs_tol: float =
 
 
 def bohr_sommerfeld_energy(alpha: float, ell: float, n: int) -> float:
-    """Solve I(E, ell) = n + 1/2 for E by guarded Newton with bisection fallback,
-    to a relative step of 1e-10 in at most 60 iterations."""
+    """Solve I(E, ell) = n + 1/2 for E by Brent's method, to full double precision.
+
+    The bracket closes at the first of E_a, 2 E_a - E*, 4 E_a - 3 E*, ... (64
+    doublings at most) where I exceeds n + 1/2, and opens at the energy before
+    it (E* first, where I = 0); E_a is the larger of the large-n asymptote and
+    the harmonic estimate E* + (n + 1/2) / I'(E*).
+    """
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    crit = critical_data(alpha, ell)
+    e_star = critical_data(alpha, ell).e_star
     target = n + 0.5
-    if n >= 5:
-        e = asymptotic_reference("spectrum_large_n", alpha, ell=ell, n=n)
-        e = max(e, crit.e_star * (1.0 + 1e-9))
-    else:
-        probe = crit.e_star * (1.0 + 0.01) + 0.01
-        slope = wkb_phase_derivative(OscillatorParams(alpha, probe, ell))
-        e = crit.e_star + target / slope
-    lo, hi = crit.e_star, None
-    params = OscillatorParams(alpha, e, ell)
-    for _ in range(60):
-        params = params.with_energy(e)
-        phi = wkb_phase(params) - target
-        if phi > 0:
-            hi = e if hi is None else min(hi, e)
-        else:
-            lo = max(lo, e)
-        d = wkb_phase_derivative(params)
-        step = phi / d
-        e_new = e - step
-        if not (e_new > lo and (hi is None or e_new < hi)):
-            # Newton left the bracket: bisect instead
-            if hi is None:
-                e_new = 2.0 * e - crit.e_star
-            else:
-                e_new = 0.5 * (lo + hi)
-        if abs(e_new - e) <= 1e-10 * max(1.0, abs(e)):
-            return e_new
-        e = e_new
-    raise RuntimeError(f"quantisation solve failed to converge for n={n}")
+    slope = asymptotic_reference("j2_slope", alpha) * (ell + 0.5) ** ((1.0 - alpha) / (1.0 + alpha))
+    lo = e_star
+    hi = max(asymptotic_reference("spectrum_large_n", alpha, ell=ell, n=n), e_star + target / slope)
+    phases = {lo: -target}  # brentq opens on two ends the bracket search has evaluated
+
+    def f(e: float) -> float:
+        if e not in phases:
+            phases[e] = wkb_phase(OscillatorParams(alpha, e, ell)) - target
+        return phases[e]
+
+    for _ in range(65):
+        if f(hi) > 0.0:
+            return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        lo, hi = hi, 2.0 * hi - e_star
+    raise RuntimeError(f"quantisation bracket not found (alpha={alpha:g}, ell={ell:g}, n={n}): "
+                       f"I(E) <= n + 1/2 up to E = {lo:g}")
 
 
 def _j1_zero(alpha: float) -> float:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import (
     CoverPoint,
@@ -669,19 +670,14 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
     def contrast(x: float) -> float:
         return big_R(exp_, CoverPoint(x, 0.0)).real - base
 
+    # Brent's method aims a hair above the budget: a root rounded short must not miss it
+    target = _CONTRAST_BUDGET * (1.0 + 1e-12)
     floor = max(1.35 * x_plus, x_plus + 0.75, 4.0)
-    if floor >= cap or contrast(cap) <= _CONTRAST_BUDGET:
+    if floor >= cap or contrast(cap) <= target:
         return cap
-    lo, hi = floor, cap
-    if contrast(lo) >= _CONTRAST_BUDGET:
-        return lo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if contrast(mid) < _CONTRAST_BUDGET:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    if contrast(floor) >= _CONTRAST_BUDGET:
+        return floor
+    return brentq(lambda x: contrast(x) - target, floor, cap, xtol=1e-300, rtol=8.9e-16)
 
 
 def wronskian(s1: SolutionState, s2: SolutionState) -> tuple[complex, float]:

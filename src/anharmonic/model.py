@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "CoverPoint",
@@ -191,37 +192,6 @@ def critical_data(alpha: float, ell: float) -> CriticalData:
     return CriticalData(e_star, x_star, *_blowup_constants(alpha))
 
 
-def _real_reduced(params: OscillatorParams, x: float) -> float:
-    lam = params.lam
-    return x ** (2.0 * params.alpha) - params.energy.real + (lam / x) ** 2
-
-
-def _real_reduced_d(params: OscillatorParams, x: float) -> float:
-    return 2.0 * params.alpha * x ** (2.0 * params.alpha - 1.0) - 2.0 * params.lam ** 2 / x ** 3
-
-
-def _bisect_root(params: OscillatorParams, lo: float, hi: float) -> float:
-    # bisection to 1e-12 relative, then two Newton polishing steps
-    flo = _real_reduced(params, lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (hi - lo) <= 1e-12 * mid:
-            break
-        fm = _real_reduced(params, mid)
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(2):
-        d = _real_reduced_d(params, x)
-        if d != 0.0:
-            step = _real_reduced(params, x) / d
-            if abs(step) < 0.5 * x:
-                x -= step
-    return x
-
-
 def _integer_power(alpha: float) -> int | None:
     """n when 2 alpha is the integer n (to 1e-12), else None: x^(2a) is then entire."""
     n = round(2.0 * alpha)
@@ -303,15 +273,14 @@ def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
     x_star = crit.x_star
     if abs(e - crit.e_star) <= 1e-8 * crit.e_star:
         return x_star, x_star
-    lo = x_star
-    while _real_reduced(params, lo) <= 0.0:
-        lo *= 0.5
-    x_minus = _bisect_root(params, lo, x_star)
-    hi = max(2.0 * x_star, (2.0 * max(e, 1.0)) ** (1.0 / (2.0 * params.alpha)))
-    while _real_reduced(params, hi) <= 0.0:
-        hi *= 2.0
-    x_plus = _bisect_root(params, x_star, hi)
-    return min(x_minus, x_plus), max(x_minus, x_plus)
+
+    def v(x: float) -> float:  # V on the positive axis
+        return x ** (2.0 * params.alpha) - e + (params.lam / x) ** 2
+
+    # Brent's method to full precision on either side of x_star, where V < 0:
+    # V > 3E where lam^2/x^2 = 4E, and V > E where x^2a = 2E
+    return (brentq(v, 0.5 * params.lam / math.sqrt(e), x_star, xtol=1e-300, rtol=8.9e-16),
+            brentq(v, x_star, (2.0 * e) ** (0.5 / params.alpha), xtol=1e-300, rtol=8.9e-16))
 
 
 def turning_points(params: OscillatorParams) -> TurningPointSet:

@@ -37,6 +37,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from scipy.optimize import brentq
+
 from .model import CoverPoint, OscillatorParams, _real_pair, critical_data, sector_center_arg
 from .action import (
     PathSpec,
@@ -287,8 +289,6 @@ def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
         if q is None:
             q = q_at(energy)
         return math.copysign(math.exp(min(q.log_abs - ref, 50.0)), q.mantissa.real)
-
-    from scipy.optimize import brentq
     return float(brentq(f, e_lo, e_hi, xtol=rel_tol * max(1.0, e_hi), rtol=8.9e-16))
 
 
@@ -415,9 +415,8 @@ def _rotated_q(params: OscillatorParams, geo: _Geometry,
     return _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL), -s * theta * c
 
 
-def _psi1_hop(params: OscillatorParams, geo: _Geometry, k: int) -> complex:
-    """sigma_0 at the real energy of params, on the caller's radii geo; k names
-    the sigma_k it stands for.
+def _psi1_hop(params: OscillatorParams, geo: _Geometry) -> complex:
+    """sigma_0 at the real energy of params, on the caller's radii geo.
 
     psi_1 goes down its ray to meet and on an arc to the positive axis, where
     Wr[psi_{-1}, psi_1] = 2i e^(2L) Im(conj(f) f') for its state (f, f', L).
@@ -433,7 +432,7 @@ def _psi1_hop(params: OscillatorParams, geo: _Geometry, k: int) -> complex:
     if ratio > 1e-6:
         raise RuntimeError(
             f"Wr[psi_-1, psi_1] lost to cancellation: rtol 2|f||f'|/|Im(conj(f) f')| = {ratio:.3g}"
-            f" > 1e-6 (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g}, k={k})")
+            f" > 1e-6 (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g}, k=0)")
     zero = _psi0_state(params, geo.meet, geo.x_max, _CONNECTION_RTOL, True)
     m, l = wronskian(replace(one, value=f.conjugate(), derivative=fp.conjugate()), zero)
     return 2j * im / m * math.exp(2.0 * one.logscale - l)
@@ -444,16 +443,18 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     geo = _geometry(params)
     theta = sector_center_arg(params.alpha, 1)
     w = cmath.rect(1.0, (params.ell + 0.5) * theta)
+    c = r_expansion(params.alpha, params.energy).log_coefficient.real
     rotated: dict[int, tuple[complex, float]] = {}
+
+    def full_turn(s: int) -> bool:  # 2 s theta is a whole number of turns: omega^2s E = E
+        return abs(math.remainder(sector_center_arg(params.alpha, s) / math.pi, 1.0)) < 1e-12
 
     def q(s: int) -> tuple[complex, float]:  # Q~_s as (mantissa, logscale)
         n = abs(s)
         if n not in rotated:
-            turns = sector_center_arg(params.alpha, n) / math.pi  # 2 s theta in whole turns
-            if n and abs(turns - round(turns)) < 1e-12:
-                # omega^2s E = E: Q~_s is Q~_0 = Q(E) turned by its own phase
+            if n and full_turn(n):
+                # Q~_s is Q~_0 = Q(E) turned by its own phase
                 m0, l0 = q(0)
-                c = r_expansion(params.alpha, params.energy).log_coefficient.real
                 rotated[n] = (m0 * cmath.rect(1.0, -n * theta * c), l0)
             else:
                 v, phi = _rotated_q(params, geo, n)
@@ -462,12 +463,12 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
         return (m if s >= 0 else m.conjugate()), l
 
     sigma = {}
+    hop = None  # sigma_0: one psi_1 hop serves every k with omega^2k E = E
     for k in ks:
-        e = params.energy * cmath.rect(1.0, 2.0 * k * theta)  # omega^2k E
-        if abs(e.imag) <= 1e-12 * abs(e) and e.real > 0.0:
-            c = r_expansion(params.alpha, e).log_coefficient
-            hop = _psi1_hop(params.with_energy(e.real), geo, k)
-            sigma[k] = cmath.exp(2j * k * theta * c) * hop
+        if full_turn(k) and params.energy.real > 0.0:
+            if hop is None:
+                hop = _psi1_hop(params.with_energy(params.energy.real), geo)
+            sigma[k] = cmath.rect(1.0, 2.0 * k * theta * c) * hop
         else:
             (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
             sigma[k] = -1j * (w * m2 * math.exp(l2 - l1) + m0 * math.exp(l0 - l1) / w) / m1

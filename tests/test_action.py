@@ -17,6 +17,7 @@ from anharmonic import (
     wkb_phase,
     wkb_phase_derivative,
 )
+from anharmonic import action
 from anharmonic.action import PathFrame
 
 
@@ -111,11 +112,20 @@ class TestPhase:
 
 
 class TestQuantisation:
-    @pytest.mark.parametrize("alpha,ell,n", [(2.0, 0.7, 0), (2.0, 0.7, 3), (0.6, 1.2, 2)])
+    # the last three: large ell at small alpha, where the solve is hardest to get to 1e-10
+    @pytest.mark.parametrize("alpha,ell,n", [(2.0, 0.7, 0), (2.0, 0.7, 3), (0.6, 1.2, 2),
+                                             (0.6, 60.0, 30), (0.34, 60.0, 2), (0.21, 60.0, 5)])
     def test_solver_inverts_the_phase(self, alpha, ell, n):
         e = bohr_sommerfeld_energy(alpha, ell, n)
         assert abs(wkb_phase(OscillatorParams(alpha, e, ell)) - (n + 0.5)) < 1e-10
         assert e > critical_data(alpha, ell).e_star
+
+    def test_unbracketed_level_names_its_parameters(self, monkeypatch):
+        monkeypatch.setattr(action, "wkb_phase", lambda params: 0.0)
+        with pytest.raises(RuntimeError) as err:
+            bohr_sommerfeld_energy(0.6, 1.2, 2)
+        msg = str(err.value)
+        assert msg.startswith("quantisation bracket not found (alpha=0.6, ell=1.2, n=2)")
 
     def test_levels_increase(self):
         es = [bohr_sommerfeld_energy(2.0, 0.0, n) for n in range(5)]

@@ -160,6 +160,18 @@ class TestConnectionData:
                 got = spectral._ladder(sigma, j, k)
                 assert abs(got - want) <= 1e-7 * max(1.0, abs(want)), (j, k, got, want)
 
+    def test_one_psi1_hop_serves_every_full_turn(self, monkeypatch):
+        # at alpha = 1, sigma_0 and sigma_+-2 all come from sigma_0(E)
+        calls = []
+        hop = spectral._psi1_hop
+
+        def counted(*args):
+            calls.append(args)
+            return hop(*args)
+        monkeypatch.setattr(spectral, "_psi1_hop", counted)
+        sigma = spectral._stokes_multipliers(OscillatorParams(1.0, 9.0, 0.3), range(-2, 3))
+        assert len(calls) == 1 and sorted(sigma) == [-2, -1, 0, 1, 2]
+
     def test_public_entry_points_follow_the_ladder(self):
         params = OscillatorParams(1.0, 21.0, 1.3)
 
