@@ -15,7 +15,8 @@ n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
 a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
 points, per r_zero and per refined sibuya_seed at two, per volterra_solve
-on one committed curve, per stokes_multiplier (k = 0 and 1) and
+on one committed curve, per check_admissible on each of the five committed
+curves, per stokes_multiplier (k = 0 and 1) and
 fock_goncharov((0, 2, 1, -1)) at two, per stokes_complex at the three
 energies of the committed Stokes trichotomy, whose trace points (the sum over
 edges of the trajectory points) are recorded under "work", and per propagate
@@ -49,7 +50,7 @@ import anharmonic
 from anharmonic import action, integrate, spectral, volterra
 from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
-from anharmonic.geometry import stokes_complex
+from anharmonic.geometry import check_admissible, stokes_complex
 from anharmonic.integrate import SolutionState
 from anharmonic.model import CoverPoint, OscillatorParams
 
@@ -260,6 +261,8 @@ def _layer_calls() -> dict:
     name, n = VOLTERRA
     _, params, curve = next(c for c in committed_curves() if c[0] == name)
     solve = {f"{name},n={n}": (partial(volterra.volterra_solve, params, curve, n), 1)}
+    admissible = {name: (partial(check_admissible, params, curve), 1)
+                  for name, params, curve in committed_curves()}
     for alpha, ell, energy in CONNECTION:
         params = OscillatorParams(alpha, energy, ell)
         point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
@@ -274,6 +277,7 @@ def _layer_calls() -> dict:
                  for key, args in _transports().items()}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
+            "check_admissible_us": admissible,
             "connection_us": connection, "stokes_complex_us": stokes,
             "propagate_us": transport}
 

@@ -31,7 +31,7 @@ from .spectral import (
     spectrum_table,
     stokes_multiplier,
 )
-from .volterra import error_functionals, volterra_solve
+from .volterra import volterra_solve
 from .geometry import (
     check_admissible,
     stokes_complex,
@@ -53,7 +53,6 @@ __all__ = [
     "check_admissible",
     "critical_data",
     "eigenvalues",
-    "error_functionals",
     "eval_forcing",
     "eval_reduced",
     "fock_goncharov",

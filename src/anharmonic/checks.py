@@ -32,7 +32,6 @@ from .action import (
     wkb_phase_derivative,
 )
 from .integrate import _transport_segment
-from .volterra import error_functionals
 from .spectral import (
     asymptotic_spectrum,
     eigenvalues,
@@ -221,8 +220,8 @@ def measured_wkb_deviation(params: OscillatorParams, path: PathSpec) -> float:
     """max |psi/Psi^W - 1| along the path, psi integrated from WKB seed data.
 
     The seed (value and log-derivative of V^{-1/4} e^S at the start node) fixes
-    the solution whose ratio to the WKB function is certified by the error
-    functionals; integration runs toward dominance, so the measurement is
+    the solution whose ratio to the WKB function check_admissible certifies;
+    integration runs toward dominance, so the measurement is
     stable against seeding error.  psi is transported at _DEVIATION_RTOL, one
     transport per segment, which lands on max(4, 400 // segments) equally
     spaced comparison points of the segment parameter.
@@ -263,7 +262,7 @@ def check_wkb_error_bound() -> CheckResult:
             all_ok = False
             rows.append("%s: NOT monotone" % name)
             continue
-        bound = math.expm1(rep.rho)
+        bound = rep.bound
         dev = measured_wkb_deviation(params, path)
         ratio = dev / bound
         worst = max(worst, ratio)
@@ -293,8 +292,7 @@ def check_hbar_scaling() -> CheckResult:
                                   lam - 0.5)
         co = to_hbar_coords(params, 2)
         path = _oriented(params, [co.scale * y for y in y_nodes])
-        ef = error_functionals(params, path)
-        ratios.append(ef.rho / co.hbar)
+        ratios.append(check_admissible(params, path).rho / co.hbar)
     spread = max(ratios) / min(ratios)
     return CheckResult(
         name="hbar_scaling",

@@ -8,8 +8,9 @@ progress variable.  Vertical trajectories (theta = pi/2) emitted by turning
 points assemble into a labeled graph whose vertices are the turning points,
 the origin, and the escape directions at infinity.
 
-The module also certifies candidate integration paths: monotonicity of Re S
-plus the integrability functionals computed by the volterra module.
+The module also holds the package's one WKB error certificate for a
+candidate integration path: Re S must rise along it, and rho and beta give
+the a-priori bound set out in the volterra module.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate as _sint
 
 from .action import PathSpec, PathFrame
 from .model import (
@@ -29,7 +31,7 @@ from .model import (
     critical_data,
     turning_points,
 )
-from .volterra import _FUNCTIONALS_N, _frame_grid, _grid_functionals
+from .volterra import _frame_grid, _safe_bound
 
 __all__ = [
     "Termination",
@@ -54,6 +56,8 @@ _STEP_FRAC = 0.03
 _STEP_FRAC_ENDGAME = 0.06
 # Newton projection back onto the level set, every this many accepted steps
 _CORRECT_EVERY = 10
+# grid size of check_admissible's monotonicity test and beta
+_FUNCTIONALS_N = 1025
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,11 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     phase = cmath.rect(1.0, theta)
     conj_phase = phase.conjugate()
 
+    def rhs(zz: complex, aa: float, ref: complex) -> tuple[complex, complex]:
+        """RK4 stage: dx/dtau and sqrt(V) at zz, the branch continued from ref."""
+        root = _match_sqrt(v_of(zz, aa), ref)
+        return phase / root, root
+
     points = [p0]
     s_vals = [0.0 + 0.0j]
     s_acc = 0.0 + 0.0j
@@ -229,10 +238,6 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         dtau = direction * dx_lim * abs(sq)
 
         # RK4 on x(tau) with the branch continued through the stages
-        def rhs(zz: complex, aa: float, ref: complex) -> tuple[complex, complex]:
-            root = _match_sqrt(v_of(zz, aa), ref)
-            return phase / root, root
-
         k1 = phase / sq
         z2 = z + 0.5 * dtau * k1
         k2, r2 = rhs(z2, arg + cmath.phase(z2 / z), sq)
@@ -392,22 +397,6 @@ def _fan_directions(params: OscillatorParams, tp: CoverPoint, beta: int,
             for m in range(beta + 2)]
 
 
-def _polyline_midpoint(traj: Trajectory) -> complex:
-    zs = [p.to_complex() for p in traj.points]
-    seg = [abs(b - a) for a, b in zip(zs, zs[1:])]
-    total = sum(seg)
-    if total == 0:
-        return zs[0]
-    target = 0.5 * total
-    acc = 0.0
-    for a, b, d in zip(zs, zs[1:], seg):
-        if acc + d >= target:
-            t = (target - acc) / d if d > 0 else 0.0
-            return a + t * (b - a)
-        acc += d
-    return zs[-1]
-
-
 def stokes_complex(params: OscillatorParams,
                    sector_window: tuple[float, float] | None = None,
                    theta: float = 0.5 * math.pi) -> StokesComplex:
@@ -416,8 +405,9 @@ def stokes_complex(params: OscillatorParams,
     Each turning point of multiplicity beta launches beta + 2 traces along its
     local fan; traces terminate at another turning point, at the origin, or at
     an escape direction at infinity.  Turning-point-to-turning-point edges are
-    traced from both ends and paired up by midpoint proximity so each edge is
-    reported once.  The default theta = pi/2 gives the vertical trajectories
+    traced from both ends and reported once, by the traces from the lower
+    numbered turning point; a loop is reported by every other of its traces
+    in fan order.  The default theta = pi/2 gives the vertical trajectories
     whose union is the Stokes complex; infinity labels name the nearest sector
     boundary and are exact for that default.
     """
@@ -456,7 +446,7 @@ def stokes_complex(params: OscillatorParams,
             term = traj.termination
             label: str | None
             if term.kind == "near_turning_point":
-                label = None  # resolved during pairing
+                label = None  # an edge to a turning point: resolved below
             elif term.kind == "hit_radius_max":
                 label = _infinity_label(params.alpha, traj.points[-1].arg)
             elif term.kind in ("hit_radius_min", "spiral_into_origin"):
@@ -473,39 +463,28 @@ def stokes_complex(params: OscillatorParams,
             traces.append((i, traj, label))
 
     edges: list[StokesEdge] = []
-    pairable: dict[tuple[int, int], list[tuple[int, Trajectory]]] = {}
+    tp_edges: dict[tuple[int, int], list[tuple[int, Trajectory]]] = {}
     for i, traj, label in traces:
         if label is None:
             j = traj.termination.index
             key = (min(i, j), max(i, j))
-            pairable.setdefault(key, []).append((i, traj))
+            tp_edges.setdefault(key, []).append((i, traj))
         else:
             edges.append(StokesEdge("tp%d" % i, label, traj))
-    for (i, j), group in sorted(pairable.items()):
+    for (i, j), group in sorted(tp_edges.items()):
         if i == j:
-            # loops: pair members of the same group with each other
-            group = list(group)
-            while len(group) >= 2:
-                src, t0 = group.pop(0)
-                mids = [abs(_polyline_midpoint(t0) - _polyline_midpoint(t)) for _, t in group]
-                k = int(np.argmin(mids))
-                group.pop(k)
-                edges.append(StokesEdge("tp%d" % i, "tp%d" % j, t0))
-            for src, t0 in group:
-                warnings.append("unpaired loop trace at tp%d" % i)
-                edges.append(StokesEdge("tp%d" % i, "tp%d" % j, t0))
-            continue
-        fwd = [(s, t) for s, t in group if s == i]
-        bwd = [(s, t) for s, t in group if s == j]
-        while fwd and bwd:
-            s0, t0 = fwd.pop(0)
-            mids = [abs(_polyline_midpoint(t0) - _polyline_midpoint(t)) for _, t in bwd]
-            k = int(np.argmin(mids))
-            bwd.pop(k)
-            edges.append(StokesEdge("tp%d" % i, "tp%d" % j, t0))
-        for s0, t0 in fwd + bwd:
-            warnings.append("unpaired edge trace between tp%d and tp%d" % (i, j))
-            edges.append(StokesEdge("tp%d" % min(i, j), "tp%d" % max(i, j), t0))
+            # trajectories do not cross, so the two ends of each loop sit at
+            # opposite parities of the fan order: every other trace is one loop
+            kept = [t for _, t in group[::2]]
+            warnings += ["unpaired loop trace at tp%d" % i] * (len(group) % 2)
+        else:
+            # each edge was traced from both ends: keep the traces from tp i
+            fwd = [t for s, t in group if s == i]
+            bwd = [t for s, t in group if s == j]
+            kept = fwd + bwd[len(fwd):]
+            warnings += ["unpaired edge trace between tp%d and tp%d" % (i, j)] * abs(
+                len(fwd) - len(bwd))
+        edges += [StokesEdge("tp%d" % i, "tp%d" % j, t) for t in kept]
 
     vertex_points: dict = {}
     vertex_multiplicity: dict = {}
@@ -538,24 +517,29 @@ def stokes_complex(params: OscillatorParams,
 
 
 def check_admissible(params: OscillatorParams, path: PathSpec) -> AdmissibilityReport:
-    """Certify a candidate path: monotone Re S plus (rho, beta) functionals.
+    """Certify a candidate path: Re S rises along it, and the (rho, beta) bound.
 
-    The grid of error_functionals serves the monotonicity test and beta,
-    while rho comes from adaptive quadrature.  Monotonicity is judged against
-    the path's own scale: the threshold is a fixed fraction of the mean |dS|
-    per grid interval, so a path where Re S merely stalls (sqrt(V) locally
-    imaginary) is rejected.
+    A grid of _FUNCTIONALS_N points serves the monotonicity test and beta,
+    while rho = int |F| |dx| comes from adaptive quadrature per segment.
+    Monotonicity is judged against the path's own scale: Re S must rise by
+    more than a fixed fraction of the mean |dS| per grid interval, so a path
+    where Re S stalls (sqrt(V) locally imaginary) or falls is rejected.
     """
     frame = PathFrame(params, path)
-    ts, svals, fvals = _frame_grid(frame, _FUNCTIONALS_N)
+    ts, svals, _ = _frame_grid(frame, _FUNCTIONALS_N)
     # each segment starts where the previous one ended: drop the duplicate
     re = svals.real[np.concatenate(([True], np.diff(ts) > 0.0))]
     total_len = float(np.sum(np.abs(np.diff(svals))))
     d = np.diff(re)
     tol = 1e-9 * (total_len / max(1, len(d)) + 1e-300)
-    monotone = bool(np.all(d > tol) or np.all(d < -tol))
-    ef = _grid_functionals(frame, ts, svals, fvals)
-    return AdmissibilityReport(monotone=monotone, rho=ef.rho, beta=ef.beta, bound=ef.bound)
+    beta = float(np.min(re - np.maximum.accumulate(re)))
+    rho = 0.0
+    for i in range(len(frame.segments)):
+        def speed(t: float, i=i) -> float:
+            return abs(frame.forcing(i, t) * frame.point(i, t)[2])
+        val, _ = _sint.quad(speed, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)
+        rho += val
+    return AdmissibilityReport(bool(np.all(d > tol)), rho, beta, _safe_bound(rho, beta))
 
 
 def trajectory_csv_rows(traj: Trajectory) -> list[tuple[float, float, float]]:

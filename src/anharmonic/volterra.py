@@ -1,4 +1,4 @@
-"""Exact-solution control on curves: Volterra kernel, error functionals, bounds.
+"""Exact-solution control on curves: Volterra kernel, solver, error bound.
 
 A WKB candidate Psi = V^(-1/4) exp(S), with S the antiderivative of a fixed
 continued branch b of sqrt(V) along the curve, turns psi'' = U psi into the
@@ -8,16 +8,18 @@ integral equation z = 1 + K[z] for the ratio z = psi / Psi, with kernel
     B(t, s)  = (exp(-2 (S(t) - S(s))) - 1) / 2,
 
 and forcing density F = [ (V - U) + (5 V'^2 - 4 V'' V) / (16 V^2) ] / b.
-(The operator sign depends on which branch F is divided by; the bounds below
-only see |K|, so they hold for either convention.)  Everything here works on
-a sampled curve: cumulative phase S on a grid, z by one O(n) forward sweep
-of the trapezoid Nystrom system, and the certified a-priori bounds
+(The operator sign depends on which branch F is divided by; the bound below
+only sees |K|, so it holds for either convention.)  Everything here works on
+a sampled curve: cumulative phase S on a grid and z by one O(n) forward
+sweep of the trapezoid Nystrom system.  The a-priori bound
 
     rho  = int |F| |dx|,
     beta = inf_{s<=t} Re (S(t) - S(s)),
-    |z - 1| <= exp(rho (1 + e^(-beta)) / 2) - 1.
+    |z - 1| <= exp(rho (1 + e^(-beta)) / 2) - 1
 
-On curves with monotone Re S the infimum is zero and the bound is e^rho - 1.
+is certified by geometry.check_admissible, from _frame_grid and _safe_bound
+here.  On curves along which Re S rises the infimum is zero and the bound is
+e^rho - 1.
 """
 from __future__ import annotations
 
@@ -25,23 +27,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
 
 from .model import OscillatorParams
 from .action import PathSpec, PathFrame
 
 __all__ = [
     "VolterraRun",
-    "ErrorFunctionals",
-    "error_functionals",
     "volterra_solve",
     "iterate_grid",
     "endpoint_slope_integral",
 ]
 
 _EXP_CAP = 700.0
-# Grid size of the certified functionals (error_functionals, check_admissible).
-_FUNCTIONALS_N = 1025
 
 
 def _safe_bound(rho: float, beta: float) -> float:
@@ -57,29 +54,13 @@ def _safe_bound(rho: float, beta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ErrorFunctionals:
-    rho: float
-    beta: float
-    bound: float
-    refined_rho: float
-
-    @property
-    def refined_bound(self) -> float:
-        return math.expm1(self.refined_rho)
-
-
-@dataclass(frozen=True)
 class VolterraRun:
-    """Solved ratio z = psi / Psi^W on a sampled curve, with its certificates."""
+    """Solved ratio z = psi / Psi^W on a sampled curve."""
 
     curve: PathSpec
     samples: np.ndarray    # global path parameter, segment i covers [i, i+1]
     s_values: np.ndarray   # cumulative int sqrt(V) dx from the start node
     z_values: np.ndarray
-    rho: float
-    beta: float
-    bound: float
-    refined_rho: float
     iterations: int
 
 
@@ -153,41 +134,8 @@ def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return np.concatenate(ts_all), np.concatenate(s_all), np.concatenate(f_all)
 
 
-def _certify(rho: float, ts: np.ndarray, svals: np.ndarray,
-             fvals: np.ndarray) -> ErrorFunctionals:
-    """Complete rho with beta, the bound and the refined rho of the grid.
-
-    The refined rho weights |F| by |B(1, s)|, the kernel seen from the end node.
-    """
-    re = svals.real
-    beta = float(np.min(re - np.maximum.accumulate(re)))
-    expo = -2.0 * (svals[-1] - svals)
-    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
-    refined_rho = float(np.trapezoid(0.5 * np.abs(np.exp(expo) - 1.0) * np.abs(fvals), ts))
-    return ErrorFunctionals(rho, beta, _safe_bound(rho, beta), refined_rho)
-
-
-def _grid_functionals(frame: PathFrame, ts: np.ndarray, svals: np.ndarray,
-                      fvals: np.ndarray) -> ErrorFunctionals:
-    """rho by adaptive quadrature per segment, beta and refined rho on the grid."""
-    rho = 0.0
-    for i in range(len(frame.segments)):
-        def speed(t: float, i=i) -> float:
-            return abs(frame.forcing(i, t) * frame.point(i, t)[2])
-        val, _ = _sint.quad(speed, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)
-        rho += val
-    return _certify(rho, ts, svals, fvals)
-
-
-def error_functionals(params: OscillatorParams, curve: PathSpec) -> ErrorFunctionals:
-    """Certified error data for a curve: rho by adaptive quadrature, beta and
-    the refined functional on a grid of _FUNCTIONALS_N points along the curve."""
-    frame = PathFrame(params, curve)
-    return _grid_functionals(frame, *_frame_grid(frame, _FUNCTIONALS_N))
-
-
 def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> VolterraRun:
-    """Solve z = 1 + K[z] along the curve and certify it.
+    """Solve z = 1 + K[z] along the curve; geometry.check_admissible certifies it.
 
     n is the total grid size along the curve, split evenly over its segments
     (at least 8 points each); time and memory are linear in n.
@@ -195,5 +143,4 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> V
     frame = PathFrame(params, curve)
     ts, svals, fvals = _frame_grid(frame, n)
     z, iters = iterate_grid(svals, fvals, ts)
-    ef = _certify(float(np.trapezoid(np.abs(fvals), ts)), ts, svals, fvals)
-    return VolterraRun(curve, ts, svals, z, ef.rho, ef.beta, ef.bound, ef.refined_rho, iters)
+    return VolterraRun(curve, ts, svals, z, iters)

@@ -11,7 +11,8 @@ from anharmonic import (CoverPoint, OscillatorParams, critical_data, eval_forcin
                         topology_signature)
 from anharmonic import geometry
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
-from anharmonic.checks import _horizontal_curve
+from anharmonic.action import PathSpec
+from anharmonic.checks import _horizontal_curve, committed_curves
 
 
 def _segment_distance(z, a, b):
@@ -193,6 +194,15 @@ class TestAdmissibility:
         assert rep.monotone
         assert rep.rho < 0.1
         assert rep.bound >= math.expm1(rep.rho) - 1e-12
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_falling_branch_is_rejected(self, index):
+        """The other square-root branch of a committed curve makes Re S fall."""
+        name, params, path = committed_curves()[index]
+        other = {"principal": "negative", "negative": "principal"}[path.sqrt_v_branch]
+        rep = check_admissible(params, PathSpec(path.nodes, path.parameterization, other))
+        assert not rep.monotone, name
+        assert rep.bound == math.inf, name
 
     def test_traced_curve_matches_direct_quadrature(self):
         """rho along the traced imaginary-axis trajectory, two ways.

@@ -1,4 +1,4 @@
-"""Integral-equation solver and the certified error functionals."""
+"""Integral-equation solver and its certified error bound."""
 import math
 import tracemalloc
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from anharmonic import OscillatorParams, error_functionals, path_from_complex, volterra_solve
+from anharmonic import OscillatorParams, check_admissible, path_from_complex, volterra_solve
 from anharmonic import checks, integrate, spectral
 from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
@@ -89,19 +89,13 @@ class TestCertificates:
         params, path = _curve(index)
         run = volterra_solve(params, path, n=801)
         dev = max(abs(z - 1.0) for z in run.z_values)
-        assert dev <= run.bound
-
-    def test_refinement_never_hurts(self):
-        params, path = _curve(0)
-        ef = error_functionals(params, path)
-        assert ef.refined_rho <= ef.rho + 1e-15
-        assert ef.refined_bound <= ef.bound + 1e-15
+        assert dev <= check_admissible(params, path).bound
 
     def test_monotone_curve_has_flat_beta(self):
         params, path = _curve(0)
-        ef = error_functionals(params, path)
-        assert ef.beta <= 0.0
-        assert ef.beta > -1e-6
+        rep = check_admissible(params, path)
+        assert rep.beta <= 0.0
+        assert rep.beta > -1e-6
 
 
 def _kernel_matrix(svals, ts):
