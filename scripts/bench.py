@@ -16,12 +16,13 @@ a pass of the benchmark's scan workload); microseconds per
 spectral_determinant and per Frobenius series evaluation at three fixed
 points, per r_zero and per refined sibuya_seed at two, per volterra_solve
 on one committed curve, per check_admissible on each of the five committed
-curves, per stokes_multiplier (k = 0 and 1) and
-fock_goncharov((0, 2, 1, -1)) at two, per stokes_complex at the three
-energies of the committed Stokes trichotomy, whose trace points (the sum over
-edges of the trajectory points) are recorded under "work", and per propagate
-on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
-rhs calls are also recorded under "work".  Counts come from wrapping module
+curves, per PathFrame construction on the horizontal committed curve, whose
+square-root branch flips are recorded under "work", per stokes_multiplier
+(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, per stokes_complex
+at the three energies of the committed Stokes trichotomy, whose trace points
+(the sum over edges of the trajectory points) are recorded under "work", and
+per propagate on one fixed ray and one fixed arc, whose accepted and rejected
+RK steps and rhs calls are also recorded under "work".  Counts come from wrapping module
 functions of anharmonic.spectral, anharmonic.action and anharmonic.integrate
 from this script; times are time.perf_counter readings.
 
@@ -74,6 +75,8 @@ SEEDS = [(0.8, 1.94, 7.6, 0), (2.0, 0.5, 5.0, 0)]
 CONNECTION = [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4)]
 # (committed curve, grid size) of the Volterra solve
 VOLTERRA = ("inward_ray_alpha2", 601)
+# committed curve of the PathFrame construction timing and flip count
+PATHFRAME = "horizontal_trajectory_alpha1"
 # (alpha, ell, E, segment kind, start, end) of the timed transports of the
 # state (psi, psi') = (1, 0): a ray out of the quartic well into its growing
 # tail, and an arc through the alpha = 1 Stokes sectors
@@ -181,6 +184,12 @@ def stokes_points() -> dict:
             for key, params in _stokes_cases().items()}
 
 
+def pathframe_flips() -> dict:
+    """curve -> square-root branch flips that PathFrame places along it."""
+    _, params, curve = next(c for c in committed_curves() if c[0] == PATHFRAME)
+    return {PATHFRAME: sum(len(flips) for flips, _ in action.PathFrame(params, curve)._signs)}
+
+
 def _transports() -> dict:
     """point -> (params, state, path) of the PROPAGATE transports."""
     out = {}
@@ -261,6 +270,8 @@ def _layer_calls() -> dict:
     name, n = VOLTERRA
     _, params, curve = next(c for c in committed_curves() if c[0] == name)
     solve = {f"{name},n={n}": (partial(volterra.volterra_solve, params, curve, n), 1)}
+    _, params, curve = next(c for c in committed_curves() if c[0] == PATHFRAME)
+    frame = {PATHFRAME: (partial(action.PathFrame, params, curve), 1)}
     admissible = {name: (partial(check_admissible, params, curve), 1)
                   for name, params, curve in committed_curves()}
     for alpha, ell, energy in CONNECTION:
@@ -277,7 +288,7 @@ def _layer_calls() -> dict:
                  for key, args in _transports().items()}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
-            "check_admissible_us": admissible,
+            "check_admissible_us": admissible, "pathframe_us": frame,
             "connection_us": connection, "stokes_complex_us": stokes,
             "propagate_us": transport}
 
@@ -320,7 +331,8 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
-        "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work()},
+        "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work(),
+                 "pathframe_flips": pathframe_flips()},
     }
     chunks: list[float] = []
     raw = time_layers(chunks)

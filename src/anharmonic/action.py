@@ -169,11 +169,13 @@ class _Segment:
 class PathFrame:
     """Evaluates V, the continued sqrt(V), and the forcing along a PathSpec.
 
-    The square-root branch is fixed at the start node and continued by scouting
-    each segment on 129 points: a sign flip relative to the principal branch
-    happens exactly where V crosses the negative real axis, and each crossing
-    is located by bisection.  The segment parameter t of every evaluator may
-    be a float or an array.
+    The square-root branch is fixed at the start node and continued over 129
+    scouts per segment: where two neighbouring principal roots point apart,
+    Re(r_k conj r_(k-1)) < 0, the branch flips sign relative to the principal
+    one.  The principal root jumps exactly where V crosses the negative real
+    axis, so each flip is placed between its two scouts by Brent's method on
+    Im V.  The segment parameter t of every evaluator may be a float or an
+    array.
     """
 
     def __init__(self, params: OscillatorParams, path: PathSpec):
@@ -184,35 +186,13 @@ class PathFrame:
         sign = 1.0 if path.sqrt_v_branch == "principal" else -1.0
         ts = np.linspace(0.0, 1.0, 129)
         for i in range(len(self.segments)):
-            roots = np.sqrt(self.reduced(i, ts)).tolist()
-            flips: list[float] = []
-            signs = [sign]
-            prev = sign * roots[0]
-            for k in range(1, len(roots)):
-                root = roots[k]
-                # continue the branch: pick the root nearer the previous value
-                cur = root if abs(root - prev) <= abs(root + prev) else -root
-                s = 1.0 if cur == root else -1.0
-                if s != signs[-1]:
-                    flips.append(self._locate_flip(i, ts[k - 1], ts[k], prev, signs[-1]))
-                    signs.append(s)
-                prev = cur
+            roots = np.sqrt(self.reduced(i, ts))
+            after = np.flatnonzero((roots[1:] * roots[:-1].conj()).real < 0.0)
+            flips = np.array([brentq(lambda t, i=i: self.reduced(i, t).imag, ts[k], ts[k + 1],
+                                     xtol=1e-300, rtol=8.9e-16) for k in after])
+            signs = sign * (-1.0) ** np.arange(len(flips) + 1)
             sign = signs[-1]
-            self._signs.append((np.array(flips), np.array(signs)))
-        self.end_sign = sign
-
-    def _locate_flip(self, i_seg: int, t0: float, t1: float,
-                     left_val: complex, left_sign: float) -> float:
-        # refine the branch-flip location with the same nearest-root continuation
-        for _ in range(48):
-            tm = 0.5 * (t0 + t1)
-            root = cmath.sqrt(self.reduced(i_seg, tm))
-            cur = root if abs(root - left_val) <= abs(root + left_val) else -root
-            if (1.0 if cur == root else -1.0) == left_sign:
-                t0, left_val = tm, cur
-            else:
-                t1 = tm
-        return 0.5 * (t0 + t1)
+            self._signs.append((flips, signs))
 
     def _sign_at(self, i_seg: int, t):
         # the sign after the k-th flip holds for t > flip_k

@@ -283,6 +283,13 @@ def check_wkb_error_bound() -> CheckResult:
 # criterion 6: rho scales like hbar in the large-ell regime
 
 def check_hbar_scaling() -> CheckResult:
+    """rho/hbar on one segment of the blown-up plane at hbar = 1/2, 1/4, 1/8.
+
+    Re S does not rise along these segments: check_admissible reports each
+    as not monotone, with beta = -0.345, -0.691, -1.381.  So rho/hbar here
+    measures how the error functional scales with hbar; it does not certify
+    an error bound on these curves.
+    """
     alpha = 2.0
     nu = 2.0 * _blowup_constants(alpha)[0]
     y_nodes = [0.45 + 0.95j, 3.2 + 0.95j]

@@ -1,4 +1,4 @@
-"""Exact-solution control on curves: Volterra kernel, solver, error bound.
+"""Exact-solution control on curves: the Volterra kernel and its O(n) sweep.
 
 A WKB candidate Psi = V^(-1/4) exp(S), with S the antiderivative of a fixed
 continued branch b of sqrt(V) along the curve, turns psi'' = U psi into the
@@ -8,22 +8,13 @@ integral equation z = 1 + K[z] for the ratio z = psi / Psi, with kernel
     B(t, s)  = (exp(-2 (S(t) - S(s))) - 1) / 2,
 
 and forcing density F = [ (V - U) + (5 V'^2 - 4 V'' V) / (16 V^2) ] / b.
-(The operator sign depends on which branch F is divided by; the bound below
-only sees |K|, so it holds for either convention.)  Everything here works on
-a sampled curve: cumulative phase S on a grid and z by one O(n) forward
-sweep of the trapezoid Nystrom system.  The a-priori bound
-
-    rho  = int |F| |dx|,
-    beta = inf_{s<=t} Re (S(t) - S(s)),
-    |z - 1| <= exp(rho (1 + e^(-beta)) / 2) - 1
-
-is certified by geometry.check_admissible, from _frame_grid and _safe_bound
-here.  On curves along which Re S rises the infimum is zero and the bound is
-e^rho - 1.
+(The operator sign depends on which branch F is divided by.)  Everything
+here works on a sampled curve: cumulative phase S on a grid and z by one
+O(n) forward sweep of the trapezoid Nystrom system.  The a-priori bound on
+|z - 1| is geometry.check_admissible, which reads S on the same grid.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +30,6 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0
-
-
-def _safe_bound(rho: float, beta: float) -> float:
-    """exp(rho (1 + e^-beta)/2) - 1, saturating at inf instead of overflowing.
-
-    A hugely negative beta means the curve runs against the recessive
-    direction somewhere; the certificate is then vacuous, which inf conveys.
-    """
-    arg = rho * 0.5 * (1.0 + math.exp(min(-beta, _EXP_CAP)))
-    if arg > _EXP_CAP:
-        return math.inf
-    return math.expm1(arg)
 
 
 @dataclass(frozen=True)
@@ -114,33 +93,36 @@ def endpoint_slope_integral(svals: np.ndarray, fvals: np.ndarray,
     return complex(np.trapezoid(np.exp(expo) * fvals * z, ts))
 
 
-def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(global ts, cumulative S, F * dx/dt) on about n points along the whole path.
+def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(global ts, cumulative S) on max(8, n // segments) points per segment.
 
-    The n points are split evenly over the segments, at least 8 to a segment.
-    Segment boundaries appear twice so corner speeds stay one-sided.
+    Each segment's grid runs over its whole parameter range, so every corner
+    node appears twice, as the end of one segment and the start of the next;
+    corner speeds stay one-sided.
     """
     tloc = np.linspace(0.0, 1.0, max(8, n // len(frame.segments)))
     ts_all: list[np.ndarray] = []
     s_all: list[np.ndarray] = []
-    f_all: list[np.ndarray] = []
     offset = 0.0 + 0.0j
     for i in range(len(frame.segments)):
         s = frame.cumulative_s(i, tloc) + offset
         offset = s[-1]
         ts_all.append(tloc + i)
         s_all.append(s)
-        f_all.append(frame.forcing(i, tloc) * frame.point(i, tloc)[2])
-    return np.concatenate(ts_all), np.concatenate(s_all), np.concatenate(f_all)
+    return np.concatenate(ts_all), np.concatenate(s_all)
 
 
 def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> VolterraRun:
     """Solve z = 1 + K[z] along the curve; geometry.check_admissible certifies it.
 
-    n is the total grid size along the curve, split evenly over its segments
-    (at least 8 points each); time and memory are linear in n.
+    The grid has max(8, n // segments) points on each segment, with every
+    corner node doubled (600 nodes on 4 segments at the default n = 601);
+    time and memory are linear in the node count.
     """
     frame = PathFrame(params, curve)
-    ts, svals, fvals = _frame_grid(frame, n)
+    ts, svals = _frame_grid(frame, n)
+    tloc = ts[:len(ts) // len(frame.segments)]  # every segment's local grid
+    fvals = np.concatenate([frame.forcing(i, tloc) * frame.point(i, tloc)[2]
+                            for i in range(len(frame.segments))])
     z, iters = iterate_grid(svals, fvals, ts)
     return VolterraRun(curve, ts, svals, z, iters)

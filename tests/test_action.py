@@ -18,7 +18,9 @@ from anharmonic import (
     wkb_phase_derivative,
 )
 from anharmonic import action
-from anharmonic.action import PathFrame
+from anharmonic.action import PathFrame, PathSpec, _dist_to_origin
+from anharmonic.checks import committed_curves
+from anharmonic.model import CoverPoint
 
 
 class TestQuadraticWell:
@@ -173,3 +175,73 @@ class TestPathFrameArrays:
         want = np.array([evaluate(0, float(t)) for t in ts])
         # scalar and array numpy kernels may round differently: allow ~50 ulp
         np.testing.assert_allclose(evaluate(0, ts), want, rtol=1e-14, atol=0.0)
+
+
+def _random_path(seed):
+    """(params, PathSpec) of 2-5 random segments mixing lines, arcs and rays."""
+    rng = np.random.default_rng(seed)
+    params = OscillatorParams(rng.uniform(0.4, 3.0), rng.uniform(0.5, 12.0), rng.uniform(0.0, 2.0))
+    nodes = [CoverPoint(rng.uniform(0.5, 4.0), rng.uniform(-math.pi, math.pi))]
+    kinds = []
+    segments = rng.integers(2, 6)
+    while len(kinds) < segments:
+        a = nodes[-1]
+        kind = str(rng.choice(["line", "arc", "ray"]))
+        if kind == "arc":
+            b = CoverPoint(a.modulus, a.arg + rng.uniform(-3.0, 3.0))
+        elif kind == "ray":
+            b = CoverPoint(rng.uniform(0.3, 5.0), a.arg)
+        else:
+            zb = complex(*rng.uniform(-4.0, 4.0, 2))
+            if _dist_to_origin(a.to_complex(), zb) < 0.2:
+                continue
+            b = CoverPoint.from_complex(zb, near_arg=a.arg)
+        nodes.append(b)
+        kinds.append(kind)
+    return params, PathSpec(tuple(nodes), tuple(kinds), str(rng.choice(["principal", "negative"])))
+
+
+def _nearest_root_branch(frame, ts):
+    """Per segment, the signs s_k of s_k np.sqrt(V) continued point by point
+    from the start branch (each point takes the root nearer the previous
+    value) and the flips between two points, bisected 60 times by the same rule."""
+    def nearer(root, prev):
+        return 1.0 if abs(root - prev) <= abs(root + prev) else -1.0
+    prev = (1.0 if frame.path.sqrt_v_branch == "principal" else -1.0) * np.sqrt(frame.reduced(0, 0.0))
+    out = []
+    for i in range(len(frame.segments)):
+        roots = np.sqrt(frame.reduced(i, ts))
+        signs = np.empty(len(ts))
+        flips = []
+        for k, root in enumerate(roots):
+            signs[k] = nearer(root, prev)
+            if k > 0 and signs[k] != signs[k - 1]:
+                lo, hi, left = ts[k - 1], ts[k], prev
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    r = np.sqrt(frame.reduced(i, mid))
+                    if nearer(r, left) == signs[k - 1]:
+                        lo, left = mid, signs[k - 1] * r
+                    else:
+                        hi = mid
+                flips.append(0.5 * (lo + hi))
+            prev = signs[k] * root
+        out.append((signs, np.array(flips)))
+    return out
+
+
+_BRANCH_CASES = ([(name, params, path) for name, params, path in committed_curves()]
+                 + [("random%d" % seed, *_random_path(seed)) for seed in range(40)])
+
+
+class TestBranchRule:
+    @pytest.mark.parametrize("name,params,path", _BRANCH_CASES, ids=[c[0] for c in _BRANCH_CASES])
+    def test_matches_point_by_point_continuation(self, name, params, path):
+        """On 2049 points a segment, sqrt_v is np.sqrt(V) continued by nearest
+        roots, and every flip sits where a bisection of that rule puts it."""
+        frame = PathFrame(params, path)
+        ts = np.linspace(0.0, 1.0, 2049)
+        for i, (signs, flips) in enumerate(_nearest_root_branch(frame, ts)):
+            np.testing.assert_array_equal(frame.sqrt_v(i, ts), signs * np.sqrt(frame.reduced(i, ts)))
+            assert len(frame._signs[i][0]) == len(flips)
+            np.testing.assert_allclose(frame._signs[i][0], flips, rtol=0.0, atol=1e-13)

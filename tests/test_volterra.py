@@ -7,11 +7,11 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from anharmonic import OscillatorParams, check_admissible, path_from_complex, volterra_solve
-from anharmonic import checks, integrate, spectral
+from anharmonic import checks, integrate, spectral, volterra
 from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
-from anharmonic.volterra import (_EXP_CAP, _frame_grid, _safe_bound, _trapezoid_weights,
-                                 iterate_grid)
+from anharmonic.geometry import _safe_bound
+from anharmonic.volterra import _EXP_CAP, _frame_grid, _trapezoid_weights, iterate_grid
 
 
 def _curve(index):
@@ -112,7 +112,7 @@ def _kernel_matrix(svals, ts):
 def _kernel(index):
     """(global ts, B(t_j, t_i)) on the grid the solver uses for a committed curve."""
     params, path = _curve(index)
-    ts, svals, _ = _frame_grid(PathFrame(params, path), 201)
+    ts, svals = _frame_grid(PathFrame(params, path), 201)
     return ts, _kernel_matrix(svals, ts)
 
 
@@ -132,15 +132,15 @@ class TestKernel:
 def _oracle_grid(case, monkeypatch):
     """(svals, fvals, ts) of a committed curve (an index), of the ray tail that
     a refined sector-k seed solves on ((alpha, ell, E, k)), or of a curve whose
-    Re S falls back by about 4.6 (beta < 0)."""
+    Re S falls back by about 4.6 (beta < 0): the grid handed to the sweep."""
+    seen = []
+
+    def capture(svals, fvals, us):
+        seen.append((svals, fvals, us))
+        return iterate_grid(svals, fvals, us)
     if isinstance(case, tuple):
         alpha, ell, energy, k = case
         params = OscillatorParams(alpha, energy, ell)
-        seen = []
-
-        def capture(svals, fvals, us):
-            seen.append((svals, fvals, us))
-            return iterate_grid(svals, fvals, us)
         monkeypatch.setattr(integrate, "iterate_grid", capture)
         integrate.sibuya_seed(params, k, spectral._geometry(params).x_max)
         return seen[0]
@@ -149,8 +149,9 @@ def _oracle_grid(case, monkeypatch):
         path = path_from_complex([6.0, 6.0 + 3.0j, 6.0 + 0.5j])
     else:
         params, path = _curve(case)
-    ts, svals, fvals = _frame_grid(PathFrame(params, path), 601)
-    return svals, fvals, ts
+    monkeypatch.setattr(volterra, "iterate_grid", capture)
+    volterra_solve(params, path, 601)
+    return seen[0]
 
 
 class TestSweep:
