@@ -18,7 +18,8 @@ points, per r_zero and per refined sibuya_seed at two, per volterra_solve
 on one committed curve, per check_admissible on each of the five committed
 curves, per PathFrame construction on the horizontal committed curve, whose
 square-root branch flips are recorded under "work", per stokes_multiplier
-(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, per stokes_complex
+(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate calls
+(wrapped in anharmonic.spectral) are recorded under "work", per stokes_complex
 at the three energies of the committed Stokes trichotomy, whose trace points
 (the sum over edges of the trajectory points) are recorded under "work", and
 per propagate on one fixed ray and one fixed arc, whose accepted and rejected
@@ -246,9 +247,43 @@ def propagate_work() -> dict:
     return out
 
 
+def _connection_calls() -> dict:
+    """point -> (call, 1) of the CONNECTION timings."""
+    connection = {}
+    for alpha, ell, energy in CONNECTION:
+        params = OscillatorParams(alpha, energy, ell)
+        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
+        for k in (0, 1):
+            connection[f"stokes_multiplier,k={k},{point}"] = (partial(
+                spectral.stokes_multiplier, params, k), 1)
+        connection[f"fock_goncharov,(0,2,1,-1),{point}"] = (partial(
+            spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
+    return connection
+
+
+def connection_propagate_calls() -> dict:
+    """point -> propagate calls of one CONNECTION timing."""
+    calls = [0]
+    original = spectral.propagate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    spectral.propagate = counted
+    out = {}
+    try:
+        for key, (call, _) in _connection_calls().items():
+            calls[0] = 0
+            call()
+            out[key] = calls[0]
+    finally:
+        spectral.propagate = original
+    return out
+
+
 def _layer_calls() -> dict:
     """layer -> point -> (call, calls of the timed function per call)."""
-    dets, series, r_zero, seeds, connection = {}, {}, {}, {}, {}
+    dets, series, r_zero, seeds = {}, {}, {}, {}
     for alpha, ell, energy in DETERMINANTS:
         params = OscillatorParams(alpha, energy, ell)
         dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(
@@ -274,14 +309,6 @@ def _layer_calls() -> dict:
     frame = {PATHFRAME: (partial(action.PathFrame, params, curve), 1)}
     admissible = {name: (partial(check_admissible, params, curve), 1)
                   for name, params, curve in committed_curves()}
-    for alpha, ell, energy in CONNECTION:
-        params = OscillatorParams(alpha, energy, ell)
-        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
-        for k in (0, 1):
-            connection[f"stokes_multiplier,k={k},{point}"] = (partial(
-                spectral.stokes_multiplier, params, k), 1)
-        connection[f"fock_goncharov,(0,2,1,-1),{point}"] = (partial(
-            spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
     stokes = {key: (partial(stokes_complex, params), 1)
               for key, params in _stokes_cases().items()}
     transport = {key: (partial(integrate.propagate, *args, rtol=SCAN_RTOL), 1)
@@ -289,7 +316,7 @@ def _layer_calls() -> dict:
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
             "check_admissible_us": admissible, "pathframe_us": frame,
-            "connection_us": connection, "stokes_complex_us": stokes,
+            "connection_us": _connection_calls(), "stokes_complex_us": stokes,
             "propagate_us": transport}
 
 
@@ -332,7 +359,8 @@ def main() -> None:
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
         "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work(),
-                 "pathframe_flips": pathframe_flips()},
+                 "pathframe_flips": pathframe_flips(),
+                 "connection_propagate_calls": connection_propagate_calls()},
     }
     chunks: list[float] = []
     raw = time_layers(chunks)

@@ -11,6 +11,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import integrate as _sint
@@ -174,8 +175,10 @@ class PathFrame:
     Re(r_k conj r_(k-1)) < 0, the branch flips sign relative to the principal
     one.  The principal root jumps exactly where V crosses the negative real
     axis, so each flip is placed between its two scouts by Brent's method on
-    Im V.  The segment parameter t of every evaluator may be a float or an
-    array.
+    Im V.  Where V crosses that axis twice between two scouts (Re V < 0 and
+    one sign of Im V at both, but opposite signs of its slope Im(V' x')),
+    Brent's method places the turn, and both flips around it if Im V changes
+    sign there.  Every evaluator takes t as a float or an array.
     """
 
     def __init__(self, params: OscillatorParams, path: PathSpec):
@@ -186,13 +189,27 @@ class PathFrame:
         sign = 1.0 if path.sqrt_v_branch == "principal" else -1.0
         ts = np.linspace(0.0, 1.0, 129)
         for i in range(len(self.segments)):
-            roots = np.sqrt(self.reduced(i, ts))
-            after = np.flatnonzero((roots[1:] * roots[:-1].conj()).real < 0.0)
-            flips = np.array([brentq(lambda t, i=i: self.reduced(i, t).imag, ts[k], ts[k + 1],
-                                     xtol=1e-300, rtol=8.9e-16) for k in after])
+            flips = self._flips(i, ts)
             signs = sign * (-1.0) ** np.arange(len(flips) + 1)
             sign = signs[-1]
             self._signs.append((flips, signs))
+
+    def _flips(self, i_seg: int, ts: np.ndarray) -> np.ndarray:
+        """Sorted parameters where V crosses the negative real axis, scouted on ts."""
+        def im_v(t, slope=False):  # Im V, or its slope Im(V' x')
+            _, dz, v, v1, _ = self.derivative_triple(i_seg, t)
+            return (v1 * dz if slope else v).imag
+        root = partial(brentq, xtol=1e-300, rtol=8.9e-16)
+        _, dz, v, v1, _ = self.derivative_triple(i_seg, ts)
+        roots, slope = np.sqrt(v), (v1 * dz).imag
+        flips = [root(im_v, ts[k], ts[k + 1])
+                 for k in np.flatnonzero((roots[1:] * roots[:-1].conj()).real < 0.0)]
+        for k in np.flatnonzero(slope[1:] * slope[:-1] < 0.0):
+            if max(v.real[k], v.real[k + 1]) < 0.0 < v.imag[k] * v.imag[k + 1]:
+                turn = root(im_v, ts[k], ts[k + 1], args=(True,))
+                if im_v(turn) * v.imag[k] < 0.0:
+                    flips += [root(im_v, ts[k], turn), root(im_v, turn, ts[k + 1])]
+        return np.sort(flips)
 
     def _sign_at(self, i_seg: int, t):
         # the sign after the k-th flip holds for t > flip_k

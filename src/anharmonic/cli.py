@@ -3,7 +3,8 @@
 Output files are deterministic: fixed key order, fixed float formatting (17
 significant digits in JSON, 15 in CSV), no timestamps; repeated invocations
 with the same flags are byte-identical.  Exit codes: 0 success, 2 numerical
-failure, 64 usage error.
+failure, 64 usage error (a float flag that is not finite or out of its range
+among them, named in the message).
 """
 from __future__ import annotations
 
@@ -36,6 +37,17 @@ class _Parser(argparse.ArgumentParser):
     # failures and uses 64 for usage problems
     def error(self, message):
         raise _UsageError(message)
+
+
+def _real(low: float = -math.inf, closed: bool = True):
+    """argparse type of a float flag: finite and >= low (> low unless closed)."""
+    def real(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > low or (closed and value == low))):
+            raise argparse.ArgumentTypeError("must be finite and %s %g, got %r"
+                                             % (">=" if closed else ">", low, text))
+        return value
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -132,32 +144,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="eigenvalue table by one or all methods")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--ell", type=float, required=True)
+    sp.add_argument("--alpha", type=_real(0.0, closed=False), required=True)
+    sp.add_argument("--ell", type=_real(-0.5, closed=False), required=True)
     sp.add_argument("--n-max", type=int, required=True)
     sp.add_argument("--method", choices=("exact", "bs", "asym", "all"), default="all")
-    sp.add_argument("--rel-tol", type=float, default=1e-9,
+    sp.add_argument("--rel-tol", type=_real(0.0, closed=False), default=1e-9,
                     help="relative tolerance of the exact eigenvalues")
     _add_output(sp)
 
     wp = sub.add_parser("wkb", help="action integral I or blown-up integrals J1, J2")
-    wp.add_argument("--alpha", type=float, required=True)
+    wp.add_argument("--alpha", type=_real(0.0, closed=False), required=True)
     wp.add_argument("--kind", choices=("I", "J1", "J2"), required=True)
-    wp.add_argument("--energy", type=float, default=None, help="E for kind I")
-    wp.add_argument("--ell", type=float, default=None, help="ell for kind I")
-    wp.add_argument("--u", type=float, default=None, help="argument for kind J1")
-    wp.add_argument("--nu", type=float, default=None, help="argument for kind J2")
-    wp.add_argument("--abs-tol", type=float, default=1e-12,
+    wp.add_argument("--energy", type=_real(), default=None, help="E for kind I")
+    wp.add_argument("--ell", type=_real(-0.5, closed=False), default=None, help="ell for kind I")
+    wp.add_argument("--u", type=_real(0.0), default=None, help="argument for kind J1")
+    wp.add_argument("--nu", type=_real(), default=None, help="argument for kind J2")
+    wp.add_argument("--abs-tol", type=_real(0.0), default=1e-12,
                     help="absolute tolerance of the quadrature")
     wp.add_argument("--out", default=None, help="output file (default: stdout)")
 
     st = sub.add_parser("stokes", help="trace the Stokes complex of theta-trajectories")
-    st.add_argument("--alpha", type=float, required=True)
-    st.add_argument("--ell", type=float, required=True)
-    st.add_argument("--energy", type=float, required=True)
-    st.add_argument("--theta", type=float, default=0.5 * math.pi,
+    st.add_argument("--alpha", type=_real(0.0, closed=False), required=True)
+    st.add_argument("--ell", type=_real(-0.5, closed=False), required=True)
+    st.add_argument("--energy", type=_real(), required=True)
+    st.add_argument("--theta", type=_real(), default=0.5 * math.pi,
                     help="trajectory angle (default pi/2, the Stokes complex)")
-    st.add_argument("--window", type=float, nargs=2, default=None,
+    st.add_argument("--window", type=_real(), nargs=2, default=None,
                     metavar=("LO", "HI"),
                     help="restrict turning points to cover arguments [LO, HI]")
     st.add_argument("--no-polylines", action="store_true",
@@ -171,12 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_spectrum(args) -> int:
-    if args.ell <= -0.5:
-        raise _UsageError("--ell must be > -1/2")
     if args.n_max < 0:
         raise _UsageError("--n-max must be >= 0")
-    if args.alpha <= 0:
-        raise _UsageError("--alpha must be > 0")
     methods = ("exact", "bs", "asym") if args.method == "all" else (args.method,)
     records = spectrum_table(args.alpha, args.ell, args.n_max, methods=methods,
                              rel_tol=args.rel_tol)
@@ -209,13 +217,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wkb(args) -> int:
-    if args.alpha <= 0:
-        raise _UsageError("--alpha must be > 0")
     if args.kind == "I":
         if args.energy is None or args.ell is None:
             raise _UsageError("kind I needs --energy and --ell")
-        if args.ell <= -0.5:
-            raise _UsageError("--ell must be > -1/2")
         value = wkb_phase(OscillatorParams(args.alpha, args.energy, args.ell),
                           abs_tol=args.abs_tol)
         arg_name, arg_value = "energy", args.energy
@@ -239,10 +243,6 @@ def cmd_wkb(args) -> int:
 
 
 def cmd_stokes(args) -> int:
-    if args.ell <= -0.5:
-        raise _UsageError("--ell must be > -1/2")
-    if args.alpha <= 0:
-        raise _UsageError("--alpha must be > 0")
     params = OscillatorParams(args.alpha, args.energy, args.ell)
     window = tuple(args.window) if args.window is not None else None
     sc = stokes_complex(params, sector_window=window, theta=args.theta)

@@ -31,7 +31,7 @@ from .model import (
     sector_center_arg,
 )
 from .action import PathSpec, _Segment, _gauss8_increments
-from .volterra import iterate_grid, endpoint_slope_integral
+from .volterra import iterate_grid
 
 __all__ = [
     "SolutionState",
@@ -39,7 +39,6 @@ __all__ = [
     "RExpansion",
     "r_expansion",
     "big_R",
-    "big_R_prime",
     "frobenius_seed",
     "sibuya_seed",
     "choose_x_max",
@@ -119,16 +118,6 @@ def big_R(exp_: RExpansion, x) -> complex:
         out += coef * p.cpow(expo)
     if exp_.log_flag:
         out += exp_.log_coefficient * p.clog()
-    return out
-
-
-def big_R_prime(exp_: RExpansion, x) -> complex:
-    p = x if isinstance(x, CoverPoint) else CoverPoint.from_complex(complex(x))
-    out = 0.0 + 0.0j
-    for coef, expo in exp_.terms:
-        out += coef * expo * p.cpow(expo - 1.0)
-    if exp_.log_flag:
-        out += exp_.log_coefficient / p.to_complex()
     return out
 
 
@@ -607,7 +596,9 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
     svals[-1] = 0.0
     svals[:-1] = -np.cumsum(dels[::-1])[::-1]
     z, _ = iterate_grid(svals, fvals, us)
-    slope = endpoint_slope_integral(svals, fvals, z, us)
+    # dz/dx at x_max is -sgn sqrt(V) J with J = int exp(-2 (S(x_max) - S)) F z du;
+    # on the sweep's trapezoid system J = A_n + g_n = 2 (z_n - 1) + sum_i w_i F_i z_i
+    slope = 2.0 * (z[-1] - 1.0) + np.trapezoid(fvals * z, us)
     zp_over_z = -(sgn * sq[-1]) * slope / z[-1]
     return complex(z[-1]), zp_over_z
 
@@ -616,33 +607,30 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
                 refine: bool = True) -> SolutionState:
     """Recessive solution of sector k, normalized to x^(-a/2) exp(-(-1)^k R(x)).
 
-    The plain asymptotic value is corrected in two ways when refine is set: the
-    exact tail integral T = int (sqrt V - R') (_tail_t_integral, which raises
-    at or just outside a turning point) replaces the truncated series
-    remainder, and a Volterra boundary-layer factor z(x_max) (solved on the
-    compactified tail of the ray) restores the true solution, still with the
-    exact limit normalization since z -> 1 at infinity.
+    The uncorrected WKB seed is Psi = V^(-1/4) e^(sgn S), sgn = -(-1)^k, with
+    S = R at x_max.  refine adds the two tail corrections: the exact tail
+    integral T = int (sqrt V - R') (_tail_t_integral, which raises at or just
+    outside a turning point) replaces the truncated series remainder of R,
+    and a Volterra factor z(x_max), solved on the compactified tail of the
+    ray, turns Psi into the true solution, still with the exact limit
+    normalization since z -> 1 at infinity.
     """
     a = params.alpha
     arg = sector_center_arg(a, k)
     sgn = -((-1.0) ** k)
     pt = CoverPoint(x_max, arg)
-    exp_ = r_expansion(a, params.energy)
-    rr = big_R(exp_, pt)
+    w = sgn * big_R(r_expansion(a, params.energy), pt)
     # Python scalars from here on: the RK stepper is slow on numpy ones
-    z, v, v1, _, sq = (complex(q) for q in _ray_v(params, arg, x_max))
+    _, v, v1, _, sq = (complex(q) for q in _ray_v(params, arg, x_max))
+    logp = sgn * sq - 0.25 * v1 / v
+    zc = 1.0
     if refine:
-        tval = _tail_t_integral(params, k, x_max)
-        w = sgn * (rr - tval)
-        # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
-        pref = (v / pt.cpow(2.0 * a)) ** -0.25
+        w -= sgn * _tail_t_integral(params, k, x_max)
         zc, zp_over_z = _tail_volterra(params, arg, sgn, x_max)
-        mant = pt.cpow(-0.5 * a) * pref * cmath.exp(1j * w.imag) * zc
-        logp = sgn * sq - 0.25 * v1 / v + zp_over_z
-    else:
-        w = sgn * rr
-        mant = pt.cpow(-0.5 * a) * cmath.exp(1j * w.imag)
-        logp = sgn * big_R_prime(exp_, pt) - 0.5 * a / z
+        logp += zp_over_z
+    # prefactor V^(-1/4) relative to x^(-a/2): (V x^(-2a))^(-1/4), near 1
+    pref = (v / pt.cpow(2.0 * a)) ** -0.25
+    mant = pt.cpow(-0.5 * a) * pref * cmath.exp(1j * w.imag) * zc
     state = SolutionState(pt, mant, mant * logp, w.real)
     return state.rescaled()
 
@@ -660,8 +648,8 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
     refined seeds of the spectral quantities (determinant, sector Wronskians,
     Stokes multipliers, cross ratios, R0) stay accurate that far in.  It is
     kept between the floor max(1.35 x_plus, x_plus + 0.75, 4) and the cap
-    max(20, 3 x_plus), a radius where even the asymptotic remainder of a
-    plain seed is small.
+    max(20, 3 x_plus), a radius where even the uncorrected WKB seed is
+    accurate.
     """
     cap = max(20.0, 3.0 * x_plus)
     exp_ = r_expansion(params.alpha, params.energy)

@@ -25,7 +25,9 @@ Its Wronskian with chi is the T-Q relation sigma_k = -i [omega^-(ell+1/2)
 Q~_{k-1} + omega^(ell+1/2) Q~_{k+1}] / Q~_k, and R0 = omega^(2 ell + 1) Q~_1 /
 Q~_{-1}.  Where omega^2k E is real and positive, Q~_k vanishes at eigenvalues
 and sigma_k = e^(2 i k theta c) sigma_0(omega^2k E) comes from psi_1, which is
-conj psi_{-1} on the positive axis.  The Stokes ladder Wr[psi_j, psi_m] =
+conj psi_{-1} on the positive axis.  All transports meet at x_match = max(1,
+x_+), x_+ the outer turning point of the real E: chi and psi_1's arc meet
+one psi_0 there, carried in once per call.  The Stokes ladder Wr[psi_j, psi_m] =
 Wr[psi_j, psi_{m-2}] + sigma_{m-1} Wr[psi_j, psi_{m-1}] gives every other
 Wronskian without carrying two exponentially large solutions to one point.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
 from scipy.optimize import brentq
@@ -110,9 +112,8 @@ class _Geometry(NamedTuple):
 
     x_minus: float  # inner turning point, or the bowl scale x_star below the well
     x_plus: float   # outer turning point, or x_star
-    x_match: float  # where chi meets psi_0 and R0 is formed
+    x_match: float  # max(1, x_plus): chi, psi_0 and psi_1's arc meet there, Re R O(1)
     x_max: float    # seed radius of the sector rays
-    meet: float     # radius where psi_1 turns onto the positive axis, Re R O(1) there
 
 
 def _geometry(params: OscillatorParams) -> _Geometry:
@@ -123,13 +124,10 @@ def _geometry(params: OscillatorParams) -> _Geometry:
     """
     pair = _real_pair(params)
     if pair is None:
-        x_star = critical_data(params.alpha, params.ell).x_star
-        x_minus, x_plus, x_match = x_star, x_star, max(1.0, x_star)
+        x_minus = x_plus = critical_data(params.alpha, params.ell).x_star
     else:
         x_minus, x_plus = pair
-        x_match = x_plus
-    return _Geometry(x_minus, x_plus, x_match, choose_x_max(params, x_plus),
-                     max(1.0, x_plus))
+    return _Geometry(x_minus, x_plus, max(1.0, x_plus), choose_x_max(params, x_plus))
 
 
 def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> SolutionState:
@@ -166,11 +164,12 @@ def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> Solutio
     return propagate(params, state, path, rtol=rtol)
 
 
-def _psi0_state(params: OscillatorParams, modulus: float, x_max: float, rtol: float,
+def _psi0_state(params: OscillatorParams, geo: _Geometry, rtol: float,
                 refine: bool) -> SolutionState:
-    """psi_0 seeded at x_max and carried inward, its stable direction, to modulus."""
-    path = PathSpec((CoverPoint(x_max, 0.0), CoverPoint(modulus, 0.0)), ("ray",), "principal")
-    return propagate(params, sibuya_seed(params, 0, x_max, refine=refine), path, rtol=rtol)
+    """psi_0 seeded at x_max and carried inward, its stable direction, to x_match."""
+    path = PathSpec((CoverPoint(geo.x_max, 0.0), CoverPoint(geo.x_match, 0.0)), ("ray",),
+                    "principal")
+    return propagate(params, sibuya_seed(params, 0, geo.x_max, refine=refine), path, rtol=rtol)
 
 
 def spectral_determinant(params: OscillatorParams, refine: bool = True,
@@ -192,7 +191,7 @@ def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,
     _rotated_q evaluates Q at omega^2s E on the radii of the real E.
     """
     chi = _chi_state(params, geo, rtol)
-    psi = _psi0_state(params, geo.x_match, geo.x_max, rtol, refine)
+    psi = _psi0_state(params, geo, rtol, refine)
     m, l = wronskian(chi, psi)
     return DeterminantValue(m, l)
 
@@ -405,26 +404,26 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
 _CONNECTION_RTOL = 1e-10
 
 
-def _rotated_q(params: OscillatorParams, geo: _Geometry,
-               s: int) -> tuple[DeterminantValue, float]:
-    """Q(omega^2s E) on the radii geo of the real E, and the phase
-    -s theta c(omega^2s E) that turns it into Q~_s (module docstring)."""
+def _rotated_q(params: OscillatorParams, geo: _Geometry, s: int) -> tuple[complex, float]:
+    """Q~_s (module docstring) as (mantissa, logscale), on the radii geo of the real E."""
     theta = sector_center_arg(params.alpha, 1)
     energy = params.energy * cmath.rect(1.0, 2.0 * s * theta)
     c = r_expansion(params.alpha, energy).log_coefficient.real
-    return _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL), -s * theta * c
+    q = _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL)
+    return q.mantissa * cmath.rect(1.0, -s * theta * c), q.logscale
 
 
-def _psi1_hop(params: OscillatorParams, geo: _Geometry) -> complex:
+def _psi1_hop(params: OscillatorParams, geo: _Geometry, zero: SolutionState) -> complex:
     """sigma_0 at the real energy of params, on the caller's radii geo.
 
-    psi_1 goes down its ray to meet and on an arc to the positive axis, where
-    Wr[psi_{-1}, psi_1] = 2i e^(2L) Im(conj(f) f') for its state (f, f', L).
-    Dividing by Wr[psi_{-1}, psi_0] (-2 for exact seeds) cancels the seeds'
-    shared normalization error, 3e-7 at alpha = 1/3."""
+    psi_1 goes down its ray to x_match and on an arc to the positive axis,
+    where Wr[psi_{-1}, psi_1] = 2i e^(2L) Im(conj(f) f') for its state
+    (f, f', L).  Dividing by Wr[psi_{-1}, psi_0] (-2 for exact seeds), with
+    zero the caller's psi_0 there, cancels the seeds' shared normalization
+    error, 3e-7 at alpha = 1/3."""
     theta = sector_center_arg(params.alpha, 1)
-    path = PathSpec((CoverPoint(geo.x_max, theta), CoverPoint(geo.meet, theta),
-                     CoverPoint(geo.meet, 0.0)), ("ray", "arc"), "principal")
+    path = PathSpec((CoverPoint(geo.x_max, theta), CoverPoint(geo.x_match, theta),
+                     CoverPoint(geo.x_match, 0.0)), ("ray", "arc"), "principal")
     one = propagate(params, sibuya_seed(params, 1, geo.x_max), path, rtol=_CONNECTION_RTOL)
     f, fp = one.value, one.derivative
     im = (f.conjugate() * fp).imag
@@ -433,7 +432,6 @@ def _psi1_hop(params: OscillatorParams, geo: _Geometry) -> complex:
         raise RuntimeError(
             f"Wr[psi_-1, psi_1] lost to cancellation: rtol 2|f||f'|/|Im(conj(f) f')| = {ratio:.3g}"
             f" > 1e-6 (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g}, k=0)")
-    zero = _psi0_state(params, geo.meet, geo.x_max, _CONNECTION_RTOL, True)
     m, l = wronskian(replace(one, value=f.conjugate(), derivative=fp.conjugate()), zero)
     return 2j * im / m * math.exp(2.0 * one.logscale - l)
 
@@ -445,6 +443,7 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     w = cmath.rect(1.0, (params.ell + 0.5) * theta)
     c = r_expansion(params.alpha, params.energy).log_coefficient.real
     rotated: dict[int, tuple[complex, float]] = {}
+    zero = cache(lambda: _psi0_state(params, geo, _CONNECTION_RTOL, True))  # psi_0 at x_match
 
     def full_turn(s: int) -> bool:  # 2 s theta is a whole number of turns: omega^2s E = E
         return abs(math.remainder(sector_center_arg(params.alpha, s) / math.pi, 1.0)) < 1e-12
@@ -452,13 +451,14 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     def q(s: int) -> tuple[complex, float]:  # Q~_s as (mantissa, logscale)
         n = abs(s)
         if n not in rotated:
-            if n and full_turn(n):
+            if n == 0:
+                rotated[0] = wronskian(_chi_state(params, geo, _CONNECTION_RTOL), zero())
+            elif full_turn(n):
                 # Q~_s is Q~_0 = Q(E) turned by its own phase
                 m0, l0 = q(0)
                 rotated[n] = (m0 * cmath.rect(1.0, -n * theta * c), l0)
             else:
-                v, phi = _rotated_q(params, geo, n)
-                rotated[n] = (v.mantissa * cmath.rect(1.0, phi), v.logscale)
+                rotated[n] = _rotated_q(params, geo, n)
         m, l = rotated[n]
         return (m if s >= 0 else m.conjugate()), l
 
@@ -467,7 +467,7 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     for k in ks:
         if full_turn(k) and params.energy.real > 0.0:
             if hop is None:
-                hop = _psi1_hop(params.with_energy(params.energy.real), geo)
+                hop = _psi1_hop(params.with_energy(params.energy.real), geo, zero())
             sigma[k] = cmath.rect(1.0, 2.0 * k * theta * c) * hop
         else:
             (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
@@ -513,13 +513,11 @@ def r_zero(params: OscillatorParams) -> complex:
     eigenvalues in the semiclassical regime.
 
     Computed from one determinant at the rotated energy omega^2 E (see the
-    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q~_1]), with Q~_1
-    = Q(omega^2 E) e^(i theta c(E)).
+    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q~_1]).
     """
     theta = sector_center_arg(params.alpha, 1)
-    q, phi = _rotated_q(params, _geometry(params), 1)
-    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(q.mantissa)
-                           + 2.0 * phi))
+    q, _ = _rotated_q(params, _geometry(params), 1)
+    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(q)))
 
 
 def semiclassical_r_zero(params: OscillatorParams) -> complex:

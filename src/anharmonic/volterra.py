@@ -10,8 +10,10 @@ integral equation z = 1 + K[z] for the ratio z = psi / Psi, with kernel
 and forcing density F = [ (V - U) + (5 V'^2 - 4 V'' V) / (16 V^2) ] / b.
 (The operator sign depends on which branch F is divided by.)  Everything
 here works on a sampled curve: cumulative phase S on a grid and z by one
-O(n) forward sweep of the trapezoid Nystrom system.  The a-priori bound on
-|z - 1| is geometry.check_admissible, which reads S on the same grid.
+O(n) forward sweep of the trapezoid Nystrom system.  The same sweep serves
+the refined sector seeds of integrate, which read z and, from the sweep's
+own sums, z' at the end of the ray tail.  The a-priori bound on |z - 1| is
+geometry.check_admissible, which reads S on the same grid.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ __all__ = [
     "VolterraRun",
     "volterra_solve",
     "iterate_grid",
-    "endpoint_slope_integral",
 ]
 
 _EXP_CAP = 700.0
@@ -82,15 +83,6 @@ def iterate_grid(svals: np.ndarray, fvals: np.ndarray,
         raise RuntimeError(f"Volterra sweep on {len(ts)} nodes gave a non-finite z; "
                            "the curve is likely far from admissible (rho too large)")
     return out, 1
-
-
-def endpoint_slope_integral(svals: np.ndarray, fvals: np.ndarray,
-                            z: np.ndarray, ts: np.ndarray) -> complex:
-    """J = int_0^1 exp(-2 (S(1) - S(s))) F gamma' z ds, so that
-    dz/dx at the endpoint equals -b * J (with 2B + 1 = exp(-2 dS))."""
-    expo = -2.0 * (svals[-1] - svals)
-    np.clip(expo.real, None, _EXP_CAP, out=expo.real)
-    return complex(np.trapezoid(np.exp(expo) * fvals * z, ts))
 
 
 def _frame_grid(frame: PathFrame, n: int) -> tuple[np.ndarray, np.ndarray]:

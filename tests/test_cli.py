@@ -146,9 +146,37 @@ class TestExitCodes:
         assert "usage error" in err and argv[-2] in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--ell", "0", "--n-max", "0", "--alpha", "nan"],
+        ["spectrum", "--alpha", "1", "--n-max", "0", "--ell", "inf"],
+        ["spectrum", "--alpha", "1", "--ell", "0", "--n-max", "0", "--rel-tol", "0"],
+        ["spectrum", "--alpha", "1", "--ell", "0", "--n-max", "0", "--rel-tol", "-1"],
+        ["spectrum", "--alpha", "1", "--ell", "0", "--n-max", "0", "--rel-tol", "nan"],
+        ["wkb", "--kind", "I", "--energy", "3", "--ell", "0", "--alpha", "nan"],
+        ["wkb", "--alpha", "1", "--kind", "I", "--ell", "0", "--energy", "inf"],
+        ["wkb", "--alpha", "1", "--kind", "I", "--energy", "3", "--ell", "nan"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "-1"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "nan"],
+        ["wkb", "--alpha", "1", "--kind", "J2", "--nu", "inf"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "0", "--abs-tol", "-1"],
+        ["wkb", "--alpha", "1", "--kind", "J1", "--u", "0", "--abs-tol", "nan"],
+        ["stokes", "--ell", "0.5", "--energy", "2", "--alpha", "inf"],
+        ["stokes", "--alpha", "1", "--energy", "2", "--ell", "nan"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "nan"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--theta", "nan"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--window", "0", "nan"],
+    ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
+    def test_bad_flag_value_is_a_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        flag = next(a for a in reversed(argv) if a.startswith("--"))
+        assert code == 64
+        assert "usage error" in err and flag in err
+        assert out == ""
+
     def test_numerical_failure(self, capsys):
-        code, _, err = run(["wkb", "--alpha", "1", "--kind", "J1", "--u", "-5"],
-                           capsys)
+        # the well's turning points at E = 1e300 defeat the root finder
+        code, _, err = run(["wkb", "--alpha", "1", "--kind", "I", "--energy", "1e300",
+                            "--ell", "0"], capsys)
         assert code == 2
         assert "numerical failure" in err
 

@@ -10,7 +10,6 @@ from anharmonic import CoverPoint, OscillatorParams, PathSpec, integrate
 from anharmonic.integrate import (
     SolutionState,
     big_R,
-    big_R_prime,
     choose_x_max,
     frobenius_seed,
     propagate,
@@ -99,8 +98,6 @@ class TestExponentExpansion:
         p = CoverPoint(5.0, 2.0 * math.pi)
         ref = p.cpow(2.0) / 2.0 - 0.5 * e * p.clog()
         assert abs(big_R(exp_, p) - ref) < 1e-12 * abs(ref)
-        refp = p.to_complex() - 0.5 * e / p.to_complex()
-        assert abs(big_R_prime(exp_, p) - refp) < 1e-12 * abs(refp)
 
     def test_pure_leading_term(self):
         # alpha=2 keeps only x^3/3: the next exponent is already negative
@@ -148,6 +145,25 @@ class TestTailIntegral:
             ref = complex(mp.quad(integrand, nodes))
         got = integrate._tail_t_integral(params, k, x1) - integrate._tail_t_integral(params, k, x2)
         assert abs(got - ref) < 1e-13 * abs(ref)
+
+
+class TestSectorSeed:
+    @pytest.mark.parametrize("alpha,ell,energy,k", [(2.0, 0.0, 7.4, 0), (1.0, 0.5, 9.0, 1),
+                                                    (1.0 / 3.0, 0.5, 3.0, -1), (0.8, 1.94, 7.6, 2)])
+    def test_uncorrected_seed_is_the_wkb_function(self, alpha, ell, energy, k):
+        # refine=False gives Psi = V^(-1/4) e^(sgn S): log-derivative
+        # sgn sqrt(V) - V'/(4V), with sqrt(V) ~ +x^alpha on the ray
+        params = OscillatorParams(alpha, energy, ell)
+        x_max = _geometry(params).x_max
+        seed = integrate.sibuya_seed(params, k, x_max, refine=False)
+        p = CoverPoint(x_max, sector_center_arg(alpha, k))
+        x, lam2 = p.to_complex(), params.lam ** 2
+        xa = p.cpow(2.0 * alpha)
+        v = xa + lam2 / (x * x) - energy
+        v1 = 2.0 * alpha * xa / x - 2.0 * lam2 / x ** 3
+        sgn = -((-1.0) ** k)
+        want = sgn * p.cpow(alpha) * cmath.sqrt(v / xa) - 0.25 * v1 / v
+        assert abs(seed.derivative / seed.value - want) < 1e-13 * abs(want)
 
 
 class TestTransport:

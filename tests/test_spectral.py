@@ -165,9 +165,9 @@ class TestConnectionData:
         calls = []
         hop = spectral._psi1_hop
 
-        def counted(*args):
-            calls.append(args)
-            return hop(*args)
+        def counted(params, geo, zero):
+            calls.append(params)
+            return hop(params, geo, zero)
         monkeypatch.setattr(spectral, "_psi1_hop", counted)
         sigma = spectral._stokes_multipliers(OscillatorParams(1.0, 9.0, 0.3), range(-2, 3))
         assert len(calls) == 1 and sorted(sigma) == [-2, -1, 0, 1, 2]
@@ -187,17 +187,17 @@ class TestConnectionData:
     @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 0.5, 30.0), (1.5, 0.7, 8.0)])
     def test_multipliers_match_seeds_met_on_the_sector_ray(self, alpha, ell, energy):
         # the reference is the former route, reliable above alpha = 1 only:
-        # psi_{k-1}, psi_k and psi_{k+1} carried down their rays to meet and
+        # psi_{k-1}, psi_k and psi_{k+1} carried down their rays to x_match and
         # along one arc each to the ray of sector k
         params = OscillatorParams(alpha, energy, ell)
         geo = _geometry(params)
 
         def met(j, k):
             arg_j = model.sector_center_arg(alpha, j)
-            nodes = [CoverPoint(geo.x_max, arg_j), CoverPoint(geo.meet, arg_j)]
+            nodes = [CoverPoint(geo.x_max, arg_j), CoverPoint(geo.x_match, arg_j)]
             kinds = ["ray"]
             if j != k:
-                nodes.append(CoverPoint(geo.meet, model.sector_center_arg(alpha, k)))
+                nodes.append(CoverPoint(geo.x_match, model.sector_center_arg(alpha, k)))
                 kinds.append("arc")
             path = PathSpec(tuple(nodes), tuple(kinds), "principal")
             return propagate(params, sibuya_seed(params, j, geo.x_max), path, rtol=1e-10)
@@ -223,14 +223,16 @@ class TestConnectionData:
         assert abs(s0 * s1 - r) < 1e-7 * max(1.0, abs(r))
 
     def test_whole_turn_rotation_reuses_the_real_determinant(self, monkeypatch):
-        # at alpha = 1, omega^+-4 E = E: sigma_+-1 needs Q(E) and Q(omega^+-2 E) only
+        # at alpha = 1, omega^+-4 E = E: sigma_+-1 needs Q(E) and Q(omega^+-2 E) only.
+        # Every Q carries chi once, Q~_0 in _stokes_multipliers, the rotated ones
+        # in _determinant
         calls = []
-        original = spectral._determinant
+        original = spectral._chi_state
 
-        def counted(params, geo, refine, rtol):
+        def counted(params, geo, rtol):
             calls.append(params.energy)
-            return original(params, geo, refine, rtol)
-        monkeypatch.setattr(spectral, "_determinant", counted)
+            return original(params, geo, rtol)
+        monkeypatch.setattr(spectral, "_chi_state", counted)
         params = OscillatorParams(1.0, 3.9, 0.3)
         for call in (lambda: stokes_multiplier(params, 1), lambda: stokes_multiplier(params, -1),
                      lambda: fock_goncharov(params, (0, 2, 1, -1))):
@@ -241,6 +243,24 @@ class TestConnectionData:
         calls.clear()
         stokes_multiplier(OscillatorParams(2.0, 7.4, 0.5), 1)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("alpha,ell,energy,transports", [(1.0, 0.3, 3.9, 5), (2.0, 0.5, 7.4, 7)])
+    def test_psi0_is_carried_once(self, alpha, ell, energy, transports, monkeypatch):
+        # chi and psi_0 for each rotated Q, then one psi_0 at E that Q~_0's chi
+        # and the psi_1 hop share
+        calls = []
+        original = spectral.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spectral, "propagate", counted)
+        params = OscillatorParams(alpha, energy, ell)
+        for call in (lambda: fock_goncharov(params, (0, 2, 1, -1)),
+                     lambda: sector_wronskian(params, -3, 3)):
+            calls.clear()
+            call()
+            assert len(calls) == transports
 
     def test_cross_ratio_rejects_repeats(self):
         with pytest.raises(ValueError):

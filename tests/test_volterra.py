@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from anharmonic import OscillatorParams, check_admissible, path_from_complex, volterra_solve
-from anharmonic import checks, integrate, spectral, volterra
+from anharmonic import checks, integrate, model, spectral, volterra
 from anharmonic.action import PathFrame
 from anharmonic.checks import committed_curves, measured_wkb_deviation
 from anharmonic.geometry import _safe_bound
@@ -166,6 +166,25 @@ class TestSweep:
         ref = solve_triangular(np.eye(n) - m, np.ones(n, dtype=complex), lower=True)
         z, _ = iterate_grid(svals, fvals, ts)
         assert np.max(np.abs(z - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", [(0.8, 1.94, 7.6, 0), (1.3, 0.8, 7.8, -1), (2.0, 0.5, 5.0, 1),
+                                      (1.0 / 3.0, 0.5, 3.0, 0)],
+                             ids=lambda case: "-".join("%.3g" % c for c in case))
+    def test_tail_slope_is_the_trapezoid_endpoint_integral(self, case, monkeypatch):
+        # z'/z at x_max is -b J / z with b = sgn sqrt(V) and J = int exp(-2 (S(x_max)
+        # - S)) F z du, here summed directly by the trapezoid rule on the swept grid
+        svals, fvals, us = _oracle_grid(case, monkeypatch)
+        alpha, ell, energy, k = case
+        params = OscillatorParams(alpha, energy, ell)
+        arg, sgn = model.sector_center_arg(alpha, k), -((-1.0) ** k)
+        x_max = spectral._geometry(params).x_max
+        z, _ = iterate_grid(svals, fvals, us)
+        expo = -2.0 * (svals[-1] - svals)
+        np.clip(expo.real, None, _EXP_CAP, out=expo.real)
+        j = np.trapezoid(np.exp(expo) * fvals * z, us)
+        want = -sgn * integrate._ray_v(params, arg, x_max)[4] * j / z[-1]
+        _, got = integrate._tail_volterra(params, arg, sgn, x_max)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_memory_is_linear_in_the_grid(self):
         # one dense complex kernel on 2001 nodes would be 64 MB
