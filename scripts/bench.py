@@ -23,9 +23,19 @@ square-root branch flips are recorded under "work", per stokes_multiplier
 at the three energies of the committed Stokes trichotomy, whose trace points
 (the sum over edges of the trajectory points) are recorded under "work", and
 per propagate on one fixed ray and one fixed arc, whose accepted and rejected
-RK steps and rhs calls are also recorded under "work".  Counts come from wrapping module
-functions of anharmonic.spectral, anharmonic.action and anharmonic.integrate
-from this script; times are time.perf_counter readings.
+RK steps and rhs calls are also recorded under "work".  Also under "work":
+the 8-point Gauss panels that the adaptive quadrature evaluates per
+wkb_phase and per wkb_phase_derivative call of the quartic scan and per rho
+of check_admissible on each committed curve (null for a checkout without
+action._adaptive_gauss).  Counts come from wrapping module functions of
+anharmonic.spectral, anharmonic.action, anharmonic.geometry and
+anharmonic.integrate from this script; times are time.perf_counter readings.
+
+End to end, "fresh_interpreter" holds the wall seconds of FRESH_RUNS new
+interpreters (median and every run) for two commands: import_s, a bare
+`import anharmonic`, and spectrum_table_s, the reference table
+`anharmonic spectrum --alpha 2 --ell 0.5 --n-max 4`.  These are not
+rescaled.
 
 The micro timings (best of REPEAT, taken in rounds over all points) follow
 the host's speed, which drifts by a factor of two between runs on a shared
@@ -49,7 +59,7 @@ import numpy as np
 import scipy
 
 import anharmonic
-from anharmonic import action, integrate, spectral, volterra
+from anharmonic import action, geometry, integrate, spectral, volterra
 from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import check_admissible, stokes_complex
@@ -83,6 +93,15 @@ PATHFRAME = "horizontal_trajectory_alpha1"
 # tail, and an arc through the alpha = 1 Stokes sectors
 PROPAGATE = [(2.0, 0.0, 7.4, "ray", CoverPoint(0.5, 0.0), CoverPoint(6.0, 0.0)),
              (1.0, 0.5, 9.0, "arc", CoverPoint(6.0, 0.0), CoverPoint(6.0, 2.5))]
+
+# fresh-interpreter commands (python arguments) of the end-to-end timings
+FRESH = {
+    "import_s": ["-c", "import anharmonic"],
+    "spectrum_table_s": ["-m", "anharmonic.cli", "spectrum", "--alpha", "2", "--ell", "0.5",
+                         "--n-max", "4"],
+}
+# runs of each, alternating between the commands
+FRESH_RUNS = 7
 
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
@@ -189,6 +208,54 @@ def pathframe_flips() -> dict:
     """curve -> square-root branch flips that PathFrame places along it."""
     _, params, curve = next(c for c in committed_curves() if c[0] == PATHFRAME)
     return {PATHFRAME: sum(len(flips) for flips, _ in action.PathFrame(params, curve)._signs)}
+
+
+def quadrature_panels() -> dict | None:
+    """8-point Gauss panels the adaptive quadrature evaluates: per wkb_phase and
+    wkb_phase_derivative call of the quartic_n30 scan, and per rho of
+    check_admissible on each committed curve (summed over its segments)."""
+    if not hasattr(action, "_adaptive_gauss"):
+        return None
+    original = action._adaptive_gauss
+    tallies: dict = {}  # first word of the stage -> [calls, panels]
+
+    def counted(f, edges, epsabs, epsrel, stage):
+        tally = tallies.setdefault(stage.split(" ")[0], [0, 0])
+        tally[0] += 1
+
+        def f_counted(t):
+            tally[1] += t.shape[0]
+            return f(t)
+        return original(f_counted, edges, epsabs, epsrel, stage)
+    action._adaptive_gauss = geometry._adaptive_gauss = counted
+    try:
+        spectral.eigenvalues(*SCANS["quartic_n30"][0])
+        out = {"scan_quartic_n30": {name: {"calls": calls, "panels_per_call": panels / calls}
+                                    for name, (calls, panels) in tallies.items()}}
+        rho = out["check_admissible_rho"] = {}
+        for name, params, curve in committed_curves():
+            tallies.clear()
+            check_admissible(params, curve)
+            segments, panels = tallies["rho"]
+            rho[name] = {"segments": segments, "panels": panels,
+                         "panels_per_segment": panels / segments}
+    finally:
+        action._adaptive_gauss = geometry._adaptive_gauss = original
+    return out
+
+
+def fresh_interpreter(pkg_parent: Path) -> dict:
+    """Median and every wall time of FRESH_RUNS fresh interpreters per FRESH command."""
+    env = dict(os.environ, PYTHONPATH=str(pkg_parent))
+    runs: dict = {name: [] for name in FRESH}
+    for _ in range(FRESH_RUNS):
+        for name, argv in FRESH.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            runs[name].append(time.perf_counter() - start)
+    return {name: {"median": statistics.median(times), "runs": times}
+            for name, times in runs.items()}
 
 
 def _transports() -> dict:
@@ -360,7 +427,9 @@ def main() -> None:
         "scans": time_scans(counters),
         "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
-                 "connection_propagate_calls": connection_propagate_calls()},
+                 "connection_propagate_calls": connection_propagate_calls(),
+                 "quadrature_panels": quadrature_panels()},
+        "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
     }
     chunks: list[float] = []
     raw = time_layers(chunks)
@@ -379,6 +448,9 @@ def main() -> None:
               f"  {scan['determinant_calls_per_level']:.2f} per level"
               f"  {scan['rescans']} rescans  {scan['wkb_phase_calls']} wkb_phase"
               f"  {scan['wkb_phase_derivative_calls']} wkb_phase_derivative", file=sys.stderr)
+    for name, timing in record["fresh_interpreter"].items():
+        print(f"{name:16s} {timing['median']:7.3f} s  (median of {FRESH_RUNS} fresh interpreters)",
+              file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
 
 

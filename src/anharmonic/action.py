@@ -3,25 +3,24 @@
 The central objects are PathSpec (a piecewise path on the universal cover, each
 segment a straight line, a circular arc, or a radial ray) and PathFrame, which
 evaluates the reduced potential, a *continuously branched* sqrt(V), and the
-forcing density along the path.  All quadrature is delegated to scipy.
+forcing density along the path.  Quadrature is 8-point Gauss: on fixed
+panels along a path, and on adaptively bisected ones for the action
+integrals of the well.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import integrate as _sint
-from scipy.optimize import brentq
-from scipy.special import gamma as _gamma
 
 from .model import (
     CoverPoint,
     OscillatorParams,
     _blowup_constants,
+    _brent,
     _cover_power,
     _forcing_payload,
     _reduced_jet,
@@ -51,23 +50,68 @@ _GAUSS8_WEIGHTS = np.array((
 ))
 
 
-def _gauss8_increments(f, t: np.ndarray) -> np.ndarray:
-    """Integrals of f over the intervals [t_k, t_(k+1)], by 8-point Gauss.
+# panels the adaptive Gauss rule may hold before it gives up
+_GAUSS_MAX_PANELS = 1000
+# relative height above the critical energy E* below which wkb_phase and
+# wkb_phase_derivative take the slope of the harmonic bottom of the well
+_NEAR_CRITICAL = 1e-6
+# first panels of the sin^2-mapped well, theta in [0, pi/2]: eight equal ones
+# put theta = pi/4, where the radicand changes its end, on an edge, and let
+# most action integrals settle in the first round
+_WELL_EDGES = np.linspace(0.0, 0.5 * math.pi, 9)
 
-    f is evaluated once, on the array of all nodes (one row per interval).
+
+def _gauss8(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of f over the panels [lo_k, hi_k], by 8-point Gauss.
+
+    f is evaluated once, on the array of all nodes (one row per panel).
     """
-    half = 0.5 * np.diff(t)
-    mid = 0.5 * (t[1:] + t[:-1])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
     vals = f(mid[:, None] + half[:, None] * _GAUSS8_NODES)
     return (vals * _GAUSS8_WEIGHTS).sum(axis=1) * half
 
 
-def _quiet_quad(f, a, b, **kw):
-    # quad flags roundoff near a degenerate radicand even when the absolute
-    # error is far below our tolerance; suppress just that warning class
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        return _sint.quad(f, a, b, **kw)
+def _adaptive_gauss(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: str) -> float:
+    """Integral of f from edges[0] to edges[-1] by 8-point Gauss on panels
+    bisected adaptively, starting from the panels between the edges.
+
+    A panel's value is the sum of its halves' Gauss integrals, and its error
+    estimate |G(panel) - G(left half) - G(right half)|.  While the summed
+    estimate exceeds max(epsabs, epsrel |I|), the panels with the largest
+    estimates are bisected, until the others hold at most half of that
+    tolerance.  Each round evaluates f once, on the array of every new node.
+    A partition that would outgrow _GAUSS_MAX_PANELS panels raises
+    RuntimeError naming stage.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    n = len(lo)
+    g = _gauss8(f, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
+    left, right = g[n:2 * n], g[2 * n:]
+    err = np.abs(g[:n] - left - right)
+    while True:
+        total = float(np.sum(left + right))
+        tol = max(epsabs, epsrel * abs(total))
+        err_sum = float(err.sum())
+        if err_sum <= tol:
+            return total
+        order = np.argsort(err)[::-1]
+        k = int(np.searchsorted(np.cumsum(err[order]), err_sum - 0.5 * tol)) + 1
+        if len(lo) + k > _GAUSS_MAX_PANELS:
+            raise RuntimeError(f"{stage}: quadrature error {err_sum:.3g} above {tol:.3g} "
+                               f"with {_GAUSS_MAX_PANELS} panels")
+        # the halves of the split panels become panels whose whole value is known
+        split, keep = order[:k], order[k:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+        new_mid = 0.5 * (new_lo + new_hi)
+        g = _gauss8(f, np.concatenate((new_lo, new_mid)), np.concatenate((new_mid, new_hi)))
+        n = len(new_lo)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        left, right = np.concatenate((left[keep], g[:n])), np.concatenate((right[keep], g[n:]))
+        err = np.concatenate((err[keep], np.abs(whole - g[:n] - g[n:])))
 
 
 @dataclass(frozen=True)
@@ -199,14 +243,14 @@ class PathFrame:
         def im_v(t, slope=False):  # Im V, or its slope Im(V' x')
             _, dz, v, v1, _ = self.derivative_triple(i_seg, t)
             return (v1 * dz if slope else v).imag
-        root = partial(brentq, xtol=1e-300, rtol=8.9e-16)
+        root = partial(_brent, xtol=1e-300, rtol=8.9e-16)
         _, dz, v, v1, _ = self.derivative_triple(i_seg, ts)
         roots, slope = np.sqrt(v), (v1 * dz).imag
         flips = [root(im_v, ts[k], ts[k + 1])
                  for k in np.flatnonzero((roots[1:] * roots[:-1].conj()).real < 0.0)]
         for k in np.flatnonzero(slope[1:] * slope[:-1] < 0.0):
             if max(v.real[k], v.real[k + 1]) < 0.0 < v.imag[k] * v.imag[k + 1]:
-                turn = root(im_v, ts[k], ts[k + 1], args=(True,))
+                turn = root(lambda t: im_v(t, True), ts[k], ts[k + 1])
                 if im_v(turn) * v.imag[k] < 0.0:
                     flips += [root(im_v, ts[k], turn), root(im_v, turn, ts[k + 1])]
         return np.sort(flips)
@@ -243,15 +287,24 @@ class PathFrame:
         def integrand(t):
             return self.sqrt_v(i_seg, t) * self.point(i_seg, t)[2]
         out = np.zeros(len(ts), dtype=complex)
-        out[1:] = np.cumsum(_gauss8_increments(integrand, np.asarray(ts, dtype=float)))
+        ts = np.asarray(ts, dtype=float)
+        out[1:] = np.cumsum(_gauss8(integrand, ts[:-1], ts[1:]))
         return out
 
 
-def _well_map(params: OscillatorParams):
-    """(x_lo, x_hi, well) for the classical interval [x_lo, x_hi], where
-    well(theta) gives (sin theta, cos theta, x, E - x^2a - (ell+1/2)^2/x^2)
-    at x = x_lo + (x_hi - x_lo) sin^2 theta, the substitution that removes
-    both square-root endpoints of the WKB integrands."""
+def _well_quad(params: OscillatorParams, integrand, epsabs: float, stage: str) -> float:
+    """Integral over the classical interval [x_lo, x_hi] of
+    integrand(dx/dtheta, E - x^2a - (ell+1/2)^2/x^2) dtheta, to 1e-12 relative,
+    at x = x_lo + (x_hi - x_lo) sin^2 theta.
+
+    The sin^2 substitution removes both square-root endpoints of the WKB
+    integrands.  The radicand is V(x_end) - V(x), written in u = x/x_end - 1
+    for the nearer zero x_end of V, so it keeps its relative accuracy where it
+    vanishes.  The rule starts from the panels between _WELL_EDGES.  Where
+    x_lo << x_hi the centrifugal wall varies on the scale x_lo, far below the
+    map's; panels also end where x - x_lo = x_lo, 4 x_lo, 16 x_lo, ... so
+    that the rule sees it.
+    """
     a2 = 2.0 * params.alpha
     e = params.energy.real
     lam2 = params.lam * params.lam
@@ -263,21 +316,39 @@ def _well_map(params: OscillatorParams):
             raise ValueError("no classical region below the critical energy")
         x_lo, x_hi = pair
     delta = x_hi - x_lo
+    # x_end is x_lo below theta = pi/4, where u = sin^2(theta) delta/x_lo, and
+    # x_hi above, where u = -cos^2(theta) delta/x_hi; for lam = 0, x_lo = 0 is
+    # no zero of V and x_hi serves throughout
+    split, x_low = (0.5, x_lo) if x_lo > 0.0 else (-1.0, x_hi)
+    du_lo, cent_lo, pow_lo = delta / x_low, lam2 / (x_low * x_low), x_low ** a2
+    du_hi, cent_hi, pow_hi = -delta / x_hi, lam2 / (x_hi * x_hi), x_hi ** a2
 
-    def well(theta: float) -> tuple[float, float, float, float]:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        x = x_lo + delta * st * st
-        return st, ct, x, e - x ** a2 - (lam2 / (x * x) if lam2 > 0 else 0.0)
-    return x_lo, x_hi, well
+    def f(theta: np.ndarray) -> np.ndarray:
+        st = np.sin(theta)
+        ct = np.cos(theta)
+        low = st * st < split
+        u = np.where(low, st * st * du_lo, ct * ct * du_hi)
+        cent = np.where(low, cent_lo, cent_hi)
+        power = np.where(low, pow_lo, pow_hi)
+        # V(x_end) - V(x) = lam^2/x_end^2 (1 - (1+u)^-2) - x_end^2a ((1+u)^2a - 1)
+        r = cent * u * (2.0 + u) / ((1.0 + u) * (1.0 + u)) - power * np.expm1(a2 * np.log1p(u))
+        return integrand(2.0 * delta * st * ct, r)
+
+    steps = math.ceil(math.log(0.5 * delta / x_lo, 4.0)) if x_lo > 0.0 else 0
+    edges = _WELL_EDGES
+    if steps > 0:
+        wall = x_lo * 4.0 ** np.arange(steps)
+        edges = np.sort(np.concatenate((np.arcsin(np.sqrt(wall / delta)), edges)))
+    return _adaptive_gauss(f, edges, epsabs, 1e-12,
+                           f"{stage} (alpha={params.alpha:g}, ell={params.ell:g}, E={e:g})")
 
 
 def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
     """I(E, ell) = (1/pi) * integral of sqrt(E - x^2a - (ell+1/2)^2/x^2) over the well.
 
     The sin^2 substitution removes both square-root endpoints.  For energies
-    in (E*, E*(1+1e-6)) a slope expansion around the degenerate well is used
-    instead, where direct quadrature loses accuracy.
+    in (E*, E*(1 + _NEAR_CRITICAL)) the slope expansion around the degenerate
+    well is used instead; its relative error there is O(E/E* - 1).
     """
     a = params.alpha
     lam = params.lam
@@ -286,44 +357,27 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
         crit = critical_data(a, params.ell)
         if e <= crit.e_star:
             return 0.0
-        if e < crit.e_star * (1.0 + 1e-6):
+        if e < crit.e_star * (1.0 + _NEAR_CRITICAL):
             slope = asymptotic_reference("j2_slope", a)
             return slope * (e - crit.e_star) * lam ** ((1.0 - a) / (1.0 + a))
-    x_lo, x_hi, well = _well_map(params)
-    delta = x_hi - x_lo
-
-    def f(theta: float) -> float:
-        st, ct, _, r = well(theta)
-        if r <= 0.0:
-            return 0.0
-        return 2.0 * delta * st * ct * math.sqrt(r)
-
-    val, _ = _quiet_quad(f, 0.0, 0.5 * math.pi, epsabs=abs_tol, epsrel=1e-12, limit=200)
-    return val / math.pi
+    return _well_quad(params, lambda jac, r: jac * np.sqrt(np.maximum(r, 0.0)), abs_tol,
+                      "wkb_phase") / math.pi
 
 
 def wkb_phase_derivative(params: OscillatorParams) -> float:
-    """dI/dE = (1/2pi) * integral dx / sqrt(E - x^2a - (ell+1/2)^2/x^2) > 0."""
+    """dI/dE = (1/2pi) * integral dx / sqrt(E - x^2a - (ell+1/2)^2/x^2) > 0.
+
+    Below E*(1 + _NEAR_CRITICAL) it is the slope of the harmonic bottom.
+    """
     a = params.alpha
     lam = params.lam
     e = params.energy.real
     if lam > 1e-12:
         crit = critical_data(a, params.ell)
-        if e <= crit.e_star * (1.0 + 1e-12):
-            # harmonic bottom limit
+        if e < crit.e_star * (1.0 + _NEAR_CRITICAL):
             return asymptotic_reference("j2_slope", a) * lam ** ((1.0 - a) / (1.0 + a))
-    x_lo, x_hi, well = _well_map(params)
-
-    def f(theta: float) -> float:
-        _, _, x, r = well(theta)
-        bridge = (x - x_lo) * (x_hi - x)
-        if r <= 0.0 or bridge <= 0.0:
-            return 0.0
-        h = r / bridge
-        return 2.0 / math.sqrt(h)
-
-    val, _ = _quiet_quad(f, 0.0, 0.5 * math.pi, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val / (2.0 * math.pi)
+    return _well_quad(params, lambda jac, r: jac / np.sqrt(np.where(r > 0.0, r, np.inf)), 1e-12,
+                      "wkb_phase_derivative") / (2.0 * math.pi)
 
 
 def reduced_wkb_integral(alpha: float, kind: str, value: float, abs_tol: float = 1e-12) -> float:
@@ -352,7 +406,7 @@ def bohr_sommerfeld_energy(alpha: float, ell: float, n: int) -> float:
     slope = asymptotic_reference("j2_slope", alpha) * (ell + 0.5) ** ((1.0 - alpha) / (1.0 + alpha))
     lo = e_star
     hi = max(asymptotic_reference("spectrum_large_n", alpha, ell=ell, n=n), e_star + target / slope)
-    phases = {lo: -target}  # brentq opens on two ends the bracket search has evaluated
+    phases = {lo: -target}  # Brent's method opens on two ends the bracket search has evaluated
 
     def f(e: float) -> float:
         if e not in phases:
@@ -361,21 +415,21 @@ def bohr_sommerfeld_energy(alpha: float, ell: float, n: int) -> float:
 
     for _ in range(65):
         if f(hi) > 0.0:
-            return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16)
+            return _brent(f, lo, hi, 1e-300, 8.9e-16)
         lo, hi = hi, 2.0 * hi - e_star
     raise RuntimeError(f"quantisation bracket not found (alpha={alpha:g}, ell={ell:g}, n={n}): "
                        f"I(E) <= n + 1/2 up to E = {lo:g}")
 
 
 def _j1_zero(alpha: float) -> float:
-    return float((0.5 / math.sqrt(math.pi)) * _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha))
-                 / _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha)))
+    return ((0.5 / math.sqrt(math.pi)) * math.gamma((1.0 + 2.0 * alpha) / (2.0 * alpha))
+            / math.gamma((1.0 + 3.0 * alpha) / (2.0 * alpha)))
 
 
 def _large_n_bracket(alpha: float) -> float:
     # equals 1/(4*J1(0))
-    return float((0.5 * math.sqrt(math.pi)) * _gamma((1.0 + 3.0 * alpha) / (2.0 * alpha))
-                 / _gamma((1.0 + 2.0 * alpha) / (2.0 * alpha)))
+    return ((0.5 * math.sqrt(math.pi)) * math.gamma((1.0 + 3.0 * alpha) / (2.0 * alpha))
+            / math.gamma((1.0 + 2.0 * alpha) / (2.0 * alpha)))
 
 
 _REFERENCE_IDS = (

@@ -27,9 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
 
-from .action import PathSpec, PathFrame
+from .action import PathSpec, PathFrame, _adaptive_gauss
 from .model import (
     CoverPoint,
     OscillatorParams,
@@ -542,7 +541,7 @@ def check_admissible(params: OscillatorParams, path: PathSpec) -> AdmissibilityR
     The monotonicity test and beta read S on volterra._frame_grid at
     n = _FUNCTIONALS_N: max(8, n // segments) points per segment, with every
     corner node doubled (1,024 nodes on 16 segments, 1,408 on 176).  rho =
-    int |F| |dx| comes from adaptive quadrature per segment.
+    int |F| |dx| comes from adaptive Gauss quadrature per segment.
     Monotonicity is judged against the path's own scale: Re S must rise by
     more than a fixed fraction of the mean |dS| per grid interval, so a path
     where Re S stalls (sqrt(V) locally imaginary) or falls is rejected.
@@ -557,10 +556,11 @@ def check_admissible(params: OscillatorParams, path: PathSpec) -> AdmissibilityR
     beta = float(np.min(re - np.maximum.accumulate(re)))
     rho = 0.0
     for i in range(len(frame.segments)):
-        def speed(t: float, i=i) -> float:
-            return abs(frame.forcing(i, t) * frame.point(i, t)[2])
-        val, _ = _sint.quad(speed, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=300)
-        rho += val
+        def speed(t: np.ndarray, i=i) -> np.ndarray:
+            return np.abs(frame.forcing(i, t) * frame.point(i, t)[2])
+        rho += _adaptive_gauss(speed, np.array([0.0, 1.0]), 1e-12, 1e-10,
+                               f"rho on segment {i} (alpha={params.alpha:g}, ell={params.ell:g}, "
+                               f"E={params.energy:g})")
     return AdmissibilityReport(bool(np.all(d > tol)), rho, beta, _safe_bound(rho, beta))
 
 

@@ -19,18 +19,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _brent,
     _cover_power,
     _forcing_payload,
     _integer_power,
     _reduced_jet,
     sector_center_arg,
 )
-from .action import PathSpec, _Segment, _gauss8_increments
+from .action import PathSpec, _Segment, _gauss8
 from .volterra import iterate_grid
 
 __all__ = [
@@ -545,7 +545,7 @@ def _tail_t_integral(params: OscillatorParams, k: int, x_max: float) -> complex:
         return _cover_power(a, y, arg) * (np.sqrt(1.0 - w + mu) - r_prime) * cmath.rect(1.0, arg)
     pairs = 1 + int(math.log(x_1 / x_max) / (2.0 * math.log(_PANEL_RATIO)))
     edges = x_max * (x_1 / x_max) ** np.linspace(0.0, 1.0, 2 * pairs + 1)
-    fine, coarse = (complex(_gauss8_increments(integrand, t).sum()) for t in (edges, edges[::2]))
+    fine, coarse = (complex(_gauss8(integrand, t[:-1], t[1:]).sum()) for t in (edges, edges[::2]))
     if not abs(fine - coarse) <= _SETTLE * (x_1 ** (a + 1.0) - x_max ** (a + 1.0)):
         raise RuntimeError(
             f"sector seed tail integral does not settle at x_max={x_max:.6g} (k={k}, "
@@ -586,7 +586,7 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
     # per-interval phase increments by Gauss quadrature; the first interval
     # reaches toward infinity, where F = 0 and the sweep's exp(-2 dS) underflows
     # harmlessly, so its (finite but enormous) value never needs precision
-    dels = _gauss8_increments(ds, us)
+    dels = _gauss8(ds, us[:-1], us[1:])
     x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
     fvals = np.zeros(_TAIL_NODES, dtype=complex)
     fvals[1:] = (_forcing_payload(x, v, v1, v2) / (sgn * sq)) * (-x_max / (us[1:] ** 2)) * phase
@@ -665,7 +665,7 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
         return cap
     if contrast(floor) >= _CONTRAST_BUDGET:
         return floor
-    return brentq(lambda x: contrast(x) - target, floor, cap, xtol=1e-300, rtol=8.9e-16)
+    return _brent(lambda x: contrast(x) - target, floor, cap, 1e-300, 8.9e-16)
 
 
 def wronskian(s1: SolutionState, s2: SolutionState) -> tuple[complex, float]:

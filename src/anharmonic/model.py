@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "CoverPoint",
@@ -259,6 +258,64 @@ def _newton_sector_roots(params: OscillatorParams) -> list[CoverPoint]:
     return found
 
 
+# iterations of Brent's method before it gives up
+_BRENT_MAX_ITER = 100
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """Zero of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method.
+
+    Step for step the algorithm of Brent (*Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4) as scipy's brentq implements it, so the roots
+    agree bit for bit.  It stops when the bracket is narrower than
+    xtol + rtol |x|, and raises RuntimeError after _BRENT_MAX_ITER steps.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"Brent's method: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"Brent's method: f has one sign at both ends of [{a!r}, {b!r}]")
+    for _ in range(_BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {_BRENT_MAX_ITER} iterations "
+                       f"on [{a!r}, {b!r}]")
+
+
 def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
     """The positive zeros (x_minus, x_plus) of V, None below the critical energy.
 
@@ -279,8 +336,12 @@ def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
 
     # Brent's method to full precision on either side of x_star, where V < 0:
     # V > 3E where lam^2/x^2 = 4E, and V > E where x^2a = 2E
-    return (brentq(v, 0.5 * params.lam / math.sqrt(e), x_star, xtol=1e-300, rtol=8.9e-16),
-            brentq(v, x_star, (2.0 * e) ** (0.5 / params.alpha), xtol=1e-300, rtol=8.9e-16))
+    try:
+        return (_brent(v, 0.5 * params.lam / math.sqrt(e), x_star, 1e-300, 8.9e-16),
+                _brent(v, x_star, (2.0 * e) ** (0.5 / params.alpha), 1e-300, 8.9e-16))
+    except RuntimeError as ex:
+        raise RuntimeError(f"turning points (alpha={params.alpha:g}, ell={params.ell:g}, "
+                           f"E={e:g}): {ex}") from None
 
 
 def turning_points(params: OscillatorParams) -> TurningPointSet:

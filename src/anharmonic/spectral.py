@@ -39,9 +39,14 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
-from scipy.optimize import brentq
-
-from .model import CoverPoint, OscillatorParams, _real_pair, critical_data, sector_center_arg
+from .model import (
+    CoverPoint,
+    OscillatorParams,
+    _brent,
+    _real_pair,
+    critical_data,
+    sector_center_arg,
+)
 from .action import (
     PathSpec,
     bohr_sommerfeld_energy,
@@ -277,7 +282,7 @@ def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
                   q_hi: DeterminantValue, rel_tol: float) -> float:
     """Zero of Q between two scan energies where Re Q changes sign.
 
-    brentq opens by evaluating both ends; the scan already holds Q there, so
+    Brent's method opens by evaluating both ends; the scan already holds Q there, so
     those two values come from a memo instead of two more transports.
     """
     ref = max(q_lo.log_abs, q_hi.log_abs)
@@ -288,7 +293,7 @@ def _bracket_root(q_at, e_lo: float, e_hi: float, q_lo: DeterminantValue,
         if q is None:
             q = q_at(energy)
         return math.copysign(math.exp(min(q.log_abs - ref, 50.0)), q.mantissa.real)
-    return float(brentq(f, e_lo, e_hi, xtol=rel_tol * max(1.0, e_hi), rtol=8.9e-16))
+    return _brent(f, e_lo, e_hi, rel_tol * max(1.0, e_hi), 8.9e-16)
 
 
 def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,

@@ -35,6 +35,14 @@ class TestQuadraticWell:
         got = wkb_phase_derivative(OscillatorParams(1.0, 6.3, 0.8))
         assert abs(got - 0.25) < 1e-8
 
+    @pytest.mark.parametrize("excess", [1e-7, 1.01e-6, 1e-5, 1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("ell", [0.0, 0.5, 3.0])
+    def test_phase_derivative_is_constant_from_the_critical_energy_up(self, ell, excess):
+        # E/E* - 1 = excess; the first point takes the harmonic bottom's slope
+        energy = critical_data(1.0, ell).e_star * (1.0 + excess)
+        got = wkb_phase_derivative(OscillatorParams(1.0, energy, ell))
+        assert abs(got / 0.25 - 1.0) < 1e-12
+
     @pytest.mark.parametrize("u", [0.0, 0.1, 0.3, 0.49])
     def test_j1_line(self, u):
         assert abs(reduced_wkb_integral(1.0, "J1", u) - (1.0 - 2.0 * u) / 4.0) < 1e-12
@@ -111,6 +119,50 @@ class TestPhase:
               - wkb_phase(OscillatorParams(alpha, energy - h, ell))) / (2.0 * h)
         assert d > 0
         assert abs(d - fd) < 1e-6 * d
+
+
+def _mp_phase(alpha: float, ell: float, energy: float) -> float:
+    """wkb_phase by mpmath at 30 digits: tanh-sinh quadrature in x on panels
+    growing geometrically from x_lo to x_hi."""
+    with mp.workdps(30):
+        a2, lam2, e = 2 * mp.mpf(alpha), (mp.mpf(ell) + mp.mpf(0.5)) ** 2, mp.mpf(energy)
+
+        def r(x):
+            return e - x ** a2 - lam2 / x ** 2
+        x_star = (lam2 / mp.mpf(alpha)) ** (1 / (a2 + 2))
+        lo = mp.findroot(r, (mp.sqrt(lam2 / e) / 2, x_star), solver="bisect")
+        hi = mp.findroot(r, (x_star, (2 * e) ** (1 / a2)), solver="bisect")
+        nodes = [lo * (hi / lo) ** (mp.mpf(k) / 16) for k in range(17)]
+        return float(mp.quad(lambda x: mp.sqrt(max(r(x), 0)), nodes) / mp.pi)
+
+
+class TestPhaseQuadrature:
+    """The adaptive Gauss rule behind wkb_phase and check_admissible's rho."""
+
+    # scipy's quad misses the first three by 2.6e-9, 7.7e-11 and 4.2e-10
+    # relative without a warning: near ell = -1/2 the centrifugal wall is a
+    # feature of width x_lo at the foot of a well of width x_hi >> x_lo
+    @pytest.mark.parametrize("alpha,ell,energy", [
+        (0.3090966415351226, -0.34157699469230707, 4555.0943643752435),
+        (0.4204681896276866, -0.4983411894897116, 20607.432495133362),
+        (0.524455624780207, -0.4989593925194597, 22428.709225778035),
+        (1.0, -0.4999, 5.0), (2.0, -0.49, 50.0), (3.0, 0.0, 1e4), (3.0, 2.0, 3e5),
+    ])
+    def test_phase_matches_mpmath(self, alpha, ell, energy):
+        got = wkb_phase(OscillatorParams(alpha, energy, ell))
+        assert abs(got / _mp_phase(alpha, ell, energy) - 1.0) < 1e-11
+
+    def test_kinks_are_resolved(self):
+        # |sin 5t| on [0, 3] has four kinks; its integral is (9 - cos(15 - 4 pi)) / 5
+        got = action._adaptive_gauss(lambda t: np.abs(np.sin(5.0 * t)), np.array([0.0, 3.0]),
+                                     1e-12, 1e-10, "kinks")
+        assert abs(got / ((9.0 - math.cos(15.0 - 4.0 * math.pi)) / 5.0) - 1.0) < 1e-9
+
+    def test_panel_cap_raises_a_named_error(self):
+        # cos(1e5 t^2) turns 16,000 times on [0, 1]: more than the cap's panels resolve
+        with pytest.raises(RuntimeError, match="^chirp: quadrature error .* with 1000 panels"):
+            action._adaptive_gauss(lambda t: np.cos(1e5 * t * t), np.array([0.0, 1.0]),
+                                   1e-12, 1e-12, "chirp")
 
 
 class TestQuantisation:

@@ -2,7 +2,10 @@
 every default of a private function is overridden by some call."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,16 @@ import anharmonic
 
 MODULES = ["anharmonic"] + [f"anharmonic.{m.name}"
                             for m in pkgutil.iter_modules(anharmonic.__path__)]
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this process has scipy loaded for the tests' oracles
+    code = ("import sys, anharmonic, anharmonic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(anharmonic.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -11,7 +11,7 @@ from anharmonic import (CoverPoint, OscillatorParams, critical_data, eval_forcin
                         topology_signature)
 from anharmonic import geometry
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
-from anharmonic.action import PathSpec
+from anharmonic.action import PathFrame, PathSpec
 from anharmonic.checks import _horizontal_curve, committed_curves
 
 
@@ -223,6 +223,21 @@ class TestAdmissibility:
 
         ref, _ = sint.quad(speed, lo, hi, limit=300)
         assert abs(rep.rho - ref) < 1e-2 * ref
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_rho_matches_quadpack(self, index):
+        """rho = int |F| |dx| by scipy's quad on each segment, with F from
+        eval_forcing at the segment's cover points."""
+        name, params, path = committed_curves()[index]
+        frame = PathFrame(params, path)
+
+        def speed(t, i):
+            z, arg, dz = frame.point(i, t)
+            return abs(eval_forcing(params, CoverPoint(abs(z), float(arg)))) * abs(dz)
+
+        ref = sum(sint.quad(speed, 0.0, 1.0, args=(i,), epsabs=1e-14, epsrel=1e-12,
+                            limit=1000)[0] for i in range(path.n_segments))
+        assert abs(check_admissible(params, path).rho / ref - 1.0) < 1e-9, name
 
     def test_horizontal_curve_keeps_both_trace_ends(self):
         params = OscillatorParams(1.0, 6.0, 0.5)

@@ -1,10 +1,13 @@
 """Potential data structures: cover points, turning points, rescalings."""
 import cmath
 import math
+import random
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import brentq
 
 from anharmonic import (
     CoverPoint,
@@ -17,7 +20,7 @@ from anharmonic import (
     turning_points,
 )
 from anharmonic.action import PathFrame
-from anharmonic.model import _integer_power, sector_center_arg
+from anharmonic.model import _brent, _integer_power, sector_center_arg
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -100,6 +103,48 @@ class TestTurningPoints:
         zs = [p.to_complex() for p in tp.sector_points]
         for z in zs:
             assert min(abs(z.conjugate() - w) for w in zs) < 1e-9
+
+
+def _outcome(call, *args):
+    """The value of call(*args), or the class of the RuntimeError it raises."""
+    try:
+        return call(*args)
+    except RuntimeError:
+        return RuntimeError
+
+
+class TestBrent:
+    # c > 0 places the root; the last family is flat on one side of it
+    FAMILIES = {
+        "cubic": lambda c: (lambda x: x ** 3 - c),
+        "exponential": lambda c: (lambda x: math.exp(x) - 1.0 - c),
+        "sine": lambda c: (lambda x: math.sin(3.0 * x) - 0.3 * c + 0.1),
+        "quintic_root": lambda c: (lambda x: (x - c) ** 5),
+        "steep": lambda c: (lambda x: math.atan(20.0 * (x - c))),
+        "one_sided": lambda c: (lambda x: x * x - 1e-8 * c if x > 0.0 else -1.0),
+    }
+
+    @pytest.mark.parametrize("xtol,rtol", [(1e-300, 8.9e-16), (1e-9, 8.9e-16), (2e-12, 1e-10)])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_roots_equal_scipy_bit_for_bit(self, family, xtol, rtol):
+        rng = random.Random(family)
+        cases = 0
+        while cases < 100:
+            f = self.FAMILIES[family](rng.uniform(0.05, 2.0))
+            a, b = rng.uniform(-3.0, 0.04), rng.uniform(0.0, 4.0) + 2.0
+            if f(a) * f(b) < 0.0:
+                cases += 1
+                assert (_outcome(_brent, f, a, b, xtol, rtol)
+                        == _outcome(partial(brentq, xtol=xtol, rtol=rtol), f, a, b))
+
+    def test_failures_are_named(self):
+        with pytest.raises(ValueError, match="one sign"):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 8.9e-16)
+        with pytest.raises(ValueError, match="is NaN"):
+            _brent(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, 1e-12, 8.9e-16)
+        # 0.25/x^2 - 1e300 pulls every step back to bisection
+        with pytest.raises(RuntimeError, match="did not converge in 100 iterations"):
+            _brent(lambda x: 0.25 / (x * x) - 1e300, 2.5e-151, 0.7, 1e-300, 8.9e-16)
 
 
 class TestCriticalData:
