@@ -21,9 +21,11 @@ square-root branch flips are recorded under "work", per stokes_multiplier
 (k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate calls
 (wrapped in anharmonic.spectral) are recorded under "work", per stokes_complex
 at the three energies of the committed Stokes trichotomy, whose trace points
-(the sum over edges of the trajectory points) are recorded under "work", and
-per propagate on one fixed ray and one fixed arc, whose accepted and rejected
-RK steps and rhs calls are also recorded under "work".  Also under "work":
+(the sum over edges of the trajectory points) are recorded under "work", per
+turning_points at the same three energies and at (0.6, 0.3, 3) and (1.26,
+5.88, 0.51 E*), whose zeros (the real pair included) are recorded under
+"work", and per propagate on one fixed ray and one fixed arc, whose accepted
+and rejected RK steps and rhs calls are also recorded under "work".  Also under "work":
 the 8-point Gauss panels that the adaptive quadrature evaluates per
 wkb_phase and per wkb_phase_derivative call of the quartic scan and per rho
 of check_admissible on each committed curve (null for a checkout without
@@ -64,7 +66,7 @@ from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import check_admissible, stokes_complex
 from anharmonic.integrate import SolutionState
-from anharmonic.model import CoverPoint, OscillatorParams
+from anharmonic.model import CoverPoint, OscillatorParams, critical_data, turning_points
 
 # (alpha, ell, n_max) of the timed scans
 SCANS = {
@@ -84,6 +86,8 @@ R_ZERO = [(1.0, 0.5, 9.0), (2.0, 0.5, 5.0)]
 SEEDS = [(0.8, 1.94, 7.6, 0), (2.0, 0.5, 5.0, 0)]
 # (alpha, ell, E) of the connection data: sigma_0, sigma_1 and one cross ratio
 CONNECTION = [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4)]
+# (alpha, ell, E) of the turning-point timings beyond the Stokes trichotomy
+TURNING_POINTS = [(0.6, 0.3, 3.0), (1.26, 5.88, 0.51 * critical_data(1.26, 5.88).e_star)]
 # (committed curve, grid size) of the Volterra solve
 VOLTERRA = ("inward_ray_alpha2", 601)
 # committed curve of the PathFrame construction timing and flip count
@@ -202,6 +206,23 @@ def stokes_points() -> dict:
     """point -> trajectory points summed over the edges of its Stokes complex."""
     return {key: sum(len(e.trajectory.points) for e in stokes_complex(params).edges)
             for key, params in _stokes_cases().items()}
+
+
+def _turning_point_cases() -> dict:
+    """point -> OscillatorParams of the turning-point timings."""
+    cases = _stokes_cases()
+    cases.update({f"alpha={alpha:g},ell={ell:g},E={energy:g}": OscillatorParams(alpha, energy, ell)
+                  for alpha, ell, energy in TURNING_POINTS})
+    return cases
+
+
+def turning_point_counts() -> dict:
+    """point -> zeros that turning_points returns there, the real pair included."""
+    out = {}
+    for key, params in _turning_point_cases().items():
+        tps = turning_points(params)
+        out[key] = len(tps.real_pair or ()) + len(tps.sector_points)
+    return out
 
 
 def pathframe_flips() -> dict:
@@ -378,13 +399,15 @@ def _layer_calls() -> dict:
                   for name, params, curve in committed_curves()}
     stokes = {key: (partial(stokes_complex, params), 1)
               for key, params in _stokes_cases().items()}
+    zeros = {key: (partial(turning_points, params), 1)
+             for key, params in _turning_point_cases().items()}
     transport = {key: (partial(integrate.propagate, *args, rtol=SCAN_RTOL), 1)
                  for key, args in _transports().items()}
     return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
             "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
             "check_admissible_us": admissible, "pathframe_us": frame,
             "connection_us": _connection_calls(), "stokes_complex_us": stokes,
-            "propagate_us": transport}
+            "turning_points_us": zeros, "propagate_us": transport}
 
 
 def time_layers(chunks: list) -> dict:
@@ -425,7 +448,8 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": time_scans(counters),
-        "work": {"stokes_complex_points": stokes_points(), "propagate": propagate_work(),
+        "work": {"stokes_complex_points": stokes_points(),
+                 "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),
                  "quadrature_panels": quadrature_panels()},

@@ -19,10 +19,12 @@ import numpy as np
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _adaptive_gauss,
     _blowup_constants,
     _brent,
     _cover_power,
     _forcing_payload,
+    _gauss8,
     _reduced_jet,
     _reduced_v,
     _real_pair,
@@ -40,18 +42,6 @@ __all__ = [
     "asymptotic_reference",
 ]
 
-_GAUSS8_NODES = np.array((
-    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
-    0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
-))
-_GAUSS8_WEIGHTS = np.array((
-    0.1012285362903763, 0.2223810344533745, 0.3137066458778873, 0.3626837833783620,
-    0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763,
-))
-
-
-# panels the adaptive Gauss rule may hold before it gives up
-_GAUSS_MAX_PANELS = 1000
 # relative height above the critical energy E* below which wkb_phase and
 # wkb_phase_derivative take the slope of the harmonic bottom of the well
 _NEAR_CRITICAL = 1e-6
@@ -59,59 +49,6 @@ _NEAR_CRITICAL = 1e-6
 # put theta = pi/4, where the radicand changes its end, on an edge, and let
 # most action integrals settle in the first round
 _WELL_EDGES = np.linspace(0.0, 0.5 * math.pi, 9)
-
-
-def _gauss8(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Integrals of f over the panels [lo_k, hi_k], by 8-point Gauss.
-
-    f is evaluated once, on the array of all nodes (one row per panel).
-    """
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    vals = f(mid[:, None] + half[:, None] * _GAUSS8_NODES)
-    return (vals * _GAUSS8_WEIGHTS).sum(axis=1) * half
-
-
-def _adaptive_gauss(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: str) -> float:
-    """Integral of f from edges[0] to edges[-1] by 8-point Gauss on panels
-    bisected adaptively, starting from the panels between the edges.
-
-    A panel's value is the sum of its halves' Gauss integrals, and its error
-    estimate |G(panel) - G(left half) - G(right half)|.  While the summed
-    estimate exceeds max(epsabs, epsrel |I|), the panels with the largest
-    estimates are bisected, until the others hold at most half of that
-    tolerance.  Each round evaluates f once, on the array of every new node.
-    A partition that would outgrow _GAUSS_MAX_PANELS panels raises
-    RuntimeError naming stage.
-    """
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    n = len(lo)
-    g = _gauss8(f, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
-    left, right = g[n:2 * n], g[2 * n:]
-    err = np.abs(g[:n] - left - right)
-    while True:
-        total = float(np.sum(left + right))
-        tol = max(epsabs, epsrel * abs(total))
-        err_sum = float(err.sum())
-        if err_sum <= tol:
-            return total
-        order = np.argsort(err)[::-1]
-        k = int(np.searchsorted(np.cumsum(err[order]), err_sum - 0.5 * tol)) + 1
-        if len(lo) + k > _GAUSS_MAX_PANELS:
-            raise RuntimeError(f"{stage}: quadrature error {err_sum:.3g} above {tol:.3g} "
-                               f"with {_GAUSS_MAX_PANELS} panels")
-        # the halves of the split panels become panels whose whole value is known
-        split, keep = order[:k], order[k:]
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
-        whole = np.concatenate((left[split], right[split]))
-        new_mid = 0.5 * (new_lo + new_hi)
-        g = _gauss8(f, np.concatenate((new_lo, new_mid)), np.concatenate((new_mid, new_hi)))
-        n = len(new_lo)
-        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        left, right = np.concatenate((left[keep], g[:n])), np.concatenate((right[keep], g[n:]))
-        err = np.concatenate((err[keep], np.abs(whole - g[:n] - g[n:])))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ certifies a computed bound against a direct measurement.  A check returns a
 CheckResult with one scalar measurement and one scalar bound so reports stay
 machine-comparable; anything richer goes into the detail string.
 
-The quick profile runs the five sub-second checks, 1.3-1.8 s from the CLI on a
-2-core Xeon VM; full adds the five eigenvalue-scan based ones, 4.5-5.4 s in all.
+The quick profile runs the five sub-second checks; full adds the five
+eigenvalue-scan based ones.
 Budgets, tolerances, and fixtures are frozen here on purpose: tests and the CLI
 must agree on what "verified" means.
 """

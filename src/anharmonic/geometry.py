@@ -24,14 +24,17 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .action import PathSpec, PathFrame, _adaptive_gauss
+from .action import PathSpec, PathFrame
 from .model import (
     CoverPoint,
     OscillatorParams,
+    TurningPointSet,
+    _adaptive_gauss,
     _integer_power,
     _reduced_jet,
     _reduced_v,
@@ -147,16 +150,14 @@ def _potential(params: OscillatorParams):
 
 def default_stops(params: OscillatorParams) -> TraceStops:
     """Radius bounds scaled to the turning point geometry."""
-    tps = turning_points(params)
-    mods = [m for m in ([] if tps.real_pair is None else list(tps.real_pair))]
-    mods += [p.modulus for p in tps.sector_points]
-    if not mods:
-        x_ref = critical_data(params.alpha, params.ell).x_star
-        mods = [x_ref]
-    return TraceStops(
-        radius_max=max(50.0, 10.0 * max(mods)),
-        radius_min=1e-4 * min(mods),
-    )
+    return _stops_for(params, turning_points(params))
+
+
+def _stops_for(params: OscillatorParams, tps: TurningPointSet) -> TraceStops:
+    """default_stops, from turning points already found."""
+    mods = (list(tps.real_pair or ()) + [p.modulus for p in tps.sector_points]
+            or [critical_data(params.alpha, params.ell).x_star])
+    return TraceStops(radius_max=max(50.0, 10.0 * max(mods)), radius_min=1e-4 * min(mods))
 
 
 def _match_sqrt(v: complex, ref: complex) -> complex:
@@ -347,46 +348,15 @@ def _infinity_label(alpha: float, arg: float) -> str:
     return "inf_%d/2" % (2 * k + 1)
 
 
-def _snap_axis(p: CoverPoint) -> CoverPoint:
-    # root-finder noise can put a real root on either side of the axis,
-    # flipping its principal phase between pi and -pi; pin it down
-    k = round(p.arg / math.pi)
-    if abs(p.arg - k * math.pi) < 1e-7:
-        return CoverPoint(p.modulus, abs(k) * math.pi if abs(k) == 1 else k * math.pi)
-    return p
-
-
-def _coincide(p: CoverPoint, q: CoverPoint) -> bool:
-    """The same root up to root-finder noise: closer than 1e-5 of its modulus."""
-    return abs(p.to_complex() - q.to_complex()) < 1e-5 * (p.modulus + q.modulus)
-
-
-def _cluster_points(raw: list[CoverPoint]) -> list[tuple[CoverPoint, int]]:
-    """Merge near-coincident roots; multiplicity = cluster size."""
-    out: list[tuple[CoverPoint, int]] = []
-    for p in map(_snap_axis, raw):
-        for i, (q, m) in enumerate(out):
-            if _coincide(p, q):
-                out[i] = (q, m + 1)
-                break
-        else:
-            out.append((p, 1))
-    return out
-
-
-def _collect_tps(params: OscillatorParams,
+def _collect_tps(tps: TurningPointSet,
                  sector_window: tuple[float, float] | None) -> list[tuple[CoverPoint, int]]:
-    tps = turning_points(params)
-    real = [CoverPoint(x, 0.0) for x in tps.real_pair or ()]
-    # near E = E* the root finder returns the real double point again, split
-    # into a pair just off the axis: it is already in the real pair
-    sector = [p for p in tps.sector_points if not any(_coincide(p, q) for q in real)]
-    merged = _cluster_points(real + sector)
+    """(turning point, multiplicity) in the window by argument and modulus; turning_points
+    lists a zero of order m m times, at one and the same point."""
+    pts = [CoverPoint(x, 0.0) for x in tps.real_pair or ()] + list(tps.sector_points)
     if sector_window is not None:
         lo, hi = sector_window
-        merged = [(p, m) for p, m in merged if lo - 1e-9 <= p.arg <= hi + 1e-9]
-    merged.sort(key=lambda pm: (round(pm[0].arg, 9), pm[0].modulus))
-    return merged
+        pts = [p for p in pts if lo - 1e-9 <= p.arg <= hi + 1e-9]
+    return sorted(Counter(pts).items(), key=lambda pm: (round(pm[0].arg, 9), pm[0].modulus))
 
 
 def _fan_directions(params: OscillatorParams, tp: CoverPoint, beta: int,
@@ -418,10 +388,11 @@ def stokes_complex(params: OscillatorParams,
     whose union is the Stokes complex; infinity labels name the nearest sector
     boundary and are exact for that default.
     """
-    tp_list = _collect_tps(params, sector_window)
+    tps = turning_points(params)
+    tp_list = _collect_tps(tps, sector_window)
     if not tp_list:
         raise ValueError("no turning points found in the window")
-    stops = default_stops(params)
+    stops = _stops_for(params, tps)
     if sector_window is not None:
         stops = TraceStops(stops.radius_max, stops.radius_min, stops.max_steps,
                            arg_window=sector_window)

@@ -26,11 +26,12 @@ from .model import (
     _brent,
     _cover_power,
     _forcing_payload,
+    _gauss8,
     _integer_power,
     _reduced_jet,
     sector_center_arg,
 )
-from .action import PathSpec, _Segment, _gauss8
+from .action import PathSpec, _Segment
 from .volterra import iterate_grid
 
 __all__ = [

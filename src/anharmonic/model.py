@@ -78,11 +78,15 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class TurningPointSet:
-    """Zeros of the reduced potential near the real sector.
+    """Every zero of the reduced potential in the window about the positive axis.
 
-    real_pair holds the two positive roots (x_minus, x_plus) when the energy is
-    above the critical value, None below it.  sector_points holds the roots
-    adjacent to the positive axis but off it, as cover points.
+    The window is |arg x| <= 3 pi/(2 alpha + 2) + 0.3 on the cover, or one
+    turn, -pi < arg x <= pi, when 2 alpha is an integer (a negative real zero
+    then has arg +pi).  The zeros are counted by the argument principle; a
+    search that does not find that many raises RuntimeError.  real_pair holds
+    the positive zeros (x_minus, x_plus) at or above the critical energy, None
+    below it.  sector_points holds the others, ordered by argument and
+    modulus; a zero of order m appears m times, at one point.
     """
 
     real_pair: tuple[float, float] | None
@@ -197,65 +201,76 @@ def _integer_power(alpha: float) -> int | None:
     return n if abs(2.0 * alpha - n) < 1e-12 else None
 
 
-def _polynomial_sector_roots(params: OscillatorParams, n: int) -> list[CoverPoint]:
-    # 2*alpha = n integral: x^(n+2) - E x^2 + lam^2 is entire, use the companion matrix
-    deg = n + 2
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    coeffs[0] = 1.0
-    coeffs[deg - 2] = -params.energy
-    coeffs[deg] = params.lam ** 2
-    roots = np.roots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) < 1e-9 * max(1.0, abs(r.real)) and r.real > 0:
-            continue  # the real pair is reported separately
-        out.append(CoverPoint.from_complex(complex(r)))
-    return out
+_GAUSS8_NODES = np.array((
+    -0.9602898564975363, -0.7966664774136267, -0.5255324099163290, -0.1834346424956498,
+    0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363,
+))
+_GAUSS8_WEIGHTS = np.array((
+    0.1012285362903763, 0.2223810344533745, 0.3137066458778873, 0.3626837833783620,
+    0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763,
+))
+# panels the adaptive Gauss rule may hold before it gives up
+_GAUSS_MAX_PANELS = 1000
 
 
-def _newton_sector_roots(params: OscillatorParams) -> list[CoverPoint]:
-    """Damped Newton on x^(2a+2) - E x^2 + lam^2 over the cover, seeded per sector."""
-    a = params.alpha
-    e = params.energy
-    lam2 = params.lam ** 2
-    scale_e = max(abs(e), 1.0)
-    m_big = max(abs(e), lam2) ** (1.0 / (2.0 * a)) if abs(e) > 0 else lam2 ** (1.0 / (2.0 * a + 2.0))
-    m_small = (lam2 / scale_e) ** 0.5
-    seeds = []
-    for sign in (1.0, -1.0):
-        for mod in (m_big, m_small, 0.5 * (m_big + m_small)):
-            for ph in (math.pi / a, sector_center_arg(a, 1.5), sector_center_arg(a, 2.0)):
-                seeds.append(CoverPoint(mod, sign * ph))
-    found: list[CoverPoint] = []
-    for seed in seeds:
-        pt = seed
-        ok = False
-        for _ in range(50):
-            h = pt.cpow(2.0 * a + 2.0) - e * pt.cpow(2.0) + lam2
-            hsize = abs(pt.cpow(2.0 * a + 2.0)) + abs(e) * pt.modulus ** 2 + lam2
-            if abs(h) < 1e-12 * hsize:
-                ok = True
-                break
-            dh = (2.0 * a + 2.0) * pt.cpow(2.0 * a + 1.0) - 2.0 * e * pt.to_complex()
-            if dh == 0:
-                break
-            step = h / dh
-            # damp so the argument never jumps more than a quarter turn
-            z = pt.to_complex()
-            t = 1.0
-            while t > 1e-4 and abs(step) * t > 0.5 * pt.modulus:
-                t *= 0.5
-            znew = z - t * step
-            if znew == 0:
-                break
-            pt = CoverPoint.from_complex(znew, near_arg=pt.arg)
-        if not ok:
-            continue
-        if abs(pt.arg) < 1e-6 or abs(pt.arg) > 3.0 * math.pi / (2.0 * a + 2.0) + 0.3:
-            continue
-        if all(abs(pt.to_complex() - q.to_complex()) > 1e-6 * (pt.modulus + q.modulus) for q in found):
-            found.append(pt)
-    return found
+def _gauss8(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integrals of f over the panels [lo_k, hi_k], by 8-point Gauss.
+
+    f is evaluated once, on the array of all nodes (one row per panel).  It
+    may return leading axes of its own; the integrals then keep them.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    vals = f(mid[:, None] + half[:, None] * _GAUSS8_NODES)
+    return (vals * _GAUSS8_WEIGHTS).sum(axis=-1) * half
+
+
+def _adaptive_panels(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: str):
+    """Integral of f from edges[0] to edges[-1] by 8-point Gauss on panels
+    bisected adaptively, starting from the panels between the edges, and the
+    ends lo, hi of the panels whose halves' Gauss integrals it sums.
+
+    A panel's value is the sum of its halves' Gauss integrals, and its error
+    estimate |G(panel) - G(left half) - G(right half)|.  While the summed
+    estimate exceeds max(epsabs, epsrel |I|), the panels with the largest
+    estimates are bisected, until the others hold at most half of that
+    tolerance.  Each round evaluates f once, on the array of every new node.
+    f may be real or complex.  A partition that would outgrow
+    _GAUSS_MAX_PANELS panels raises RuntimeError naming stage.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    n = len(lo)
+    g = _gauss8(f, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
+    left, right = g[n:2 * n], g[2 * n:]
+    err = np.abs(g[:n] - left - right)
+    while True:
+        total = np.sum(left + right)
+        tol = max(epsabs, epsrel * abs(total))
+        err_sum = float(err.sum())
+        if err_sum <= tol:
+            return total, lo, hi
+        order = np.argsort(err)[::-1]
+        k = int(np.searchsorted(np.cumsum(err[order]), err_sum - 0.5 * tol)) + 1
+        if len(lo) + k > _GAUSS_MAX_PANELS:
+            raise RuntimeError(f"{stage}: quadrature error {err_sum:.3g} above {tol:.3g} "
+                               f"with {_GAUSS_MAX_PANELS} panels")
+        # the halves of the split panels become panels whose whole value is known
+        split, keep = order[:k], order[k:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        whole = np.concatenate((left[split], right[split]))
+        new_mid = 0.5 * (new_lo + new_hi)
+        g = _gauss8(f, np.concatenate((new_lo, new_mid)), np.concatenate((new_mid, new_hi)))
+        n = len(new_lo)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        left, right = np.concatenate((left[keep], g[:n])), np.concatenate((right[keep], g[n:]))
+        err = np.concatenate((err[keep], np.abs(whole - g[:n] - g[n:])))
+
+
+def _adaptive_gauss(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: str) -> float:
+    """The integral of real f by _adaptive_panels."""
+    return float(_adaptive_panels(f, edges, epsabs, epsrel, stage)[0])
 
 
 # iterations of Brent's method before it gives up
@@ -316,6 +331,10 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float) -> float:
                        f"on [{a!r}, {b!r}]")
 
 
+def _where(params: OscillatorParams) -> str:
+    return f"turning points (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy.real:g})"
+
+
 def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
     """The positive zeros (x_minus, x_plus) of V, None below the critical energy.
 
@@ -340,20 +359,91 @@ def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
         return (_brent(v, 0.5 * params.lam / math.sqrt(e), x_star, 1e-300, 8.9e-16),
                 _brent(v, x_star, (2.0 * e) ** (0.5 / params.alpha), 1e-300, 8.9e-16))
     except RuntimeError as ex:
-        raise RuntimeError(f"turning points (alpha={params.alpha:g}, ell={params.ell:g}, "
-                           f"E={e:g}): {ex}") from None
+        raise RuntimeError(f"{_where(params)}: {ex}") from None
+
+
+# how near an integer the count must come and the zeros the first moment;
+# zeros, or a zero and the negative axis, closer in w = log x coincide
+_ROOT_TOL = 1e-6
+
+
+def _window_roots(params: OscillatorParams) -> list[complex]:
+    """w = log x of the zeros of x^2 V in the window, each as often as its order.
+
+    In w, x^2 V is the entire g(w) = e^((2a+2)w) - E e^(2w) + lam^2 and Im w
+    is the cover argument.  The argument principle on [u_lo, u_hi] x [-H, H],
+    outside whose vertical edges one term of g outweighs the others, counts N
+    zeros; the moments (1/2 pi i) oint zeta^k g'/g dw of zeta = (w - c)/rho,
+    k <= N, give the polynomial with their zeta as roots (Newton's identities;
+    Delves & Lyness, Math. Comp. 21 (1967) 543), polished by Newton on g.
+    Adaptive panels resolve a zero near an edge.  For integer 2a, g has period
+    2 pi i, and the zeros fold from |Im w| <= pi + 0.3 into (-pi, pi].
+    """
+    e, lam2, p = params.energy, params.lam ** 2, 2.0 * params.alpha + 2.0
+    one_turn = _integer_power(params.alpha) is not None
+    height = (math.pi if one_turn else 3.0 * math.pi / p) + 0.3
+    # |x^p| > |E x^2| + lam^2 beyond e^u_hi; lam^2 > |x^p| + |E x^2| within e^u_lo
+    u_hi = math.log(2.0 * max((2.0 * abs(e)) ** (1.0 / (p - 2.0)), (2.0 * lam2) ** (1.0 / p)))
+    u_lo = math.log(0.5 * min((lam2 / 3.0) ** (1.0 / p),
+                              math.sqrt(lam2 / (3.0 * abs(e))) if e else math.inf))
+    corners = np.array((u_lo, u_hi, u_hi, u_lo, u_lo)) + 1j * height * np.array((-1, -1, 1, 1, -1))
+    centre, rho = 0.5 * (u_lo + u_hi), max(0.5 * (u_hi - u_lo), height)
+
+    def g_jet(w):  # g, g' and the size of g's terms
+        xp, x2 = np.exp(p * w), np.exp(2.0 * w)
+        return xp - e * x2 + lam2, p * xp - 2.0 * e * x2, abs(xp) + abs(e * x2) + lam2
+
+    def contour(t):  # w and g'/g dw/dt / (2 pi i) at t in [0, 4], one unit per edge
+        k = np.minimum(t.astype(int), 3)
+        step = corners[k + 1] - corners[k]
+        w = corners[k] + (t - k) * step
+        g, dg, _ = g_jet(w)
+        return w, dg / g * step / (2j * math.pi)
+
+    count, lo, hi = _adaptive_panels(lambda t: contour(t)[1], np.linspace(0.0, 4.0, 17), 1e-10,
+                                     0.0, f"{_where(params)}: count")
+    n = round(count.real)
+    if abs(count - n) > _ROOT_TOL:
+        raise RuntimeError(f"{_where(params)}: count {count:.6g} is not an integer")
+    if n == 0:
+        return []
+
+    def moments(t):  # zeta^k g'/g dw/dt / (2 pi i), k = 0..n
+        w, q = contour(t)
+        return ((w - centre) / rho) ** np.arange(n + 1)[:, None, None] * q
+    mid = 0.5 * (lo + hi)  # on the halves, as accurate as the count
+    s = _gauss8(moments, np.concatenate((lo, mid)), np.concatenate((mid, hi))).sum(axis=1)
+    coeffs = [1.0]  # of prod (zeta - zeta_j), by Newton's identities
+    for k in range(1, n + 1):
+        coeffs.append(-sum(coeffs[k - i] * s[i] for i in range(1, k + 1)) / k)
+    w = centre + rho * np.roots(coeffs)
+    for _ in range(60):  # linear at a double zero; a zero with |g| at rounding level stays
+        g, dg, size = g_jet(w)
+        moving = (np.abs(g) > 4e-16 * size) & (dg != 0.0)
+        w = w - (step := np.divide(g, dg, out=np.zeros_like(w), where=moving))
+        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(w))):
+            break
+    g, _, size = g_jet(w)
+    if np.any(np.abs(g) > 1e-10 * size) or abs(np.sum(w - centre) - rho * s[1]) > _ROOT_TOL:
+        raise RuntimeError(f"{_where(params)}: the {n} counted zeros polish to other points")
+    if one_turn:  # the negative axis at +pi; images a turn away go
+        arg = np.where(np.abs(np.abs(w.imag) - math.pi) < _ROOT_TOL, np.copysign(math.pi, w.imag),
+                       w.imag)
+        w = (w.real + 1j * arg)[(arg > -math.pi) & (arg <= math.pi)]
+    # zeros closer than _ROOT_TOL are one multiple zero: every copy at their mean
+    near = np.abs(w[:, None] - w[None, :]) < _ROOT_TOL
+    return (np.where(near, w, 0.0).sum(axis=1) / near.sum(axis=1)).tolist()
 
 
 def turning_points(params: OscillatorParams) -> TurningPointSet:
-    """Zeros of V near the real sector: the positive pair plus adjacent complex roots."""
+    """Zeros of V in the window of TurningPointSet, counted: the positive pair and the rest."""
     real_pair = _real_pair(params)
-    n = _integer_power(params.alpha)
-    if n is not None:
-        sector = _polynomial_sector_roots(params, n)
-    else:
-        sector = _newton_sector_roots(params)
-    sector.sort(key=lambda p: (p.arg, p.modulus))
-    return TurningPointSet(real_pair, tuple(sector))
+    roots = _window_roots(params)
+    for x in real_pair or ():  # Brent's x_minus, x_plus replace the counted zeros nearest them
+        dist = [abs(w - math.log(x)) for w in roots]
+        del roots[dist.index(min(dist))]
+    sector = [CoverPoint(math.exp(w.real), w.imag) for w in roots]
+    return TurningPointSet(real_pair, tuple(sorted(sector, key=lambda p: (p.arg, p.modulus))))
 
 
 def to_hbar_coords(params: OscillatorParams, regime: int) -> HbarCoords:

@@ -145,8 +145,8 @@ class TestStokesGraphs:
 
     @pytest.mark.parametrize("alpha,ell", [(2.0, 1.0), (3.0, 0.3)])
     def test_real_double_point_is_one_vertex_at_the_critical_energy(self, alpha, ell):
-        # at E = E* the root finder also returns the double point x* split just
-        # off the axis; counted a second time it left unpaired edge traces
+        # at E = E* the zero x* is double: one vertex of multiplicity 2, where
+        # a second copy of it used to leave unpaired edge traces
         crit = critical_data(alpha, ell)
         sc = stokes_complex(OscillatorParams(alpha, crit.e_star, ell))
         assert sc.warnings == ()

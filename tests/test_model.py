@@ -1,5 +1,6 @@
 """Potential data structures: cover points, turning points, rescalings."""
 import cmath
+import json
 import math
 import random
 from functools import partial
@@ -7,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from anharmonic import (
@@ -16,9 +18,11 @@ from anharmonic import (
     critical_data,
     eval_forcing,
     eval_reduced,
+    stokes_complex,
     to_hbar_coords,
     turning_points,
 )
+from anharmonic import cli, model
 from anharmonic.action import PathFrame
 from anharmonic.model import _brent, _integer_power, sector_center_arg
 
@@ -93,7 +97,7 @@ class TestTurningPoints:
         assert abs(tp.real_pair[1] - cd.x_star) < 1e-7
 
     def test_integer_power_within_the_tolerance(self):
-        # 2 alpha = n to 1e-12 makes x^(2a) entire: companion-matrix roots, x ** n rhs
+        # 2 alpha = n to 1e-12 makes x^(2a) entire: a one-turn root window, x ** n rhs
         assert [_integer_power(a) for a in (0.5, 1.0, 4.5, 4.5 + 1e-13)] == [1, 2, 9, 9]
         assert _integer_power(0.6) is None and _integer_power(4.5 + 1e-11) is None
 
@@ -103,6 +107,116 @@ class TestTurningPoints:
         zs = [p.to_complex() for p in tp.sector_points]
         for z in zs:
             assert min(abs(z.conjugate() - w) for w in zs) < 1e-9
+
+    @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 1.0, 9.0), (3.0, 1.0, 20.0)])
+    def test_negative_real_zeros_sit_at_plus_pi(self, alpha, ell, energy):
+        # x^(2a) is even: both zeros of the well have a negative twin
+        tp = turning_points(OscillatorParams(alpha, energy, ell))
+        negative = [p for p in tp.sector_points if abs(abs(p.arg) - math.pi) < 1e-6]
+        assert [p.arg for p in negative] == [math.pi, math.pi]
+        assert sorted(p.modulus for p in negative) == pytest.approx(tp.real_pair, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("ratio", [0.3, 1.7])
+    def test_integer_power_gives_the_polynomial_roots(self, alpha, ratio):
+        # x^(2a+2) - E x^2 + lam^2 is a polynomial: its roots, one turn of the plane
+        ell = 0.7
+        energy = ratio * critical_data(alpha, ell).e_star
+        tp = turning_points(OscillatorParams(alpha, energy, ell))
+        coeffs = np.zeros(int(2 * alpha) + 3)
+        coeffs[[0, -3, -1]] = 1.0, -energy, (ell + 0.5) ** 2
+        want = sorted(np.roots(coeffs), key=lambda z: (cmath.phase(z), abs(z)))
+        got = [complex(x) for x in tp.real_pair or ()] + [p.to_complex() for p in tp.sector_points]
+        got.sort(key=lambda z: (cmath.phase(z), abs(z)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-10 * abs(w)
+        assert all(-math.pi < p.arg <= math.pi for p in tp.sector_points)
+
+
+def _window_count(alpha, ell, energy):
+    """Zeros of x^2 V in |arg x| <= 3 pi/(2a+2) + 0.3: the argument principle in
+    w = log x on a rectangle wider than turning_points' own, by QUADPACK."""
+    p, lam2 = 2.0 * alpha + 2.0, (ell + 0.5) ** 2
+    height = 3.0 * math.pi / p + 0.3
+    # one term of x^2 V outweighs the other two outside [r_lo, r_hi]
+    u_hi = math.log(4.0 * max((2.0 * energy) ** (0.5 / alpha), (2.0 * lam2) ** (1.0 / p)))
+    u_lo = math.log(0.25 * min((lam2 / 3.0) ** (1.0 / p), math.sqrt(lam2 / (3.0 * energy))))
+
+    def log_derivative(w):
+        xp, x2 = cmath.exp(p * w), cmath.exp(2.0 * w)
+        return (p * xp - 2.0 * energy * x2) / (xp - energy * x2 + lam2)
+    corners = [complex(u_lo, -height), complex(u_hi, -height), complex(u_hi, height),
+               complex(u_lo, height)]
+    total = sum(quad(lambda t: log_derivative(a + t * (b - a)) * (b - a), 0.0, 1.0,
+                     complex_func=True, limit=200)[0]
+                for a, b in zip(corners, corners[1:] + corners[:1]))
+    return total / (2j * math.pi)
+
+
+class TestCountedTurningPoints:
+    def test_random_points_give_every_counted_zero(self):
+        # half the points below E*, where the double point x_star has split
+        # into a complex pair that a seeded search can miss
+        rng = random.Random(20261020)
+        for i in range(400):
+            alpha, ell = rng.uniform(0.2, 4.0), rng.uniform(-0.45, 20.0)
+            ratio = rng.uniform(0.05, 1.0) if i % 2 else rng.uniform(1.0, 6.0)
+            energy = ratio * critical_data(alpha, ell).e_star
+            tp = turning_points(OscillatorParams(alpha, energy, ell))
+            count = _window_count(alpha, ell, energy)
+            where = (alpha, ell, ratio)
+            assert abs(count - round(count.real)) < 1e-6, where
+            assert len(tp.sector_points) + 2 * (tp.real_pair is not None) == round(count.real), where
+            lam2 = (ell + 0.5) ** 2
+            zs = [p.to_complex() for p in tp.sector_points]
+            for p in tp.sector_points:
+                terms = (p.cpow(2.0 * alpha + 2.0), -energy * p.cpow(2.0), lam2)
+                assert abs(sum(terms)) <= 1e-10 * sum(map(abs, terms)), where
+                assert min(abs(p.to_complex().conjugate() - z) for z in zs) <= 1e-10 * p.modulus, where
+
+    def test_pair_split_from_x_star_is_found(self):
+        # x_star splits into 2.2006 e^(+-0.4604 i), which seeded Newton missed;
+        # the graph without it carried no warning
+        params = OscillatorParams(1.26, 0.51 * critical_data(1.26, 5.88).e_star, 5.88)
+        tp = turning_points(params)
+        assert tp.real_pair is None
+        assert [(round(p.modulus, 4), round(p.arg, 4)) for p in tp.sector_points] == [
+            (2.5828, -2.2628), (2.2006, -0.4604), (2.2006, 0.4604), (2.5828, 2.2628)]
+        sc = stokes_complex(params)
+        assert sc.warnings == ()
+        assert sorted(sc.vertex_multiplicity.values()) == [1, 1, 1, 1]
+
+    def test_stokes_command_at_a_point_without_newton_roots(self, capsys):
+        # the pair split from x_star is the only zero in the window here
+        energy = 0.88 * critical_data(0.806, 15.85).e_star
+        code = cli.main(["stokes", "--alpha", "0.806", "--ell", "15.85", "--energy",
+                         repr(energy), "--no-polylines"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["warnings"] == []
+        assert [v["multiplicity"] for v in doc["vertices"] if v["kind"] == "turning_point"] == [1, 1]
+
+    def test_zero_next_to_the_window_edge(self):
+        # 5.0788 e^(+-2.2907 i) lies 0.0027 rad inside |arg x| <= 3 pi/(2a+2) + 0.3
+        alpha, ell = 1.364, 8.14
+        energy = 3.52 * critical_data(alpha, ell).e_star
+        tp = turning_points(OscillatorParams(alpha, energy, ell))
+        edge = 3.0 * math.pi / (2.0 * alpha + 2.0) + 0.3
+        gaps = sorted(edge - abs(p.arg) for p in tp.sector_points)
+        assert len(gaps) == 2 and 0.002 < gaps[0] <= gaps[1] < 0.003
+        assert round(_window_count(alpha, ell, energy).real) == 4
+
+    def test_a_miscount_is_named(self, monkeypatch):
+        params = OscillatorParams(0.6, 3.0, 0.3)
+        monkeypatch.setattr(model, "_ROOT_TOL", 0.0)
+        with pytest.raises(RuntimeError, match=r"alpha=0.6, ell=0.3, E=3\): count"):
+            turning_points(params)
+        monkeypatch.undo()
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda c: roots(c)[1:])  # one zero lost
+        with pytest.raises(RuntimeError, match=r"E=3\): the 4 counted zeros polish to other"):
+            turning_points(params)
 
 
 def _outcome(call, *args):
