@@ -29,9 +29,12 @@ and rejected RK steps and rhs calls are also recorded under "work".  Also under 
 the 8-point Gauss panels that the adaptive quadrature evaluates per
 wkb_phase and per wkb_phase_derivative call of the quartic scan and per rho
 of check_admissible on each committed curve (null for a checkout without
-action._adaptive_gauss).  Counts come from wrapping module functions of
-anharmonic.spectral, anharmonic.action, anharmonic.geometry and
-anharmonic.integrate from this script; times are time.perf_counter readings.
+action._adaptive_gauss), and how many segment transports of each scan and
+of measured_wkb_deviation on each committed curve ran in real arithmetic
+(returned float states), of all that ran.  Counts come from wrapping module
+functions of anharmonic.spectral, anharmonic.action, anharmonic.geometry,
+anharmonic.integrate and anharmonic.checks from this script; times are
+time.perf_counter readings.
 
 End to end, "fresh_interpreter" holds the wall seconds of FRESH_RUNS new
 interpreters (median and every run) for two commands: import_s, a bare
@@ -61,7 +64,7 @@ import numpy as np
 import scipy
 
 import anharmonic
-from anharmonic import action, geometry, integrate, spectral, volterra
+from anharmonic import action, checks, geometry, integrate, spectral, volterra
 from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import check_admissible, stokes_complex
@@ -265,6 +268,38 @@ def quadrature_panels() -> dict | None:
     return out
 
 
+def real_transports() -> dict:
+    """Segment transports that ran in real arithmetic, of all that ran: per
+    scan of SCANS and per measured_wkb_deviation on each committed curve.
+
+    A transport counts as real where _transport_segment, wrapped in integrate
+    (for propagate) and in checks, returned float states.
+    """
+    tally = {"real": 0, "transports": 0}
+    original = integrate._transport_segment
+
+    def counted(*args, **kwargs):
+        states = original(*args, **kwargs)
+        tally["transports"] += 1
+        tally["real"] += type(states[-1][0]) is float
+        return states
+
+    def count(call) -> dict:
+        tally.update(real=0, transports=0)
+        call()
+        return dict(tally)
+    integrate._transport_segment = checks._transport_segment = counted
+    try:
+        return {
+            "scans": {name: count(lambda tables=tables: [spectral.eigenvalues(*t) for t in tables])
+                      for name, tables in SCANS.items()},
+            "committed_curves": {name: count(partial(checks.measured_wkb_deviation, params, curve))
+                                 for name, params, curve in committed_curves()},
+        }
+    finally:
+        integrate._transport_segment = checks._transport_segment = original
+
+
 def fresh_interpreter(pkg_parent: Path) -> dict:
     """Median and every wall time of FRESH_RUNS fresh interpreters per FRESH command."""
     env = dict(os.environ, PYTHONPATH=str(pkg_parent))
@@ -452,7 +487,8 @@ def main() -> None:
                  "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),
-                 "quadrature_panels": quadrature_panels()},
+                 "quadrature_panels": quadrature_panels(),
+                 "real_transports": real_transports()},
         "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
     }
     chunks: list[float] = []

@@ -232,8 +232,8 @@ def measured_wkb_deviation(params: OscillatorParams, path: PathSpec) -> float:
     z0, _, v0, v10, _ = frame.derivative_triple(0, 0.0)
     b0 = frame.sqrt_v(0, 0.0)
     w_prev = complex(v0 ** -0.25)
-    # the transported state stays on Python scalars: the RK stepper is slow on numpy ones
-    u, v, sigma = w_prev, complex((b0 - v10 / (4.0 * v0)) * w_prev), 0.0
+    # _transport_segment narrows the seed to Python scalars, floats on a real curve
+    u, v, sigma = w_prev, (b0 - v10 / (4.0 * v0)) * w_prev, 0.0
     max_dev = 0.0
     s_off = 0.0 + 0.0j
     for i, seg in enumerate(frame.segments):

@@ -2,12 +2,19 @@
 and an adaptive Runge-Kutta propagator along cover paths.
 
 The propagator integrates psi'' = U psi as the first-order system (psi, psi')
-with the Dormand-Prince 8(5,3) pair (DOP853) written directly against cmath
-scalars: the system is two complex components and gets stepped hundreds of
+with the Dormand-Prince 8(5,3) pair (DOP853) written directly against Python
+scalars: the system has two components and gets stepped hundreds of
 thousands of times, so the generic array machinery of scipy.solve_ivp costs
 more than the arithmetic.  At the tolerances used here (1e-9 to 5e-13) the
 8th order pair takes several times fewer steps per unit of WKB phase than a
 5th order one, and each step lands exactly on any requested stop points.
+Real data stay real: on a segment of the positive axis at real E from a real
+seed, as in every scan determinant, the stepper runs on floats.  CPython's
+interpreter specialises float arithmetic and not complex arithmetic, so the
+same steps cost about 2.5 times less, and each float result has the bits of
+the complex one it replaces.  Any complex datum (an arc, a rotated energy, a
+complex seed) promotes the rest to complex.
+
 Solutions carry a multiplicative log-scale so that exponentially large or
 small data never leaves the representable range (the equation is linear, so
 rescaling commutes with the flow).
@@ -286,16 +293,27 @@ _E3 = tuple(b - bh for b, bh in zip(_B, (
 _MAX_STEPS = 2_000_000
 
 
+def _narrow(z):
+    """z as a Python float when it is exactly real, else as a Python complex.
+
+    The stepper runs on floats where its data are real (module docstring),
+    and several times slower on numpy scalars, which refined Sibuya seeds
+    would otherwise bring in.
+    """
+    return float(z.real) if z.imag == 0.0 else complex(z)
+
+
 def _make_rhs(params: OscillatorParams, seg: _Segment):
     """Compile (u, v)' = (x' v, x' U(x) u) along one path segment x(t), 0 <= t <= 1.
 
     One closure per segment shape.  Arcs take x^(2a) = |x|^(2a) exp(2a i arg x)
     at every alpha.  Rays and lines with 2 alpha an integer n share the chord
     x = za + t dz, where x^(2a) = x ** n is entire and needs no branch.  Other
-    rays take |x|^(2a) times the ray's fixed phase, and other lines lift
-    arg x continuously along the chord.
+    rays, and lines whose ends share one argument, take |x|^(2a) times the
+    ray's fixed phase; other lines lift arg x continuously along the chord.
+    Constants that are exactly real are Python floats (_narrow).
     """
-    e = params.energy
+    e = _narrow(params.energy)
     c2 = params.ell * (params.ell + 1.0)
     two_a = 2.0 * params.alpha
     n = _integer_power(params.alpha)
@@ -311,17 +329,25 @@ def _make_rhs(params: OscillatorParams, seg: _Segment):
             return dx * v, dx * (mpow * cmath.exp(1j * two_a * arg) + c2 / (x * x) - e) * u
         return rhs
 
-    za, dz = seg.za, seg.dz
+    za, dz = _narrow(seg.za), _narrow(seg.dz)
     if n is not None:
+        if isinstance(za, float) and isinstance(dz, float):
+            def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
+                x = za + t * dz
+                # complex ** int multiplies by squaring where float ** int calls
+                # pow(): the complex power keeps the bits of a complex chord
+                return dz * v, dz * (((x + 0j) ** n).real + c2 / (x * x) - e) * u
+            return rhs
+
         def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
             x = za + t * dz
             return dz * v, dz * (x ** n + c2 / (x * x) - e) * u
         return rhs
 
-    if seg.kind == "ray":
+    if seg.kind == "ray" or seg.a.arg == seg.b.arg:
         m0, dm = seg.a.modulus, seg.b.modulus - seg.a.modulus
-        ephi = cmath.rect(1.0, seg.a.arg)
-        phase = cmath.exp(1j * two_a * seg.a.arg)
+        ephi = _narrow(cmath.rect(1.0, seg.a.arg))
+        phase = _narrow(cmath.exp(1j * two_a * seg.a.arg))
 
         def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
             m = m0 + t * dm
@@ -345,12 +371,14 @@ def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: c
                        trace=None) -> list[tuple[complex, complex, float]]:
     """Transport (psi, psi') = (u, v) exp(sigma) along seg from t = 0 over the increasing stops.
 
-    Returns (u, v, logscale) at each stop.  The step lands exactly on each
+    Returns (u, v, logscale) at each stop, u and v floats where the segment,
+    the energy and (u, v) are real (_narrow).  The step lands exactly on each
     stop; a step shortened to land there does not shrink the steps after it.
     Every attempted step costs 12 rhs calls, and one more starts the segment.
     trace, when given, collects (t, u, v, logscale) at accepted steps.
     """
     rhs = _make_rhs(params, seg)
+    u, v = _narrow(u), _narrow(v)
     _, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, _ = _C
     ((a2_1,), (a3_1, a3_2), (a4_1, _, a4_3), (a5_1, _, a5_3, a5_4),
      (a6_1, _, _, a6_4, a6_5), (a7_1, _, _, a7_4, a7_5, a7_6),
@@ -483,16 +511,15 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
     loc = state.location
     if abs(loc.to_complex() - start.to_complex()) > 1e-9 * (1.0 + start.modulus):
         raise ValueError("state is not at the start of the path")
-    # Python complex from here on: the stepper is several times slower on
-    # numpy scalars, which refined Sibuya seeds would otherwise bring in
-    u, v, sigma = complex(state.value), complex(state.derivative), state.logscale
+    u, v, sigma = state.value, state.derivative, state.logscale
     segs = [_Segment(k, a, b) for k, a, b in zip(path.parameterization, path.nodes, path.nodes[1:])]
     for i, seg in enumerate(segs):
         local = [] if trace is not None else None
         u, v, sigma = _transport_segment(params, seg, u, v, sigma, rtol, (1.0,), local)[0]
         if trace is not None:
-            trace.extend((i + tt, seg.point(tt)[0], uu, vv, ss) for tt, uu, vv, ss in local)
-    out = SolutionState(path.nodes[-1], u, v, sigma)
+            trace.extend((i + tt, seg.point(tt)[0], complex(uu), complex(vv), ss)
+                         for tt, uu, vv, ss in local)
+    out = SolutionState(path.nodes[-1], complex(u), complex(v), sigma)
     return out.rescaled()
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
@@ -418,6 +419,31 @@ def _rotated_q(params: OscillatorParams, geo: _Geometry, s: int) -> tuple[comple
     return q.mantissa * cmath.rect(1.0, -s * theta * c), q.logscale
 
 
+# natural logs of the largest and of the smallest normal double
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = math.log(sys.float_info.min)
+
+
+def _log_abs(z: complex) -> float:
+    return math.log(abs(z)) if z else -math.inf
+
+
+def _check_range(params: OscillatorParams, k: int, route: str, exponents: Iterable[float],
+                 sizes: Iterable[float]) -> None:
+    """RuntimeError unless sigma_k, a sum of terms m e^x, is a normal double.
+
+    exponents are the x that math.exp must take, sizes the log |m e^x| of the
+    terms: the largest exponent and the largest size must stay below _LOG_MAX,
+    and not every term may underflow.
+    """
+    top, size = max(exponents), max(sizes)
+    if top > _LOG_MAX or not _LOG_MIN <= size <= _LOG_MAX:
+        raise RuntimeError(
+            f"sigma_{k} leaves the double range on the {route} route: log|sigma| ~ {size:.6g},"
+            f" largest exponent {top:.6g} (alpha={params.alpha:g}, ell={params.ell:g},"
+            f" E={params.energy:g}, k={k})")
+
+
 def _psi1_hop(params: OscillatorParams, geo: _Geometry, zero: SolutionState) -> complex:
     """sigma_0 at the real energy of params, on the caller's radii geo.
 
@@ -438,7 +464,9 @@ def _psi1_hop(params: OscillatorParams, geo: _Geometry, zero: SolutionState) -> 
             f"Wr[psi_-1, psi_1] lost to cancellation: rtol 2|f||f'|/|Im(conj(f) f')| = {ratio:.3g}"
             f" > 1e-6 (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g}, k=0)")
     m, l = wronskian(replace(one, value=f.conjugate(), derivative=fp.conjugate()), zero)
-    return 2j * im / m * math.exp(2.0 * one.logscale - l)
+    scale = 2.0 * one.logscale - l
+    _check_range(params, 0, "psi_1 hop", (scale,), (_log_abs(2.0 * im / m) + scale,))
+    return 2j * im / m * math.exp(scale)
 
 
 def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int, complex]:
@@ -476,6 +504,8 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
             sigma[k] = cmath.rect(1.0, 2.0 * k * theta * c) * hop
         else:
             (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
+            _check_range(params, k, "T-Q", (l2 - l1, l0 - l1),
+                         (_log_abs(m2 / m1) + l2 - l1, _log_abs(m0 / m1) + l0 - l1))
             sigma[k] = -1j * (w * m2 * math.exp(l2 - l1) + m0 * math.exp(l0 - l1) / w) / m1
     return sigma
 

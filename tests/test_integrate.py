@@ -18,7 +18,7 @@ from anharmonic.integrate import (
 )
 from anharmonic.action import _Segment
 from anharmonic.model import critical_data, eval_reduced, sector_center_arg
-from anharmonic.spectral import _geometry, eigenvalues
+from anharmonic.spectral import _geometry, eigenvalues, spectral_determinant
 
 mp.mp.dps = 25
 
@@ -303,6 +303,86 @@ class TestDOP853:
         assert abs(x - nodes[-1].to_complex()) < 1e-12
         end = u * cmath.exp(sigma)
         assert abs(end - out.value * cmath.exp(out.logscale)) < 1e-12 * abs(end)
+
+
+class TestRealArithmetic:
+    """Real data stay real: a real segment at real E from a real seed steps on floats."""
+
+    @pytest.mark.parametrize("alpha,ell,energy,a,b", [
+        (0.6, 0.3, 3.1, 0.2, 5.0), (2.0, 0.0, 7.4, 0.5, 6.0), (1.5, 0.7, 5.0, 6.0, 0.3)])
+    def test_real_ray_steps_on_floats(self, alpha, ell, energy, a, b):
+        # 2 alpha = 4 and 3 take the integer-power chord, 0.6 the ray's fixed phase
+        seg = _Segment("ray", CoverPoint(a, 0.0), CoverPoint(b, 0.0))
+        rows, rows_c = [], []
+        params = OscillatorParams(alpha, energy, ell)
+        (u, v, sigma), = integrate._transport_segment(
+            params, seg, 1.0, 0.3, 0.0, 1e-11, (1.0,), rows)
+        (uc, vc, sigma_c), = integrate._transport_segment(
+            params.with_energy(energy + 1e-300j), seg, 1.0, 0.3, 0.0, 1e-11, (1.0,), rows_c)
+        assert type(u) is float and type(v) is float
+        assert type(uc) is complex and type(vc) is complex
+        assert len(rows) == len(rows_c)
+        scale = math.exp(sigma - sigma_c)
+        assert abs(u * scale - uc) <= 1e-13 * abs(uc)
+        assert abs(v * scale - vc) <= 1e-13 * abs(vc)
+
+    @pytest.mark.parametrize("alpha,kind,a,b", [
+        (2.0, "ray", CoverPoint(0.5, 0.0), CoverPoint(6.0, 0.0)),
+        (0.6, "line", CoverPoint(0.2, 0.0), CoverPoint(5.0, 0.0)),
+        (1.0, "arc", CoverPoint(6.0, 0.0), CoverPoint(6.0, 2.5)),
+    ])
+    def test_floats_reproduce_the_complex_stepper_bit_for_bit(self, alpha, kind, a, b,
+                                                             monkeypatch):
+        # with _narrow returning complex every datum stays complex, as in a
+        # stepper without the real path; each trace row must be the same bits
+        params = OscillatorParams(alpha, 9.0, 0.5)
+        seg = _Segment(kind, a, b)
+        rows, rows_c = [], []
+        integrate._transport_segment(params, seg, 1.0, 0.3, 0.0, 1e-11, (0.5, 1.0), rows)
+        monkeypatch.setattr(integrate, "_narrow", complex)
+        integrate._transport_segment(params, seg, 1.0, 0.3, 0.0, 1e-11, (0.5, 1.0), rows_c)
+        assert rows and len(rows) == len(rows_c)
+        for (t, u, v, sigma), (t_c, u_c, v_c, sigma_c) in zip(rows, rows_c):
+            assert (t, complex(u), complex(v), sigma) == (t_c, u_c, v_c, sigma_c)
+            # an arc leaves the real axis, so its rows are complex either way
+            assert type(u) is (complex if kind == "arc" else float)
+
+    @pytest.mark.parametrize("alpha,ell,n_max", [(2.0, 0.0, 2), (1.7, 0.3, 1)])
+    def test_every_scan_transport_steps_on_floats(self, alpha, ell, n_max, monkeypatch):
+        kinds = []
+        original = integrate._transport_segment
+
+        def recorded(*args, **kwargs):
+            states = original(*args, **kwargs)
+            kinds.append(type(states[-1][0]))
+            return states
+        monkeypatch.setattr(integrate, "_transport_segment", recorded)
+        eigenvalues(alpha, ell, n_max)
+        assert kinds and set(kinds) == {float}
+
+    def test_public_values_stay_complex(self):
+        params = OscillatorParams(2.0, 7.4, 0.0)
+        a, b = CoverPoint(0.5, 0.0), CoverPoint(6.0, 0.0)
+        rows = []
+        out = propagate(params, SolutionState(a, 1.0, 0.0, 0.0), PathSpec((a, b), ("ray",)),
+                        trace=rows)
+        assert type(out.value) is complex and type(out.derivative) is complex
+        assert all(type(u) is complex and type(v) is complex for _, _, u, v, _ in rows)
+        q = spectral_determinant(params, refine=False)
+        assert type(q.mantissa) is complex
+
+    @pytest.mark.parametrize("arg", [0.0, 0.7])
+    def test_line_along_one_argument_is_the_ray(self, arg):
+        # alpha = 0.6 lifts the argument along a general line; a line whose ends
+        # share it is the ray x = (m0 + t dm) e^(i arg)
+        params = OscillatorParams(0.6, 3.1, 0.3)
+        a, b = CoverPoint(0.2, arg), CoverPoint(5.0, arg)
+        state = SolutionState(a, 1.0, 0.3, 0.0)
+        by_line = propagate(params, state, PathSpec((a, b), ("line",)), rtol=1e-11)
+        by_ray = propagate(params, state, PathSpec((a, b), ("ray",)), rtol=1e-11)
+        assert by_line.logscale == by_ray.logscale
+        for got, want in ((by_line.value, by_ray.value), (by_line.derivative, by_ray.derivative)):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestSeedRadius:

@@ -557,6 +557,29 @@ class TestLoudFailures:
         assert "Wr[psi_-1, psi_1] lost to cancellation" in msg and "= 0.2 > 1e-6" in msg
         assert "alpha=2, ell=0.5, E=5, k=0" in msg
 
+    @pytest.mark.parametrize("alpha,ell", [(0.21, 3.0), (0.34, 3.0), (2.0, 100.0)])
+    def test_connection_data_out_of_the_double_range_are_named(self, alpha, ell):
+        # at 5 E* the psi_1 hop's scale e^(2 L - l) is e^935 to e^3725, and at
+        # alpha = 0.21 and 0.34 both T-Q terms of sigma_1 are below e^-3000
+        energy = 5.0 * model.critical_data(alpha, ell).e_star
+        params = OscillatorParams(alpha, energy, ell)
+        named = f"(alpha={alpha:g}, ell={ell:g}, E={energy:g}, k="
+        for call in (lambda: stokes_multiplier(params, 0),
+                     lambda: sector_wronskian(params, -1, 1)):
+            with pytest.raises(RuntimeError) as err:
+                call()
+            msg = str(err.value)
+            assert "sigma_0 leaves the double range on the psi_1 hop route" in msg
+            assert named + "0)" in msg
+        if alpha < 1.0:
+            with pytest.raises(RuntimeError) as err:
+                stokes_multiplier(params, 1)
+            msg = str(err.value)
+            assert "sigma_1 leaves the double range on the T-Q route" in msg
+            assert named + "1)" in msg
+        else:
+            assert 0.0 < abs(stokes_multiplier(params, 1)) < math.inf
+
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled
 
