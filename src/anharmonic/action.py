@@ -120,12 +120,13 @@ def path_from_complex(points, sqrt_v_branch: str = "principal") -> PathSpec:
 
 
 class _Segment:
-    """One compiled path segment with cover-consistent argument lift."""
+    """One compiled path segment with cover-consistent argument lift; a line whose
+    ends share one argument is compiled as that argument's ray."""
 
     __slots__ = ("kind", "a", "b", "za", "zb", "dz", "dphi")
 
     def __init__(self, kind: str, a: CoverPoint, b: CoverPoint):
-        self.kind = kind
+        self.kind = "ray" if kind == "line" and a.arg == b.arg else kind
         self.a = a
         self.b = b
         self.za = a.to_complex()

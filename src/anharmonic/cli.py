@@ -219,18 +219,18 @@ def cmd_spectrum(args) -> int:
 def cmd_wkb(args) -> int:
     if args.kind == "I":
         if args.energy is None or args.ell is None:
-            raise _UsageError("kind I needs --energy and --ell")
+            raise _UsageError("--kind I needs --energy and --ell")
         value = wkb_phase(OscillatorParams(args.alpha, args.energy, args.ell),
                           abs_tol=args.abs_tol)
         arg_name, arg_value = "energy", args.energy
     elif args.kind == "J1":
         if args.u is None:
-            raise _UsageError("kind J1 needs --u")
+            raise _UsageError("--kind J1 needs --u")
         value = reduced_wkb_integral(args.alpha, "J1", args.u, abs_tol=args.abs_tol)
         arg_name, arg_value = "u", args.u
     else:
         if args.nu is None:
-            raise _UsageError("kind J2 needs --nu")
+            raise _UsageError("--kind J2 needs --nu")
         value = reduced_wkb_integral(args.alpha, "J2", args.nu, abs_tol=args.abs_tol)
         arg_name, arg_value = "nu", args.nu
     doc = _meta("wkb")
@@ -245,6 +245,8 @@ def cmd_wkb(args) -> int:
 def cmd_stokes(args) -> int:
     params = OscillatorParams(args.alpha, args.energy, args.ell)
     window = tuple(args.window) if args.window is not None else None
+    if window is not None and window[0] > window[1]:
+        raise _UsageError("--window needs LO <= HI, got %g %g" % window)
     sc = stokes_complex(params, sector_window=window, theta=args.theta)
     if args.format == "csv":
         header = ["edge_index", "source", "target", "point_index", "re_x", "im_x", "arg_x"]

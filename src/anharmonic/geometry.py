@@ -391,7 +391,9 @@ def stokes_complex(params: OscillatorParams,
     tps = turning_points(params)
     tp_list = _collect_tps(tps, sector_window)
     if not tp_list:
-        raise ValueError("no turning points found in the window")
+        where = "" if sector_window is None else " in the window [%g, %g]" % sector_window
+        raise ValueError(f"no turning points found{where} (alpha={params.alpha:g}, "
+                         f"ell={params.ell:g}, E={params.energy:g})")
     stops = _stops_for(params, tps)
     if sector_window is not None:
         stops = TraceStops(stops.radius_max, stops.radius_min, stops.max_steps,

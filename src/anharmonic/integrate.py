@@ -8,7 +8,9 @@ thousands of times, so the generic array machinery of scipy.solve_ivp costs
 more than the arithmetic.  At the tolerances used here (1e-9 to 5e-13) the
 8th order pair takes several times fewer steps per unit of WKB phase than a
 5th order one, and each step lands exactly on any requested stop points.
-Real data stay real: on a segment of the positive axis at real E from a real
+The right-hand side has one form per segment shape (arc, ray, line), the
+same at every alpha: x^(2a) is |x|^(2a) exp(2a i arg x) on the cover.
+Real data stay real: on a ray of the positive axis at real E from a real
 seed, as in every scan determinant, the stepper runs on floats.  CPython's
 interpreter specialises float arithmetic and not complex arithmetic, so the
 same steps cost about 2.5 times less, and each float result has the bits of
@@ -34,7 +36,6 @@ from .model import (
     _cover_power,
     _forcing_payload,
     _gauss8,
-    _integer_power,
     _reduced_jet,
     sector_center_arg,
 )
@@ -306,17 +307,16 @@ def _narrow(z):
 def _make_rhs(params: OscillatorParams, seg: _Segment):
     """Compile (u, v)' = (x' v, x' U(x) u) along one path segment x(t), 0 <= t <= 1.
 
-    One closure per segment shape.  Arcs take x^(2a) = |x|^(2a) exp(2a i arg x)
-    at every alpha.  Rays and lines with 2 alpha an integer n share the chord
-    x = za + t dz, where x^(2a) = x ** n is entire and needs no branch.  Other
-    rays, and lines whose ends share one argument, take |x|^(2a) times the
-    ray's fixed phase; other lines lift arg x continuously along the chord.
-    Constants that are exactly real are Python floats (_narrow).
+    One closure per segment shape, the same at every alpha, with
+    x^(2a) = |x|^(2a) exp(2a i arg x) on the cover.  An arc steps the
+    argument at fixed modulus; a ray steps the modulus at its fixed phase
+    exp(2a i arg); a line lifts arg x continuously along the chord.  Constants
+    that are exactly real are Python floats (_narrow), so a ray of the
+    positive axis at real E steps on floats.
     """
     e = _narrow(params.energy)
     c2 = params.ell * (params.ell + 1.0)
     two_a = 2.0 * params.alpha
-    n = _integer_power(params.alpha)
 
     if seg.kind == "arc":
         mod, arg0, dphi = seg.a.modulus, seg.a.arg, seg.dphi
@@ -329,22 +329,7 @@ def _make_rhs(params: OscillatorParams, seg: _Segment):
             return dx * v, dx * (mpow * cmath.exp(1j * two_a * arg) + c2 / (x * x) - e) * u
         return rhs
 
-    za, dz = _narrow(seg.za), _narrow(seg.dz)
-    if n is not None:
-        if isinstance(za, float) and isinstance(dz, float):
-            def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
-                x = za + t * dz
-                # complex ** int multiplies by squaring where float ** int calls
-                # pow(): the complex power keeps the bits of a complex chord
-                return dz * v, dz * (((x + 0j) ** n).real + c2 / (x * x) - e) * u
-            return rhs
-
-        def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
-            x = za + t * dz
-            return dz * v, dz * (x ** n + c2 / (x * x) - e) * u
-        return rhs
-
-    if seg.kind == "ray" or seg.a.arg == seg.b.arg:
+    if seg.kind == "ray":
         m0, dm = seg.a.modulus, seg.b.modulus - seg.a.modulus
         ephi = _narrow(cmath.rect(1.0, seg.a.arg))
         phase = _narrow(cmath.exp(1j * two_a * seg.a.arg))
@@ -356,7 +341,7 @@ def _make_rhs(params: OscillatorParams, seg: _Segment):
             return dx * v, dx * (math.pow(m, two_a) * phase + c2 / (x * x) - e) * u
         return rhs
 
-    arg0 = seg.a.arg
+    za, dz, arg0 = _narrow(seg.za), _narrow(seg.dz), seg.a.arg
 
     def rhs(t: float, u: complex, v: complex) -> tuple[complex, complex]:
         x = za + t * dz

@@ -271,7 +271,8 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
             hi = min([r for r, i in zip(roots, index) if i > k], default=e_cap)
             roots.extend(_rescan(q_at, spacing, lo, hi, rel_tol))
         roots = sorted(set(roots))
-    index = [_phase_index(alpha, ell, r) for r in roots]
+    else:  # the last round rescanned: index its roots
+        index = [_phase_index(alpha, ell, r) for r in roots]
     picked = {i: r for r, i in zip(roots, index)}
     if sorted(picked)[: n_max + 1] != list(range(n_max + 1)):
         raise RuntimeError(f"scan did not resolve indices 0..{n_max} (alpha={alpha:g}, "

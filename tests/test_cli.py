@@ -115,6 +115,15 @@ class TestVerify:
         text = target.read_text().lower()
         assert "time" not in text and "date" not in text
 
+        code, out, _ = run(["verify", "--profile", "quick", "--format", "csv"], capsys)
+        assert code == 0
+        lines = out.split("\r\n")
+        assert lines[0] == "criterion,name,passed,measured,bound"
+        assert lines[-1] == "" and len(lines) == 7  # header + 5 checks + trailing newline
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [(int(r[0]), r[1], r[2]) for r in rows] == [
+            (c["criterion"], c["name"], "true") for c in doc["checks"]]
+
 
 class TestExitCodes:
     def test_unknown_command(self, capsys):
@@ -165,6 +174,10 @@ class TestExitCodes:
         ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "nan"],
         ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--theta", "nan"],
         ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "2", "--window", "0", "nan"],
+        ["stokes", "--alpha", "1", "--ell", "0.5", "--energy", "5", "--window", "1", "-1"],
+        ["spectrum", "--alpha", "1", "--ell", "0", "--n-max", "-1"],
+        ["wkb", "--alpha", "1", "--kind", "J1"],
+        ["wkb", "--alpha", "1", "--kind", "J2"],
     ], ids=lambda argv: " ".join(argv[0:1] + argv[-2:]))
     def test_bad_flag_value_is_a_usage_error(self, argv, capsys):
         code, out, err = run(argv, capsys)

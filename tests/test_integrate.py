@@ -228,16 +228,21 @@ class TestTransport:
 
 class TestRhs:
     @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0, 2.5, 4.5])
-    @pytest.mark.parametrize("kind,a,b", [
-        ("ray", CoverPoint(0.7, 4.0), CoverPoint(3.1, 4.0)),
-        ("arc", CoverPoint(2.3, -0.5), CoverPoint(2.3, 3.6)),
-        ("line", CoverPoint(1.2, 2.5), CoverPoint(2.6, 3.8)),
+    @pytest.mark.parametrize("kind,a,b,energy", [
+        ("ray", CoverPoint(0.7, 4.0), CoverPoint(3.1, 4.0), 5.3 - 1.7j),
+        # the positive axis at real E: the float kernel of every scan
+        ("ray", CoverPoint(3.1, 0.0), CoverPoint(0.7, 0.0), 5.3),
+        ("arc", CoverPoint(2.3, -0.5), CoverPoint(2.3, 3.6), 5.3 - 1.7j),
+        ("line", CoverPoint(1.2, 2.5), CoverPoint(2.6, 3.8), 5.3 - 1.7j),
+        # ends on one argument: _Segment makes it a ray
+        ("line", CoverPoint(0.9, -2.2), CoverPoint(2.6, -2.2), 5.3 - 1.7j),
     ])
-    def test_matches_the_written_out_potential(self, alpha, kind, a, b):
+    def test_matches_the_written_out_potential(self, alpha, kind, a, b, energy):
         # (x' v, x' (V - 1/(4x^2)) u) with V from eval_reduced on the cover;
-        # 2 alpha = 9 takes the integer-power rhs, 0.6 the branch-lifted ones
-        params = OscillatorParams(alpha, 5.3 - 1.7j, 0.8)
+        # each shape has one kernel for integer (2, 4, 9) and other 2 alpha
+        params = OscillatorParams(alpha, energy, 0.8)
         seg = _Segment(kind, a, b)
+        assert seg.kind == ("ray" if a.arg == b.arg else kind)
         rhs = integrate._make_rhs(params, seg)
         u, v = 0.3 - 1.1j, -0.7 + 0.4j
         for t in (0.0, 0.37, 0.81, 1.0):
@@ -311,7 +316,7 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("alpha,ell,energy,a,b", [
         (0.6, 0.3, 3.1, 0.2, 5.0), (2.0, 0.0, 7.4, 0.5, 6.0), (1.5, 0.7, 5.0, 6.0, 0.3)])
     def test_real_ray_steps_on_floats(self, alpha, ell, energy, a, b):
-        # 2 alpha = 4 and 3 take the integer-power chord, 0.6 the ray's fixed phase
+        # the ray kernel at 2 alpha = 1.2, 4 and 3: |x|^(2a) times its fixed phase
         seg = _Segment("ray", CoverPoint(a, 0.0), CoverPoint(b, 0.0))
         rows, rows_c = [], []
         params = OscillatorParams(alpha, energy, ell)

@@ -97,7 +97,8 @@ class TestTurningPoints:
         assert abs(tp.real_pair[1] - cd.x_star) < 1e-7
 
     def test_integer_power_within_the_tolerance(self):
-        # 2 alpha = n to 1e-12 makes x^(2a) entire: a one-turn root window, x ** n rhs
+        # 2 alpha = n to 1e-12 makes x^(2a) entire: a one-turn root window and
+        # escape labels in the principal window
         assert [_integer_power(a) for a in (0.5, 1.0, 4.5, 4.5 + 1e-13)] == [1, 2, 9, 9]
         assert _integer_power(0.6) is None and _integer_power(4.5 + 1e-11) is None
 
