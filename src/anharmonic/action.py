@@ -25,6 +25,7 @@ from .model import (
     _cover_power,
     _forcing_payload,
     _gauss8,
+    _near_critical,
     _reduced_jet,
     _reduced_v,
     _real_pair,
@@ -42,9 +43,6 @@ __all__ = [
     "asymptotic_reference",
 ]
 
-# relative height above the critical energy E* below which wkb_phase and
-# wkb_phase_derivative take the slope of the harmonic bottom of the well
-_NEAR_CRITICAL = 1e-6
 # first panels of the sin^2-mapped well, theta in [0, pi/2]: eight equal ones
 # put theta = pi/4, where the radicand changes its end, on an edge, and let
 # most action integrals settle in the first round
@@ -284,8 +282,9 @@ def _well_quad(params: OscillatorParams, integrand, epsabs: float, stage: str) -
 def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
     """I(E, ell) = (1/pi) * integral of sqrt(E - x^2a - (ell+1/2)^2/x^2) over the well.
 
-    The sin^2 substitution removes both square-root endpoints.  For energies
-    in (E*, E*(1 + _NEAR_CRITICAL)) the slope expansion around the degenerate
+    The sin^2 substitution removes both square-root endpoints.  In the
+    near-critical band above E* (model._near_critical, where the turning
+    points are one double point) the slope expansion around the degenerate
     well is used instead; its relative error there is O(E/E* - 1).
     """
     a = params.alpha
@@ -295,7 +294,7 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
         crit = critical_data(a, params.ell)
         if e <= crit.e_star:
             return 0.0
-        if e < crit.e_star * (1.0 + _NEAR_CRITICAL):
+        if _near_critical(e, crit.e_star):
             slope = asymptotic_reference("j2_slope", a)
             return slope * (e - crit.e_star) * lam ** ((1.0 - a) / (1.0 + a))
     return _well_quad(params, lambda jac, r: jac * np.sqrt(np.maximum(r, 0.0)), abs_tol,
@@ -305,14 +304,15 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
 def wkb_phase_derivative(params: OscillatorParams) -> float:
     """dI/dE = (1/2pi) * integral dx / sqrt(E - x^2a - (ell+1/2)^2/x^2) > 0.
 
-    Below E*(1 + _NEAR_CRITICAL) it is the slope of the harmonic bottom.
+    Below E* and in the near-critical band (model._near_critical) it is the
+    slope of the harmonic bottom.
     """
     a = params.alpha
     lam = params.lam
     e = params.energy.real
     if lam > 1e-12:
         crit = critical_data(a, params.ell)
-        if e < crit.e_star * (1.0 + _NEAR_CRITICAL):
+        if e < crit.e_star or _near_critical(e, crit.e_star):
             return asymptotic_reference("j2_slope", a) * lam ** ((1.0 - a) / (1.0 + a))
     return _well_quad(params, lambda jac, r: jac / np.sqrt(np.where(r > 0.0, r, np.inf)), 1e-12,
                       "wkb_phase_derivative") / (2.0 * math.pi)
@@ -393,9 +393,16 @@ def asymptotic_reference(identifier: str, alpha: float, **kw) -> float | tuple[f
       spectrum_large_n (ell, n)    leading eigenvalue growth
       spectrum_large_n_rate (n)    error scale of the same
       spectrum_fixed_n_large_ell (ell, n)  harmonic-well approximation
+                                   nu_* lam^(2a/(a+1)) (1 + k (n + 1/2)/lam),
+                                   lam = ell + 1/2, k = harmonic_coefficient;
+                                   exact at a = 1, relative error O(lam^-2)
       harmonic_coefficient         slope of the harmonic term
       coalescing_tps (nu)          two-term expansion of the blown-up turning pair
       hbar_n (nu, n)               2 J2(nu) / (2n+1)
+
+    j2_slope is the slope wkb_phase and wkb_phase_derivative take in the
+    near-critical band |E/E* - 1| <= model._NEAR_CRITICAL, where the two
+    turning points are one double point.
     """
     a = alpha
     if identifier == "j1_zero":
@@ -438,10 +445,10 @@ def asymptotic_reference(identifier: str, alpha: float, **kw) -> float | tuple[f
             return math.log(n) / n
         return n ** (-(a + 0.5))
     if identifier == "spectrum_fixed_n_large_ell":
-        n, ell = kw["n"], kw["ell"]
-        lead = _blowup_constants(a)[0] * ell ** (2.0 * a / (a + 1.0))
+        n, lam = kw["n"], kw["ell"] + 0.5
+        lead = _blowup_constants(a)[0] * lam ** (2.0 * a / (a + 1.0))
         kcoef = asymptotic_reference("harmonic_coefficient", a)
-        return lead * (1.0 + kcoef * (n + 0.5) / ell)
+        return lead * (1.0 + kcoef * (n + 0.5) / lam)
     if identifier == "harmonic_coefficient":
         return 2.0 * a * math.sqrt(2.0) / math.sqrt(a + 1.0)
     if identifier == "coalescing_tps":

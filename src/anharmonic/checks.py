@@ -17,7 +17,7 @@ import cmath
 import importlib.resources as _resources
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -118,8 +118,8 @@ def check_bohr_sommerfeld_alpha1() -> CheckResult:
 
 def check_large_n_rate() -> CheckResult:
     ev = eigenvalues(2.0, 0.0, 60, rel_tol=1e-8)
-    nd = [n * abs(ev[n] / asymptotic_spectrum(2.0, 0.0, n) - 1.0)
-          for n in range(10, 61)]
+    nd = [abs(ev[n] / asymptotic_spectrum(2.0, 0.0, n) - 1.0)
+          / asymptotic_reference("spectrum_large_n_rate", 2.0, n=n) for n in range(10, 61)]
     ratio = max(nd) / min(nd)
     return CheckResult(
         name="large_n_rate",
@@ -135,10 +135,9 @@ def check_large_n_rate() -> CheckResult:
 # criterion 4: harmonic bottom-of-well approximation at large ell
 
 def _harmonic_residual(alpha: float, ell: float, e0: float) -> float:
-    lead = alpha ** (alpha / (alpha + 1.0)) / (alpha + 1.0)
+    nu_star = _blowup_constants(alpha)[0]
     slope = asymptotic_reference("harmonic_coefficient", alpha)
-    return abs(lead * ell ** (-2.0 * alpha / (alpha + 1.0)) * e0 - 1.0
-               - slope * 0.5 / ell)
+    return abs(ell ** (-2.0 * alpha / (alpha + 1.0)) * e0 / nu_star - 1.0 - slope * 0.5 / ell)
 
 
 def check_harmonic_subregime() -> CheckResult:
@@ -368,10 +367,10 @@ def check_semiclassical_fg() -> CheckResult:
 # criterion 9: small-u / near-critical / derivative rates of the J integrals
 
 def _j1_normalized_errors(alpha: float) -> list[float]:
-    j10 = asymptotic_reference("j1_zero", alpha)
     out = []
     for u in (0.1, 0.05, 0.025):
-        err = abs(reduced_wkb_integral(alpha, "J1", u) - j10 + 0.5 * u)
+        err = abs(reduced_wkb_integral(alpha, "J1", u)
+                  - asymptotic_reference("j1_small_u", alpha, u=u))
         out.append(err / asymptotic_reference("j1_rate", alpha, u=u))
     return out
 
@@ -399,11 +398,11 @@ def check_j_asymptotics() -> CheckResult:
 
     alpha = 2.0
     nu_star, _ = _blowup_constants(alpha)
-    slope = asymptotic_reference("j2_slope", alpha)
     errs = []
     for d in (0.1, 0.025, 0.00625):
         nu = nu_star + d
-        err = abs(reduced_wkb_integral(alpha, "J2", nu) - slope * d)
+        err = abs(reduced_wkb_integral(alpha, "J2", nu)
+                  - asymptotic_reference("j2_near_critical", alpha, nu=nu))
         errs.append(err / d ** 1.5)
     good, ratio = _rate_bounded(errs)
     ok = ok and good
@@ -497,14 +496,8 @@ def run_checks(profile: str = "quick", progress=None) -> list[CheckResult]:
         r = fn()
         # numpy scalars (np.bool_ in particular) leak through comparisons and
         # break the strict report serializer; normalise here once.
-        results.append(CheckResult(
-            name=r.name,
-            criterion=r.criterion,
-            passed=bool(r.passed),
-            measured=float(r.measured),
-            bound=float(r.bound),
-            detail=r.detail,
-        ))
+        results.append(replace(r, passed=bool(r.passed), measured=float(r.measured),
+                               bound=float(r.bound)))
     return results
 
 
@@ -514,15 +507,5 @@ def report_dict(results: list[CheckResult], profile: str, tool_version: str) -> 
         "tool_version": tool_version,
         "profile": profile,
         "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "criterion": r.criterion,
-                "passed": r.passed,
-                "measured": r.measured,
-                "bound": r.bound,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }

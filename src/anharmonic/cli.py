@@ -13,11 +13,12 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple, fields
 
 from . import __version__
 from .model import OscillatorParams
 from .action import reduced_wkb_integral, wkb_phase
-from .spectral import spectrum_table
+from .spectral import SpectrumRecord, spectrum_table
 from .geometry import complex_to_json_dict, stokes_complex, trajectory_csv_rows
 from .checks import report_dict, run_checks
 
@@ -188,11 +189,9 @@ def cmd_spectrum(args) -> int:
     methods = ("exact", "bs", "asym") if args.method == "all" else (args.method,)
     records = spectrum_table(args.alpha, args.ell, args.n_max, methods=methods,
                              rel_tol=args.rel_tol)
-    header = ["n", "e_exact", "e_bs", "e_asym", "rel_dev_bs", "rel_dev_asym"]
     if args.format == "csv":
-        rows = [[r.n, r.e_exact, r.e_bs, r.e_asym, r.rel_dev_bs, r.rel_dev_asym]
-                for r in records]
-        _emit(_csv_text(header, rows), args.out)
+        header = [f.name for f in fields(SpectrumRecord)]
+        _emit(_csv_text(header, [astuple(r) for r in records]), args.out)
     else:
         doc = _meta("spectrum")
         doc.update({
@@ -200,17 +199,7 @@ def cmd_spectrum(args) -> int:
             "ell": args.ell,
             "n_max": args.n_max,
             "method": args.method,
-            "rows": [
-                {
-                    "n": r.n,
-                    "e_exact": r.e_exact,
-                    "e_bs": r.e_bs,
-                    "e_asym": r.e_asym,
-                    "rel_dev_bs": r.rel_dev_bs,
-                    "rel_dev_asym": r.rel_dev_asym,
-                }
-                for r in records
-            ],
+            "rows": [asdict(r) for r in records],
         })
         _emit(dumps_json(doc), args.out)
     return EXIT_OK

@@ -380,11 +380,12 @@ def stokes_complex(params: OscillatorParams,
     """Assemble the graph of theta-trajectories emitted by turning points.
 
     Each turning point of multiplicity beta launches beta + 2 traces along its
-    local fan; traces terminate at another turning point, at the origin, or at
-    an escape direction at infinity.  Turning-point-to-turning-point edges are
-    traced from both ends and reported once, by the traces from the lower
-    numbered turning point; a loop is reported by every other of its traces
-    in fan order.  The default theta = pi/2 gives the vertical trajectories
+    local fan; traces terminate at another turning point, at the origin, at
+    an escape direction at infinity, or, given a sector_window, at the window
+    edge they cross (vertex "exit_<edge>").  Turning-point-to-turning-point
+    edges are traced from both ends and reported once, by the traces from the
+    lower numbered turning point; a loop is reported by every other of its
+    traces in fan order.  The default theta = pi/2 gives the vertical trajectories
     whose union is the Stokes complex; infinity labels name the nearest sector
     boundary and are exact for that default.
     """
@@ -432,7 +433,8 @@ def stokes_complex(params: OscillatorParams,
             elif term.kind in ("hit_radius_min", "spiral_into_origin"):
                 label = "0"
             elif term.kind == "entered_sector":
-                label = "exit_%d" % term.index
+                lo, hi = sector_window
+                label = "exit_%g" % (hi if traj.points[-1].arg > hi else lo)
             else:
                 label = "unresolved"
                 end = traj.points[-1]

@@ -335,20 +335,31 @@ def _where(params: OscillatorParams) -> str:
     return f"turning points (alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy.real:g})"
 
 
+# relative distance from the critical energy E* within which the two real
+# turning points are one double point at x_star: the near-critical band
+_NEAR_CRITICAL = 1e-8
+
+
+def _near_critical(energy: float, e_star: float) -> bool:
+    """Whether energy lies in the near-critical band |E - E*| <= _NEAR_CRITICAL E*."""
+    return abs(energy - e_star) <= _NEAR_CRITICAL * e_star
+
+
 def _real_pair(params: OscillatorParams) -> tuple[float, float] | None:
     """The positive zeros (x_minus, x_plus) of V, None below the critical energy.
 
     The real-axis part of turning_points, for callers that need only the well.
+    In the near-critical band both are x_star.
     """
     if abs(params.energy.imag) > 1e-10 * max(1.0, abs(params.energy.real)):
         raise ValueError("turning point location expects (near) real energy")
     crit = critical_data(params.alpha, params.ell)
     e = params.energy.real
-    if e < crit.e_star * (1.0 - 1e-8):
-        return None
     x_star = crit.x_star
-    if abs(e - crit.e_star) <= 1e-8 * crit.e_star:
+    if _near_critical(e, crit.e_star):
         return x_star, x_star
+    if e < crit.e_star:
+        return None
 
     def v(x: float) -> float:  # V on the positive axis
         return x ** (2.0 * params.alpha) - e + (params.lam / x) ** 2

@@ -43,6 +43,7 @@ from typing import Iterable, NamedTuple
 from .model import (
     CoverPoint,
     OscillatorParams,
+    _NEAR_CRITICAL,
     _brent,
     _real_pair,
     critical_data,
@@ -245,7 +246,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
         return 1.0 / max(wkb_phase_derivative(p), 1e-12)
 
     e_cap = 4.0 * asymptotic_spectrum(alpha, ell, n_max + 2) + 50.0
-    e_floor = crit.e_star * (1.0 + 1e-7)
+    e_floor = crit.e_star * (1.0 + _NEAR_CRITICAL)
     roots: list[float] = []
     miss = math.inf  # |root - prediction| of the previous level
     for n in range(n_max + 1):
@@ -266,8 +267,7 @@ def eigenvalues(alpha: float, ell: float, n_max: int,
         if not missing:
             break
         for k in missing:
-            lo = max([r for r, i in zip(roots, index) if i < k],
-                     default=crit.e_star * (1.0 + 1e-7))
+            lo = max([r for r, i in zip(roots, index) if i < k], default=e_floor)
             hi = min([r for r, i in zip(roots, index) if i > k], default=e_cap)
             roots.extend(_rescan(q_at, spacing, lo, hi, rel_tol))
         roots = sorted(set(roots))

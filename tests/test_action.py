@@ -11,8 +11,10 @@ from anharmonic import (
     asymptotic_reference,
     bohr_sommerfeld_energy,
     critical_data,
+    eigenvalues,
     path_from_complex,
     reduced_wkb_integral,
+    to_hbar_coords,
     turning_points,
     wkb_phase,
     wkb_phase_derivative,
@@ -35,10 +37,11 @@ class TestQuadraticWell:
         got = wkb_phase_derivative(OscillatorParams(1.0, 6.3, 0.8))
         assert abs(got - 0.25) < 1e-8
 
-    @pytest.mark.parametrize("excess", [1e-7, 1.01e-6, 1e-5, 1e-3, 1.0, 100.0])
+    @pytest.mark.parametrize("excess", [5e-9, 1e-7, 1.01e-6, 1e-5, 1e-3, 1.0, 100.0])
     @pytest.mark.parametrize("ell", [0.0, 0.5, 3.0])
     def test_phase_derivative_is_constant_from_the_critical_energy_up(self, ell, excess):
-        # E/E* - 1 = excess; the first point takes the harmonic bottom's slope
+        # E/E* - 1 = excess; the first point lies in the near-critical band and
+        # takes the harmonic bottom's slope, the others the quadrature
         energy = critical_data(1.0, ell).e_star * (1.0 + excess)
         got = wkb_phase_derivative(OscillatorParams(1.0, energy, ell))
         assert abs(got / 0.25 - 1.0) < 1e-12
@@ -78,8 +81,9 @@ class TestJIntegrals:
         j1 = reduced_wkb_integral(alpha, "J1", nu ** -expo)
         assert abs(j2 - nu ** expo * j1) < 1e-8 * max(1.0, abs(j2))
 
-    def test_large_nu_expansion_rate(self):
-        a = 2.0
+    # alpha <= 1/2 takes the other two branches of j2_large_rate
+    @pytest.mark.parametrize("a", [2.0, 0.5, 0.25])
+    def test_large_nu_expansion_rate(self, a):
         ratios = []
         for nu in (20.0, 80.0):
             err = abs(reduced_wkb_integral(a, "J2", nu)
@@ -207,6 +211,25 @@ class TestReferences:
         assert errs[1] < 1e-5
         # residual shrinks like d^(3/2): one decade in d gives ~10^1.5 in error
         assert 15.0 < errs[0] / errs[1] < 60.0
+
+    def test_large_ell_levels_in_lambda(self):
+        # nu* lam^p (1 + k (n + 1/2)/lam) with lam = ell + 1/2: exact at alpha = 1,
+        # off by O(lam^-2) elsewhere; written in ell it is off by O(1/ell)
+        for a in (1.0, 0.6, 2.0):
+            for ell in (25.0, 200.0):
+                lam = ell + 0.5
+                ev = eigenvalues(a, ell, 1, rel_tol=1e-12)
+                for n in (0, 1):
+                    ref = asymptotic_reference("spectrum_fixed_n_large_ell", a, ell=ell, n=n)
+                    err = abs(ev[n] / ref - 1.0)
+                    assert err <= 1e-12 if a == 1.0 else lam * lam * err <= 2.0
+
+    @pytest.mark.parametrize("a,ell,n", [(2.0, 3.0, 0), (0.6, 10.0, 2), (1.5, 40.0, 1)])
+    def test_hbar_n_is_one_over_lambda_at_the_quantised_energy(self, a, ell, n):
+        # I(E, ell) = lam J2(nu) with nu the regime-2 energy, and I = n + 1/2 there
+        params = OscillatorParams(a, bohr_sommerfeld_energy(a, ell, n), ell)
+        nu = to_hbar_coords(params, 2).nu
+        assert abs(params.lam * asymptotic_reference("hbar_n", a, nu=nu, n=n) - 1.0) < 1e-12
 
     def test_rejects_unknown_identifier(self):
         with pytest.raises(KeyError):

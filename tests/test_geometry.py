@@ -155,19 +155,25 @@ class TestStokesGraphs:
         assert len(at_x_star) == 1
         assert sc.vertex_multiplicity[at_x_star[0]] == 2
 
-    def test_argument_window_ends_traces_at_its_edges(self):
-        # at (1, 1/2, 5) the window [-1, 1] keeps tp0 and tp1; two of tp0's
-        # traces leave it and are labelled by the sector they enter
-        sc = stokes_complex(OscillatorParams(1.0, 5.0, 0.5), sector_window=(-1.0, 1.0))
+    @pytest.mark.parametrize("energy,window,edges", [
+        # the window [-1, 1] keeps tp0 and tp1; two of tp0's traces leave it
+        (5.0, (-1.0, 1.0), [("tp0", "exit_1"), ("tp0", "exit_-1"), ("tp1", "inf_1/2"),
+                            ("tp1", "inf_-1/2"), ("tp0", "tp1")]),
+        # four traces leave [-1/2, 1/2], at arg +-0.501 and +-0.505, all in sector 0
+        (2.0, (-0.5, 0.5), [("tp0", "exit_0.5"), ("tp0", "exit_0.5"), ("tp0", "exit_-0.5"),
+                            ("tp0", "exit_-0.5")]),
+    ])
+    def test_argument_window_ends_traces_at_its_edges(self, energy, window, edges):
+        # at (1, 1/2, E) a trace that leaves the window is labelled by the edge it crosses
+        sc = stokes_complex(OscillatorParams(1.0, energy, 0.5), sector_window=window)
         assert sc.warnings == ()
-        assert sorted((e.source, e.target) for e in sc.edges) == sorted([
-            ("tp0", "exit_1"), ("tp0", "exit_-1"), ("tp1", "inf_1/2"), ("tp1", "inf_-1/2"),
-            ("tp0", "tp1")])
+        assert sorted((e.source, e.target) for e in sc.edges) == sorted(edges)
+        lo, hi = window
         for e in sc.edges:
             if e.target.startswith("exit_"):
-                end = e.trajectory.points[-1]
+                end = e.trajectory.points[-1].arg
                 assert e.trajectory.termination.kind == "entered_sector"
-                assert abs(end.arg) > 1.0 and math.copysign(1, end.arg) == int(e.target[5:])
+                assert not lo <= end <= hi and e.target == "exit_%g" % (hi if end > hi else lo)
 
     def test_empty_argument_window_is_named(self):
         with pytest.raises(ValueError, match=r"no turning points found in the window \[1, -1\] "
