@@ -31,7 +31,9 @@ wkb_phase and per wkb_phase_derivative call of the quartic scan and per rho
 of check_admissible on each committed curve (null for a checkout without
 action._adaptive_gauss), and how many segment transports of each scan and
 of measured_wkb_deviation on each committed curve ran in real arithmetic
-(returned float states), of all that ran.  Counts come from wrapping module
+(returned float states), of all that ran; and the KiB that one
+frobenius_seed table holds at each SERIES point (tracemalloc, table alone).
+Counts come from wrapping module
 functions of anharmonic.spectral, anharmonic.action, anharmonic.geometry,
 anharmonic.integrate and anharmonic.checks from this script; times are
 time.perf_counter readings.
@@ -50,6 +52,7 @@ holds the timings rescaled to the reference speed at which that loop takes
 REF_SECONDS, "layers_raw" the plain readings and "reference" the factor.
 """
 import argparse
+import gc
 import json
 import os
 import platform
@@ -57,6 +60,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -197,6 +201,28 @@ def reference_chunk() -> float:
 def _many(call, *args) -> None:
     for _ in range(SERIES_CALLS):
         call(*args)
+
+
+def frobenius_table_kib() -> dict:
+    """KiB that tracemalloc sees held by one frobenius_seed table at each SERIES point.
+
+    One untraced build first, so that the traced one holds no allocation
+    that only a first call makes.  A full collection empties the
+    interpreter's free lists before the traced build, so that each of its
+    objects is a fresh allocation, and again before the reading, so that the
+    objects it dropped no longer count.
+    """
+    out = {}
+    for alpha, ell, _, _ in SERIES:
+        integrate.frobenius_seed(alpha, ell)
+        gc.collect()
+        tracemalloc.start()
+        table = integrate.frobenius_seed(alpha, ell)
+        gc.collect()
+        out[f"alpha={alpha:g},ell={ell:g}"] = tracemalloc.get_traced_memory()[0] / 1024.0
+        tracemalloc.stop()
+        del table
+    return out
 
 
 def _stokes_cases() -> dict:
@@ -488,7 +514,8 @@ def main() -> None:
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),
                  "quadrature_panels": quadrature_panels(),
-                 "real_transports": real_transports()},
+                 "real_transports": real_transports(),
+                 "frobenius_table_kib": frobenius_table_kib()},
         "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
     }
     chunks: list[float] = []

@@ -51,7 +51,6 @@ __all__ = [
     "StokesComplex",
     "AdmissibilityReport",
     "trace_trajectory",
-    "default_stops",
     "stokes_complex",
     "check_admissible",
     "trajectory_csv_rows",
@@ -148,13 +147,8 @@ def _potential(params: OscillatorParams):
     return v, v_pair
 
 
-def default_stops(params: OscillatorParams) -> TraceStops:
-    """Radius bounds scaled to the turning point geometry."""
-    return _stops_for(params, turning_points(params))
-
-
 def _stops_for(params: OscillatorParams, tps: TurningPointSet) -> TraceStops:
-    """default_stops, from turning points already found."""
+    """Radius bounds scaled to the turning point geometry."""
     mods = (list(tps.real_pair or ()) + [p.modulus for p in tps.sector_points]
             or [critical_data(params.alpha, params.ell).x_star])
     return TraceStops(radius_max=max(50.0, 10.0 * max(mods)), radius_min=1e-4 * min(mods))
@@ -166,7 +160,7 @@ def _match_sqrt(v: complex, ref: complex) -> complex:
 
 
 def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
-                     stops: TraceStops | None = None, *,
+                     stops: TraceStops, *,
                      tp_guard=None, suppress_index: int | None = None,
                      suppress_radius: float = 0.0) -> Trajectory:
     """Trace the theta-trajectory of V dx^2 through x0.
@@ -185,12 +179,13 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     closing in on a guard ball takes a number of steps logarithmic in d.
 
     tp_guard is a list of (CoverPoint, exclusion_radius); entering a guard ball
-    terminates the trace with near_turning_point(index).  suppress_index mutes
-    that guard until the trace leaves suppress_radius around it (so an edge can
-    be launched from a fan ray without instantly terminating on its source).
+    terminates the trace with near_turning_point(index), but only on the
+    guard's own sheet (|arg x - arg guard| < 1) unless 2 alpha is an integer:
+    for other alpha V one turn away is a different function, and the point
+    there is no zero of it.  suppress_index mutes that guard until the trace
+    leaves suppress_radius around it (so an edge can be launched from a fan
+    ray without instantly terminating on its source).
     """
-    if stops is None:
-        stops = default_stops(params)
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
     v_of, v_pair = _potential(params)
     two_a_int = _integer_power(params.alpha) is not None
@@ -223,25 +218,26 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     geo_scale = max(abs(z), stops.radius_min * 10.0)
     termination = Termination("step_limit")
     turn_mods: list[float] = []  # |x| at each completed turn about the origin
+    dist = [abs(z - gz) for gz in guard_z]  # |x - x_g| where the last step ended
 
     n = 0
     while n < stops.max_steps:
         n += 1
         # local step bound: sqrt(V) relative change and geometric caps; the
-        # jet (v, v1) at z was evaluated where the previous step ended
+        # jet (v, v1) and the guard distances at z were evaluated where the
+        # previous step ended
         if v == 0:
             termination = Termination("zero_of_v")
             break
         rate = abs(v1) / (2.0 * abs(v))
         dx_cap = 0.05 * abs(z)
         frac = _STEP_FRAC
-        if guards:
-            armed_pairs = [(abs(z - gz), r_) for gz, r_, a_ in zip(guard_z, guard_r, armed) if a_]
-            if armed_pairs:
-                d_min, r_near = min(armed_pairs)
-                dx_cap = min(dx_cap, 0.35 * d_min + 1e-14 * geo_scale)
-                if d_min < 50.0 * r_near:
-                    frac = _STEP_FRAC_ENDGAME
+        armed_pairs = [(d, r_) for d, r_, a_ in zip(dist, guard_r, armed) if a_]
+        if armed_pairs:
+            d_min, r_near = min(armed_pairs)
+            dx_cap = min(dx_cap, 0.35 * d_min + 1e-14 * geo_scale)
+            if d_min < 50.0 * r_near:
+                frac = _STEP_FRAC_ENDGAME
         dx_lim = min(dx_cap, frac / max(rate, 1e-300))
         dtau = direction * dx_lim * abs(sq)
 
@@ -300,17 +296,15 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
             k_sec = round(arg * (params.alpha + 1.0) / math.pi)
             termination = Termination("entered_sector", int(k_sec))
             break
+        # one guard pass per step: the hit test and the next step's cap read it
+        dist = [abs(z - gz) for gz in guard_z]
         hit = None
-        for i in range(len(guards)):
+        for i, d in enumerate(dist):
             if not armed[i]:
-                if abs(z - guard_z[i]) > suppress_radius:
-                    armed[i] = True
-                continue
-            if abs(z - guard_z[i]) < guard_r[i]:
-                if two_a_int or abs(arg - guard_arg[i]) < 1.0 or \
-                        abs(abs(arg - guard_arg[i]) - 2.0 * math.pi) < 1.0:
-                    hit = i
-                    break
+                armed[i] = d > suppress_radius
+            elif d < guard_r[i] and (two_a_int or abs(arg - guard_arg[i]) < 1.0):
+                hit = i
+                break
         if hit is not None:
             termination = Termination("near_turning_point", hit)
             break
@@ -468,21 +462,13 @@ def stokes_complex(params: OscillatorParams,
                 len(fwd) - len(bwd))
         edges += [StokesEdge("tp%d" % i, "tp%d" % j, t) for t in kept]
 
-    vertex_points: dict = {}
-    vertex_multiplicity: dict = {}
-    labels: list[str] = []
-    for i, (tp, beta) in enumerate(tp_list):
-        lab = "tp%d" % i
-        labels.append(lab)
-        vertex_points[lab] = tp
-        vertex_multiplicity[lab] = beta
-    labels.append("0")
+    # vertices in insertion order: turning points, the origin, then edge
+    # targets (every edge source is a turning point)
+    vertex_points: dict = {"tp%d" % i: tp for i, (tp, _) in enumerate(tp_list)}
+    vertex_multiplicity = {"tp%d" % i: beta for i, (_, beta) in enumerate(tp_list)}
     vertex_points["0"] = None
     for e in edges:
-        for lab in (e.source, e.target):
-            if lab not in vertex_points:
-                labels.append(lab)
-                vertex_points[lab] = None
+        vertex_points.setdefault(e.target, None)
     # fan-count consistency: each turning point must carry beta + 2 edge ends
     for i, (tp, beta) in enumerate(tp_list):
         lab = "tp%d" % i
@@ -490,7 +476,7 @@ def stokes_complex(params: OscillatorParams,
         if ends != beta + 2:
             warnings.append("tp%d has %d edge ends, expected %d" % (i, ends, beta + 2))
     return StokesComplex(
-        vertices=tuple(labels),
+        vertices=tuple(vertex_points),
         vertex_points=vertex_points,
         vertex_multiplicity=vertex_multiplicity,
         edges=tuple(edges),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,14 +80,12 @@ class SolutionState:
 class RExpansion:
     """Truncated exponent R(x) = x^(a+1)/(a+1) + sum_k c_k E^k x^(a(1-2k)+1)/(a(1-2k)+1).
 
-    Terms with vanishing exponent turn into c_k E^k log x (log_flag).
+    A term with vanishing exponent turns into log_coefficient log x, with
+    log_coefficient = c_k E^k; it is 0 where no exponent vanishes.
     """
 
-    alpha: float
-    energy: complex
     terms: tuple[tuple[complex, float], ...]  # (coefficient, exponent)
     log_coefficient: complex
-    log_flag: bool
 
 
 def _sqrt1mt_coeff(k: int) -> float:
@@ -107,17 +105,15 @@ def r_expansion(alpha: float, energy: complex) -> RExpansion:
     kmax = _r_kmax(alpha)
     terms = [(1.0 / (alpha + 1.0) + 0.0j, alpha + 1.0)]
     log_coefficient = 0.0 + 0.0j
-    log_flag = False
     e = complex(energy)
     for k in range(1, kmax + 1):
         expo = alpha * (1.0 - 2.0 * k) + 1.0
         coef = _sqrt1mt_coeff(k) * e ** k
         if abs(expo) < 1e-12:
             log_coefficient = coef
-            log_flag = True
         else:
             terms.append((coef / expo, expo))
-    return RExpansion(alpha, e, tuple(terms), log_coefficient, log_flag)
+    return RExpansion(tuple(terms), log_coefficient)
 
 
 def big_R(exp_: RExpansion, x) -> complex:
@@ -125,7 +121,7 @@ def big_R(exp_: RExpansion, x) -> complex:
     out = 0.0 + 0.0j
     for coef, expo in exp_.terms:
         out += coef * p.cpow(expo)
-    if exp_.log_flag:
+    if exp_.log_coefficient:
         out += exp_.log_coefficient * p.clog()
     return out
 
@@ -133,35 +129,25 @@ def big_R(exp_: RExpansion, x) -> complex:
 # ---------------------------------------------------------------------------
 # Frobenius series at the origin
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusSeed:
     """Series chi(x) = x^(ell+1) (1 + sum c_{m,n} E^m x^(2m + (2a+2)n)).
 
     The table is energy independent; the recurrence is
     mu (mu + 2 ell + 1) c_{m,n} = c_{m,n-1} - c_{m-1,n},  mu = 2m + (2a+2)n.
-    The columns m, n, c, the derivative weights ell + 1 + mu and the mask of
-    the top-order terms (mu >= order - 2a - 2) are also kept as arrays, built
-    once with the table and cached with it, so that an evaluation is a few
-    vector operations.
+    It is kept as its columns only: m, n, c, the derivative weights
+    ell + 1 + mu and the mask of the top-order terms, those within one step
+    2a + 2 of the highest power mu = 120 kept, so that an evaluation is a few
+    vector operations.  Arrays do not compare, so neither do tables.
     """
 
     alpha: float
     ell: float
-    order: float
-    coeffs: tuple[tuple[int, int, float], ...]
-    m: np.ndarray = field(init=False, repr=False, compare=False)
-    n: np.ndarray = field(init=False, repr=False, compare=False)
-    c: np.ndarray = field(init=False, repr=False, compare=False)
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
-    top_order: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m, n, c = (np.array(col) for col in zip(*self.coeffs))
-        step_n = 2.0 * self.alpha + 2.0
-        mu = 2.0 * m + step_n * n
-        for name, arr in (("m", m), ("n", n), ("c", c), ("weight", self.ell + 1.0 + mu),
-                          ("top_order", mu >= self.order - step_n)):
-            object.__setattr__(self, name, arr)
+    m: np.ndarray
+    n: np.ndarray
+    c: np.ndarray
+    weight: np.ndarray
+    top_order: np.ndarray
 
 
 def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
@@ -170,7 +156,6 @@ def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
     order = 120.0  # highest power mu = 2m + (2a+2)n of x kept
     step_n = 2.0 * alpha + 2.0
     table: dict[tuple[int, int], float] = {(0, 0): 1.0}
-    out = [(0, 0, 1.0)]
     m_hi = int(order // 2) + 1
     n_hi = int(order // step_n) + 1
     for n in range(n_hi + 1):
@@ -185,8 +170,10 @@ def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
             c = (prev_n - prev_m) / (mu * (mu + 2.0 * ell + 1.0))
             if c != 0.0:
                 table[(m, n)] = c
-                out.append((m, n, c))
-    return FrobeniusSeed(alpha, ell, order, tuple(out))
+    m, n = (np.array(col) for col in zip(*table))
+    mu = 2.0 * m + step_n * n
+    return FrobeniusSeed(alpha, ell, m, n, np.array(list(table.values())), ell + 1.0 + mu,
+                         mu >= order - step_n)
 
 
 def _powers(base: complex, exps: np.ndarray) -> np.ndarray:

@@ -476,24 +476,23 @@ def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int
     theta = sector_center_arg(params.alpha, 1)
     w = cmath.rect(1.0, (params.ell + 0.5) * theta)
     c = r_expansion(params.alpha, params.energy).log_coefficient.real
-    rotated: dict[int, tuple[complex, float]] = {}
     zero = cache(lambda: _psi0_state(params, geo, _CONNECTION_RTOL, True))  # psi_0 at x_match
 
     def full_turn(s: int) -> bool:  # 2 s theta is a whole number of turns: omega^2s E = E
         return abs(math.remainder(sector_center_arg(params.alpha, s) / math.pi, 1.0)) < 1e-12
 
-    def q(s: int) -> tuple[complex, float]:  # Q~_s as (mantissa, logscale)
-        n = abs(s)
-        if n not in rotated:
-            if n == 0:
-                rotated[0] = wronskian(_chi_state(params, geo, _CONNECTION_RTOL), zero())
-            elif full_turn(n):
-                # Q~_s is Q~_0 = Q(E) turned by its own phase
-                m0, l0 = q(0)
-                rotated[n] = (m0 * cmath.rect(1.0, -n * theta * c), l0)
-            else:
-                rotated[n] = _rotated_q(params, geo, n)
-        m, l = rotated[n]
+    @cache
+    def q_abs(n: int) -> tuple[complex, float]:  # Q~_n, n >= 0, as (mantissa, logscale)
+        if n == 0:
+            return wronskian(_chi_state(params, geo, _CONNECTION_RTOL), zero())
+        if full_turn(n):
+            # Q~_n is Q~_0 = Q(E) turned by its own phase
+            m0, l0 = q_abs(0)
+            return m0 * cmath.rect(1.0, -n * theta * c), l0
+        return _rotated_q(params, geo, n)
+
+    def q(s: int) -> tuple[complex, float]:  # Q~_s = conj(Q~_-s) for s < 0
+        m, l = q_abs(abs(s))
         return (m if s >= 0 else m.conjugate()), l
 
     sigma = {}

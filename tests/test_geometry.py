@@ -9,7 +9,7 @@ from scipy import integrate as sint
 
 from anharmonic import (CoverPoint, OscillatorParams, critical_data, eval_forcing, stokes_complex,
                         topology_signature)
-from anharmonic import geometry
+from anharmonic import checks, geometry
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
 from anharmonic.action import PathFrame, PathSpec
 from anharmonic.checks import _horizontal_curve, committed_curves
@@ -95,6 +95,23 @@ class TestModelTrajectories:
         assert short.termination.kind == "step_limit"
         assert len(short.points) == 51
 
+    @pytest.mark.parametrize("alpha,guard_arg,kind", [
+        # the guard one turn below the trace: at non-integer 2 alpha V there is
+        # another function, so the trace passes and the circle winds on
+        (0.6, 1.0 - 2.0 * math.pi, "bounded_winding"),
+        (0.6, 1.0, "near_turning_point"),
+        # integer 2 alpha: V has one sheet, and every sheet's guard is hit
+        (1.0, 1.0 - 2.0 * math.pi, "near_turning_point"),
+    ], ids=["one_turn_away", "own_sheet", "integer_two_alpha"])
+    def test_guard_is_hit_only_on_its_own_sheet(self, alpha, guard_arg, kind, monkeypatch):
+        # the circle |x| = 2 passes 0.01 from the guard's point at arg 1
+        monkeypatch.setattr(geometry, "_potential", _pure_pole)
+        tr = trace_trajectory(OscillatorParams(alpha, 0.0, 1.0), CoverPoint(2.0, 0.0),
+                              0.5 * math.pi, +1,
+                              TraceStops(radius_max=9.0, radius_min=1e-3, max_steps=4000),
+                              tp_guard=[(CoverPoint(2.01, guard_arg), 0.02)])
+        assert tr.termination.kind == kind
+
 
 class TestTracing:
     def test_reversal_stays_on_the_curve(self):
@@ -165,7 +182,8 @@ class TestStokesGraphs:
     ])
     def test_argument_window_ends_traces_at_its_edges(self, energy, window, edges):
         # at (1, 1/2, E) a trace that leaves the window is labelled by the edge it crosses
-        sc = stokes_complex(OscillatorParams(1.0, energy, 0.5), sector_window=window)
+        params = OscillatorParams(1.0, energy, 0.5)
+        sc = stokes_complex(params, sector_window=window)
         assert sc.warnings == ()
         assert sorted((e.source, e.target) for e in sc.edges) == sorted(edges)
         lo, hi = window
@@ -174,6 +192,11 @@ class TestStokesGraphs:
                 end = e.trajectory.points[-1].arg
                 assert e.trajectory.termination.kind == "entered_sector"
                 assert not lo <= end <= hi and e.target == "exit_%g" % (hi if end > hi else lo)
+        # in the JSON document an exit is a boundary vertex without a position
+        verts = {v["label"]: v for v in geometry.complex_to_json_dict(sc, params)["vertices"]}
+        for lab in {t for _, t in edges if t.startswith("exit_")}:
+            assert verts[lab] == {"label": lab, "kind": "boundary", "position": None,
+                                  "multiplicity": None}
 
     def test_empty_argument_window_is_named(self):
         with pytest.raises(ValueError, match=r"no turning points found in the window \[1, -1\] "
@@ -228,6 +251,17 @@ class TestAdmissibility:
         rep = check_admissible(params, PathSpec(path.nodes, path.parameterization, other))
         assert not rep.monotone, name
         assert rep.bound == math.inf, name
+
+    def test_criterion_5_fails_on_a_falling_branch(self, monkeypatch):
+        # a committed curve on its other branch is not monotone: criterion 5
+        # fails and names it, without measuring a deviation
+        name, params, path = committed_curves()[0]
+        falling = PathSpec(path.nodes, path.parameterization, "negative"
+                           if path.sqrt_v_branch == "principal" else "principal")
+        monkeypatch.setattr(checks, "committed_curves", lambda: [(name, params, falling)])
+        result = checks.check_wkb_error_bound()
+        assert not result.passed
+        assert result.detail == "%s: NOT monotone" % name
 
     def test_traced_curve_matches_direct_quadrature(self):
         """rho along the traced imaginary-axis trajectory, two ways.

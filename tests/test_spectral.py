@@ -626,3 +626,52 @@ class TestWellGeometry:
         # sigma_0 takes its psi_1 hop on the radii of the same search
         stokes_multiplier(OscillatorParams(2.0, 7.4, 0.0), 0)
         assert calls == {"_real_pair": 2, "turning_points": 0}
+
+
+class TestZeroEnergy:
+    """At E = 0 the equation is Bessel's: closed forms at every alpha and ell.
+
+    With nu = (2 ell + 1)/(2 alpha + 2) and z = x^(alpha+1)/(alpha+1),
+    chi = Gamma(nu+1) (2 alpha + 2)^nu sqrt(x) I_nu(z) and psi_0 =
+    sqrt(2/(pi (alpha+1))) sqrt(x) K_nu(z).  The bounds are the refined
+    seed's trapezoid Volterra error (5.1e-7 in Q(0) at alpha = 0.21) and,
+    for sigma_0, the O(E) slope at E = 1e-6.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.21, 1.0 / 3.0, 0.6, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("ell", [0.0, 3.0, 30.0, 300.0])
+    def test_determinant_at_zero_energy(self, alpha, ell):
+        # Q(0) = -sqrt(2 (alpha+1)/pi) Gamma(nu+1) (2 alpha + 2)^nu, compared
+        # in log scale: at ell = 300 it is far outside the double range
+        nu = (2.0 * ell + 1.0) / (2.0 * alpha + 2.0)
+        want = (0.5 * math.log(2.0 * (alpha + 1.0) / math.pi) + math.lgamma(nu + 1.0)
+                + nu * math.log(2.0 * alpha + 2.0))
+        d = spectral_determinant(OscillatorParams(alpha, 0.0, ell))
+        assert abs(d.log_abs - want) <= 1e-6
+        assert d.mantissa.real < 0.0 and abs(d.mantissa.imag) <= 1e-12 * abs(d.mantissa)
+
+    # at (0.21, 3) and (0.6, 0.3) the psi_1 hop raises its cancellation error
+    @pytest.mark.parametrize("alpha,ell", [
+        (alpha, ell) for alpha in (0.21, 0.34, 0.6, 1.0, 1.5, 2.0, 3.0) for ell in (0.0, 0.3, 3.0)
+        if (alpha, ell) not in ((0.21, 3.0), (0.6, 0.3))])
+    def test_stokes_multiplier_tends_to_its_zero_energy_limit(self, alpha, ell):
+        # sigma_0(E) -> -2i cos((ell + 1/2) pi/(alpha + 1)) as E -> 0, from T-Q
+        # with every Q~_s equal to Q(0)
+        got = stokes_multiplier(OscillatorParams(alpha, 1e-6, ell), 0)
+        assert abs(got + 2j * math.cos((ell + 0.5) * math.pi / (alpha + 1.0))) <= 1e-5
+
+    @pytest.mark.parametrize("alpha,ell", [(2.0, 0.5), (1.5, 0.0), (3.0, 2.0)])
+    def test_energy_derivative_is_the_bessel_product_integral(self, alpha, ell):
+        # dQ/dE(0) = int_0^inf chi psi_0 dx, finite for alpha > 1
+        mp = pytest.importorskip("mpmath")
+        nu = (2.0 * ell + 1.0) / (2.0 * alpha + 2.0)
+
+        def integrand(x):
+            z = x ** (alpha + 1) / (alpha + 1)
+            return x * mp.besseli(nu, z) * mp.besselk(nu, z)
+        want = float(mp.gamma(nu + 1) * (2 * alpha + 2) ** nu * mp.sqrt(2 / (mp.pi * (alpha + 1)))
+                     * mp.quad(integrand, [0, 1, mp.inf]))
+        h = 1e-3
+        got = (spectral_determinant(OscillatorParams(alpha, h, ell)).value
+               - spectral_determinant(OscillatorParams(alpha, -h, ell)).value).real / (2.0 * h)
+        assert abs(got / want - 1.0) <= 1e-6
