@@ -2,8 +2,8 @@
 """Time the scan, seed, Volterra, connection and Stokes layers; write BENCH_<label>.json.
 
 Runs the package found on the import path, so the same script measures any
-checkout of the source tree that has spectral._ode_rtol, spectral._geometry
-and the four-field SolutionState (no seed_tag):
+checkout of the source tree that has the work counter anharmonic.model.WORK,
+spectral._ode_rtol, spectral._geometry and the four-field SolutionState:
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
@@ -18,24 +18,22 @@ points, per r_zero and per refined sibuya_seed at two, per volterra_solve
 on one committed curve, per check_admissible on each of the five committed
 curves, per PathFrame construction on the horizontal committed curve, whose
 square-root branch flips are recorded under "work", per stokes_multiplier
-(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate calls
-(wrapped in anharmonic.spectral) are recorded under "work", per stokes_complex
-at the three energies of the committed Stokes trichotomy, whose trace points
-(the sum over edges of the trajectory points) are recorded under "work", per
-turning_points at the same three energies and at (0.6, 0.3, 3) and (1.26,
-5.88, 0.51 E*), whose zeros (the real pair included) are recorded under
-"work", and per propagate on one fixed ray and one fixed arc, whose accepted
-and rejected RK steps and rhs calls are also recorded under "work".  Also under "work":
-the 8-point Gauss panels that the adaptive quadrature evaluates per
-wkb_phase and per wkb_phase_derivative call of the quartic scan and per rho
-of check_admissible on each committed curve (null for a checkout without
-action._adaptive_gauss), and how many segment transports of each scan and
-of measured_wkb_deviation on each committed curve ran in real arithmetic
-(returned float states), of all that ran; and the KiB that one
-frobenius_seed table holds at each SERIES point (tracemalloc, table alone).
-Counts come from wrapping module
-functions of anharmonic.spectral, anharmonic.action, anharmonic.geometry,
-anharmonic.integrate and anharmonic.checks from this script; times are
+(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate
+calls are recorded under "work", per stokes_complex at the three energies of
+the committed Stokes trichotomy, whose trace points (the sum over edges of
+the trajectory points) are recorded under "work", per turning_points at the
+same three energies and at (0.6, 0.3, 3) and (1.26, 5.88, 0.51 E*), whose
+zeros (the real pair included) are recorded under "work", and per propagate
+on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
+rhs calls are also recorded under "work".  Also under "work": the 8-point
+Gauss panels that the adaptive quadrature evaluates per wkb_phase and per
+wkb_phase_derivative call of the quartic scan and per rho of
+check_admissible on each committed curve, and how many segment transports
+of each scan and of measured_wkb_deviation on each committed curve ran in
+real arithmetic (returned float states), of all that ran; and the KiB that
+one frobenius_seed table holds at each SERIES point (tracemalloc, table
+alone).  Counts are differences of anharmonic.model.WORK around each
+measured call; the script changes nothing in the package.  Times are
 time.perf_counter readings.
 
 End to end, "fresh_interpreter" holds the wall seconds of FRESH_RUNS new
@@ -61,6 +59,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -68,12 +67,12 @@ import numpy as np
 import scipy
 
 import anharmonic
-from anharmonic import action, checks, geometry, integrate, spectral, volterra
+from anharmonic import action, checks, integrate, spectral, volterra
 from anharmonic.action import PathSpec
 from anharmonic.checks import committed_curves, trichotomy_cases
 from anharmonic.geometry import check_admissible, stokes_complex
 from anharmonic.integrate import SolutionState
-from anharmonic.model import CoverPoint, OscillatorParams, critical_data, turning_points
+from anharmonic.model import WORK, CoverPoint, OscillatorParams, critical_data, turning_points
 
 # (alpha, ell, n_max) of the timed scans
 SCANS = {
@@ -126,30 +125,11 @@ REF_ITERATIONS = 20000
 REF_SECONDS = 0.003
 
 
-class Counters:
-    """Call counts of wrapped module functions, by function name.
-
-    The quadratures wkb_phase and wkb_phase_derivative are wrapped in both
-    modules that call them: action, where the quantisation solve looks them
-    up, and spectral, where the index check and the scan spacing do.
-    """
-
-    BINDINGS = ((spectral, "spectral_determinant"), (spectral, "_frobenius_scaled"),
-                (spectral, "_rescan"), (action, "wkb_phase"), (spectral, "wkb_phase"),
-                (action, "wkb_phase_derivative"), (spectral, "wkb_phase_derivative"))
-
-    def __init__(self):
-        self.calls = {name: 0 for _, name in self.BINDINGS}
-        for module, name in self.BINDINGS:
-            original = getattr(module, name)
-
-            def counted(*args, name=name, original=original, **kwargs):
-                self.calls[name] += 1
-                return original(*args, **kwargs)
-            setattr(module, name, counted)
-
-    def snapshot(self) -> dict:
-        return dict(self.calls)
+def _work(call) -> Counter:
+    """The WORK counts that call() adds."""
+    before = WORK.copy()
+    call()
+    return WORK - before
 
 
 def _commit(path: Path) -> str | None:
@@ -162,30 +142,29 @@ def _commit(path: Path) -> str | None:
     return out.stdout.strip()
 
 
-def time_scans(counters: Counters) -> dict:
-    out = {}
+def time_scans() -> tuple[dict, dict]:
+    """The SCANS records, and name -> the WORK counts of that scan."""
+    out, work = {}, {}
     for name, tables in SCANS.items():
-        before = counters.snapshot()
+        before = WORK.copy()
         start = time.perf_counter()
         levels = [spectral.eigenvalues(a, ell, n_max) for a, ell, n_max in tables]
         seconds = time.perf_counter() - start
-        after = counters.snapshot()
         count = sum(len(lv) for lv in levels)
-        dets = after["spectral_determinant"] - before["spectral_determinant"]
+        w = work[name] = WORK - before
         out[name] = {
             "tables": [list(t) for t in tables],
             "seconds": seconds,
             "levels": count,
-            "determinant_calls": dets,
-            "determinant_calls_per_level": dets / count,
-            "frobenius_calls": after["_frobenius_scaled"] - before["_frobenius_scaled"],
-            "rescans": after["_rescan"] - before["_rescan"],
-            "wkb_phase_calls": after["wkb_phase"] - before["wkb_phase"],
-            "wkb_phase_derivative_calls": (after["wkb_phase_derivative"]
-                                           - before["wkb_phase_derivative"]),
+            "determinant_calls": w["determinants"],
+            "determinant_calls_per_level": w["determinants"] / count,
+            "frobenius_calls": w["series_evaluations"],
+            "rescans": w["rescans"],
+            "wkb_phase_calls": w["wkb_phase"],
+            "wkb_phase_derivative_calls": w["wkb_phase_derivative"],
             "eigenvalues": levels,
         }
-    return out
+    return out, work
 
 
 def reference_chunk() -> float:
@@ -260,70 +239,33 @@ def pathframe_flips() -> dict:
     return {PATHFRAME: sum(len(flips) for flips, _ in action.PathFrame(params, curve)._signs)}
 
 
-def quadrature_panels() -> dict | None:
+def quadrature_panels(scan: Counter) -> dict:
     """8-point Gauss panels the adaptive quadrature evaluates: per wkb_phase and
-    wkb_phase_derivative call of the quartic_n30 scan, and per rho of
-    check_admissible on each committed curve (summed over its segments)."""
-    if not hasattr(action, "_adaptive_gauss"):
-        return None
-    original = action._adaptive_gauss
-    tallies: dict = {}  # first word of the stage -> [calls, panels]
-
-    def counted(f, edges, epsabs, epsrel, stage):
-        tally = tallies.setdefault(stage.split(" ")[0], [0, 0])
-        tally[0] += 1
-
-        def f_counted(t):
-            tally[1] += t.shape[0]
-            return f(t)
-        return original(f_counted, edges, epsabs, epsrel, stage)
-    action._adaptive_gauss = geometry._adaptive_gauss = counted
-    try:
-        spectral.eigenvalues(*SCANS["quartic_n30"][0])
-        out = {"scan_quartic_n30": {name: {"calls": calls, "panels_per_call": panels / calls}
-                                    for name, (calls, panels) in tallies.items()}}
-        rho = out["check_admissible_rho"] = {}
-        for name, params, curve in committed_curves():
-            tallies.clear()
-            check_admissible(params, curve)
-            segments, panels = tallies["rho"]
-            rho[name] = {"segments": segments, "panels": panels,
-                         "panels_per_segment": panels / segments}
-    finally:
-        action._adaptive_gauss = geometry._adaptive_gauss = original
+    wkb_phase_derivative call of the quartic_n30 scan (its WORK counts scan),
+    and per rho of check_admissible on each committed curve (summed over its
+    segments)."""
+    out = {"scan_quartic_n30": {
+        kind: {"calls": scan["quadratures " + kind],
+               "panels_per_call": scan["panels " + kind] / scan["quadratures " + kind]}
+        for kind in ("wkb_phase", "wkb_phase_derivative")}}
+    rho = out["check_admissible_rho"] = {}
+    for name, params, curve in committed_curves():
+        w = _work(partial(check_admissible, params, curve))
+        segments, panels = w["quadratures rho"], w["panels rho"]
+        rho[name] = {"segments": segments, "panels": panels,
+                     "panels_per_segment": panels / segments}
     return out
 
 
-def real_transports() -> dict:
-    """Segment transports that ran in real arithmetic, of all that ran: per
-    scan of SCANS and per measured_wkb_deviation on each committed curve.
-
-    A transport counts as real where _transport_segment, wrapped in integrate
-    (for propagate) and in checks, returned float states.
-    """
-    tally = {"real": 0, "transports": 0}
-    original = integrate._transport_segment
-
-    def counted(*args, **kwargs):
-        states = original(*args, **kwargs)
-        tally["transports"] += 1
-        tally["real"] += type(states[-1][0]) is float
-        return states
-
-    def count(call) -> dict:
-        tally.update(real=0, transports=0)
-        call()
-        return dict(tally)
-    integrate._transport_segment = checks._transport_segment = counted
-    try:
-        return {
-            "scans": {name: count(lambda tables=tables: [spectral.eigenvalues(*t) for t in tables])
-                      for name, tables in SCANS.items()},
-            "committed_curves": {name: count(partial(checks.measured_wkb_deviation, params, curve))
-                                 for name, params, curve in committed_curves()},
-        }
-    finally:
-        integrate._transport_segment = checks._transport_segment = original
+def real_transports(scans: dict) -> dict:
+    """Segment transports that ran in real arithmetic (returned float states),
+    of all that ran: per scan of SCANS (scans holds their WORK counts) and per
+    measured_wkb_deviation on each committed curve."""
+    def tally(w: Counter) -> dict:
+        return {"real": w["real_transports"], "transports": w["transports"]}
+    curves = {name: tally(_work(partial(checks.measured_wkb_deviation, params, curve)))
+              for name, params, curve in committed_curves()}
+    return {"scans": {name: tally(w) for name, w in scans.items()}, "committed_curves": curves}
 
 
 def fresh_interpreter(pkg_parent: Path) -> dict:
@@ -351,48 +293,15 @@ def _transports() -> dict:
     return out
 
 
-def _counted_rhs_calls(call) -> int:
-    """rhs evaluations of the RK stepper made by call(), from wrapping _make_rhs."""
-    calls = [0]
-    original = integrate._make_rhs
-
-    def make(params, seg):
-        rhs = original(params, seg)
-
-        def counted(t, u, v):
-            calls[0] += 1
-            return rhs(t, u, v)
-        return counted
-    integrate._make_rhs = make
-    try:
-        call()
-    finally:
-        integrate._make_rhs = original
-    return calls[0]
-
-
 def propagate_work() -> dict:
-    """point -> accepted and rejected steps and rhs calls of one propagate.
-
-    Accepted steps are the trace rows.  A segment costs one rhs call plus a
-    fixed number per attempted step, measured on the zero solution, whose
-    every step is accepted; the attempts beyond the accepted steps were
-    rejected.
-    """
-    zero = SolutionState(CoverPoint(1.0, 0.0), 0.0, 0.0, 0.0)
-    rows: list = []
-    calls = _counted_rhs_calls(lambda: integrate.propagate(
-        OscillatorParams(1.0, 1.0, 0.5), zero,
-        PathSpec((CoverPoint(1.0, 0.0), CoverPoint(2.0, 0.0)), ("ray",)), trace=rows))
-    per_step = (calls - 1) // len(rows)
+    """point -> accepted and rejected steps and rhs calls of one propagate."""
     out = {}
     for key, (params, state, path) in _transports().items():
-        rows = []
-        calls = _counted_rhs_calls(lambda: integrate.propagate(
-            params, state, path, rtol=SCAN_RTOL, trace=rows))
-        attempts = (calls - path.n_segments) // per_step
-        out[key] = {"accepted_steps": len(rows), "rejected_steps": attempts - len(rows),
-                    "rhs_calls": calls, "rhs_calls_per_step": per_step}
+        w = _work(partial(integrate.propagate, params, state, path, rtol=SCAN_RTOL))
+        attempts = w["rk_steps"] + w["rk_rejected"]
+        out[key] = {"accepted_steps": w["rk_steps"], "rejected_steps": w["rk_rejected"],
+                    "rhs_calls": w["rhs_calls"],
+                    "rhs_calls_per_step": (w["rhs_calls"] - w["transports"]) // attempts}
     return out
 
 
@@ -412,22 +321,7 @@ def _connection_calls() -> dict:
 
 def connection_propagate_calls() -> dict:
     """point -> propagate calls of one CONNECTION timing."""
-    calls = [0]
-    original = spectral.propagate
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-    spectral.propagate = counted
-    out = {}
-    try:
-        for key, (call, _) in _connection_calls().items():
-            calls[0] = 0
-            call()
-            out[key] = calls[0]
-    finally:
-        spectral.propagate = original
-    return out
+    return {key: _work(call)["propagate"] for key, (call, _) in _connection_calls().items()}
 
 
 def _layer_calls() -> dict:
@@ -438,8 +332,7 @@ def _layer_calls() -> dict:
         dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(
             spectral.spectral_determinant, params, refine=False, rtol=SCAN_RTOL), 1)
     for alpha, ell, energy, x in SERIES:
-        # many calls per timing, of the unwrapped function: one call may take
-        # only tens of microseconds
+        # many calls per timing: one call may take only tens of microseconds
         series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = (partial(
             _many, integrate._frobenius_scaled, spectral._series_table(alpha, ell), energy,
             CoverPoint(x, 0.0)), SERIES_CALLS)
@@ -497,7 +390,7 @@ def main() -> None:
     args = ap.parse_args()
 
     pkg_dir = Path(anharmonic.__file__).resolve().parent
-    counters = Counters()
+    scans, scan_work = time_scans()
     record = {
         "label": args.label,
         "machine": {
@@ -508,13 +401,13 @@ def main() -> None:
             "platform": platform.platform(),
         },
         "commit": _commit(pkg_dir),
-        "scans": time_scans(counters),
+        "scans": scans,
         "work": {"stokes_complex_points": stokes_points(),
                  "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),
-                 "quadrature_panels": quadrature_panels(),
-                 "real_transports": real_transports(),
+                 "quadrature_panels": quadrature_panels(scan_work["quartic_n30"]),
+                 "real_transports": real_transports(scan_work),
                  "frobenius_table_kib": frobenius_table_kib()},
         "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
     }

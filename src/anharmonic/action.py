@@ -17,6 +17,7 @@ from functools import partial
 import numpy as np
 
 from .model import (
+    WORK,
     CoverPoint,
     OscillatorParams,
     _adaptive_gauss,
@@ -287,6 +288,7 @@ def wkb_phase(params: OscillatorParams, abs_tol: float = 1e-12) -> float:
     points are one double point) the slope expansion around the degenerate
     well is used instead; its relative error there is O(E/E* - 1).
     """
+    WORK["wkb_phase"] += 1
     a = params.alpha
     lam = params.lam
     e = params.energy.real
@@ -307,6 +309,7 @@ def wkb_phase_derivative(params: OscillatorParams) -> float:
     Below E* and in the near-critical band (model._near_critical) it is the
     slope of the harmonic bottom.
     """
+    WORK["wkb_phase_derivative"] += 1
     a = params.alpha
     lam = params.lam
     e = params.energy.real

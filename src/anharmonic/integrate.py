@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    WORK,
     CoverPoint,
     OscillatorParams,
     _brent,
@@ -191,6 +192,7 @@ def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
     Keeping the modulus of the prefactor as a log-scale lets large ell seed
     where x^(ell+1) itself is far below the smallest double.
     """
+    WORK["series_evaluations"] += 1
     z = p.to_complex()
     e = complex(energy)
     z2 = z * z
@@ -365,7 +367,7 @@ def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: c
     k1u, k1v = rhs(t, u, v)
     scale = abs(k1u) + abs(k1v)
     h = min(0.25, 0.1 * (abs(u) + abs(v)) / scale) if scale > 0 else 0.25
-    nsteps = 0
+    nsteps = rejected = 0
     out = []
     for stop in stops:
         while t < stop:
@@ -453,6 +455,7 @@ def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: c
             if not err <= 1.0:
                 # a NaN error rejects the step too, and shrinks it by the floor
                 h = hs * max(0.2, 0.9 * err ** -0.125)
+                rejected += 1
                 continue
             t = stop if land else t + hs
             u, v = un, vn
@@ -469,6 +472,8 @@ def _transport_segment(params: OscillatorParams, seg: _Segment, u: complex, v: c
             grown = hs * min(5.0, 0.9 * err ** -0.125) if err > 0.0 else 5.0 * hs
             h = max(h, grown) if land else grown
         out.append((u, v, sigma))
+    WORK.update(transports=1, real_transports=int(type(u) is float), rk_steps=nsteps - rejected,
+                rk_rejected=rejected, rhs_calls=1 + 12 * nsteps)
     return out
 
 
@@ -479,6 +484,7 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
     trace, when given, collects (t, x, psi, psi', logscale) rows at accepted steps,
     with t counting segments (node i sits at t = i).
     """
+    WORK["propagate"] += 1
     start = path.nodes[0]
     loc = state.location
     if abs(loc.to_complex() - start.to_complex()) > 1e-9 * (1.0 + start.modulus):
@@ -646,10 +652,11 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
     reaches _CONTRAST_BUDGET: beyond it the admixture of the recessive
     solution into the propagated dominant one is below e^(-2*budget), and the
     refined seeds of the spectral quantities (determinant, sector Wronskians,
-    Stokes multipliers, cross ratios, R0) stay accurate that far in.  It is
-    kept between the floor max(1.35 x_plus, x_plus + 0.75, 4) and the cap
-    max(20, 3 x_plus), a radius where even the uncorrected WKB seed is
-    accurate.
+    Stokes multipliers, cross ratios, R0) stay accurate that far in.  Brent's
+    method finds it on [x_plus, cap], the cap max(20, 3 x_plus) a radius where
+    even the uncorrected WKB seed is accurate.  There is no fixed lower
+    radius: Re R grows like x^(alpha+1)/(alpha+1), so at large alpha the
+    budget is met just past x_plus.
     """
     cap = max(20.0, 3.0 * x_plus)
     exp_ = r_expansion(params.alpha, params.energy)
@@ -660,12 +667,9 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
 
     # Brent's method aims a hair above the budget: a root rounded short must not miss it
     target = _CONTRAST_BUDGET * (1.0 + 1e-12)
-    floor = max(1.35 * x_plus, x_plus + 0.75, 4.0)
-    if floor >= cap or contrast(cap) <= target:
+    if contrast(cap) <= target:
         return cap
-    if contrast(floor) >= _CONTRAST_BUDGET:
-        return floor
-    return _brent(lambda x: contrast(x) - target, floor, cap, 1e-300, 8.9e-16)
+    return _brent(lambda x: contrast(x) - target, x_plus, cap, 1e-300, 8.9e-16)
 
 
 def wronskian(s1: SolutionState, s2: SolutionState) -> tuple[complex, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,17 @@ __all__ = [
     "turning_points",
     "to_hbar_coords",
     "sector_center_arg",
+    "WORK",
 ]
+
+# Work done since import: calls (determinants, rescans, series_evaluations,
+# propagate, wkb_phase, wkb_phase_derivative), segment transports and the
+# real_transports among them (on floats), rk_steps, rk_rejected and rhs_calls,
+# and the adaptive "quadratures <kind>" and their 8-point "panels <kind>", kind
+# the first word of the stage.  Each count rises once per call, segment or
+# quadrature round, never per RK step or node; read the difference of two
+# copies around the work of interest.
+WORK: Counter = Counter()
 
 
 @dataclass(frozen=True)
@@ -238,9 +249,12 @@ def _adaptive_panels(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: 
     f may be real or complex.  A partition that would outgrow
     _GAUSS_MAX_PANELS panels raises RuntimeError naming stage.
     """
+    kind = stage.split(" ")[0]
+    WORK["quadratures " + kind] += 1
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     n = len(lo)
+    WORK["panels " + kind] += 3 * n
     g = _gauss8(f, np.concatenate((lo, lo, mid)), np.concatenate((hi, mid, hi)))
     left, right = g[n:2 * n], g[2 * n:]
     err = np.abs(g[:n] - left - right)
@@ -261,6 +275,7 @@ def _adaptive_panels(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: 
         new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
         whole = np.concatenate((left[split], right[split]))
         new_mid = 0.5 * (new_lo + new_hi)
+        WORK["panels " + kind] += 2 * len(new_lo)
         g = _gauss8(f, np.concatenate((new_lo, new_mid)), np.concatenate((new_mid, new_hi)))
         n = len(new_lo)
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))

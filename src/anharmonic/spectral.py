@@ -41,6 +41,7 @@ from functools import cache, lru_cache
 from typing import Iterable, NamedTuple
 
 from .model import (
+    WORK,
     CoverPoint,
     OscillatorParams,
     _NEAR_CRITICAL,
@@ -197,6 +198,7 @@ def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,
     The radii come from a real energy, so params may carry a complex one:
     _rotated_q evaluates Q at omega^2s E on the radii of the real E.
     """
+    WORK["determinants"] += 1
     chi = _chi_state(params, geo, rtol)
     psi = _psi0_state(params, geo, rtol, refine)
     m, l = wronskian(chi, psi)
@@ -373,6 +375,7 @@ def _polish(q_at, n: int, e_guess: float, gap: float, e_lo: float, e_hi: float,
 
 
 def _rescan(q_at, spacing, lo: float, hi: float, rel_tol: float) -> list[float]:
+    WORK["rescans"] += 1
     found: list[float] = []
     e_prev = lo * (1.0 + 1e-12)
     q_prev = q_at(e_prev)

@@ -394,7 +394,7 @@ class TestSeedRadius:
     @pytest.mark.parametrize("alpha,ell", [(0.3, 0.0), (0.6, 0.0), (1.0, 0.5), (2.0, 0.0),
                                            (3.3, 60.0)])
     @pytest.mark.parametrize("energy_ratio", [0.5, 1.0, 1.5, 4.0, 60.0])
-    def test_contrast_budget_between_floor_and_cap(self, alpha, ell, energy_ratio):
+    def test_radius_meets_the_contrast_budget_below_the_cap(self, alpha, ell, energy_ratio):
         # energy_ratio < 1 is below the bottom of the well, where x_star stands in
         energy = energy_ratio * critical_data(alpha, ell).e_star
         params = OscillatorParams(alpha, energy, ell)
@@ -402,12 +402,13 @@ class TestSeedRadius:
         x_max = choose_x_max(params, geo.x_plus)
         assert x_max == geo.x_max
         cap = max(20.0, 3.0 * geo.x_plus)
-        floor = max(1.35 * geo.x_plus, geo.x_plus + 0.75, 4.0)
         assert geo.x_match < x_max <= cap
         exp_ = r_expansion(alpha, energy)
         contrast = (big_R(exp_, CoverPoint(x_max, 0.0)).real
                     - big_R(exp_, CoverPoint(geo.x_plus, 0.0)).real)
-        assert contrast >= integrate._CONTRAST_BUDGET or x_max in (cap, floor)
+        budget = integrate._CONTRAST_BUDGET
+        # the radius is the contrast rule's root, or the cap short of it
+        assert budget <= contrast <= budget * (1.0 + 1e-9) or (x_max == cap and contrast < budget)
 
 
 class TestStepLimit:

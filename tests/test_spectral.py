@@ -52,6 +52,26 @@ def quartic_odd_levels(count, size=400):
     return ev[1:2 * count:2]
 
 
+def collocation_odd_levels(alpha, half_width, count, size=300):
+    """Levels of -psi'' + |x|^(2 alpha) psi with a node at the origin, by
+    Chebyshev collocation on [-L, L] with Dirichlet ends.
+
+    The odd-parity levels of the line problem are the radial levels at
+    ell = 0; at large alpha the wave functions vanish to double precision well
+    inside |x| = L, where |x|^(2 alpha) is a wall.
+    """
+    j = np.arange(size + 1)
+    x = np.cos(np.pi * j / size)
+    c = np.where((j == 0) | (j == size), 2.0, 1.0) * (-1.0) ** j
+    dx = x[:, None] - x[None, :]
+    d = np.outer(c, 1.0 / c) / (dx + np.eye(size + 1))
+    d -= np.diag(d.sum(axis=1))
+    inner = x[1:-1] * half_width
+    h = -(d @ d)[1:-1, 1:-1] / half_width ** 2 + np.diag(np.abs(inner) ** (2.0 * alpha))
+    ev = np.sort(np.linalg.eigvals(h).real)
+    return ev[1:2 * count:2]
+
+
 # (alpha, ell, E): integer and non-integer 2 alpha, and the thresholds
 # alpha = 1 and 1/3 where R carries a log term; up to E = 30 on both sides of
 # alpha = 1, each at least 0.2 from the nearest quantized I(E) = n + 1/2; and
@@ -145,6 +165,19 @@ class TestQuarticWell:
         assert type(bohr_sommerfeld_energy(2.0, 0.0, 7)) is float
         tab = spectrum_table(2.0, 0.0, 6, methods=("bs", "asym"))
         assert all(type(r.e_bs) is float and type(r.e_asym) is float for r in tab)
+
+
+class TestLargeAlpha:
+    # (alpha, L): the collocation box holds the two lowest odd levels
+    @pytest.mark.parametrize("alpha,half_width", [(6.0, 2.2), (12.0, 1.6), (30.0, 1.6)])
+    def test_levels_match_chebyshev_collocation(self, alpha, half_width):
+        # the seed radius is where the contrast reaches its budget, just past
+        # x_+ at large alpha; a radius held at |x| >= 4 put Re R near
+        # 4^(alpha+1)/(alpha+1) there and ran out of RK steps from alpha = 12
+        got = eigenvalues(alpha, 0.0, 1)
+        want = collocation_odd_levels(alpha, half_width, 2)
+        for g, w in zip(got, want):
+            assert abs(g / w - 1.0) <= 1e-8
 
 
 class TestConnectionData:
@@ -659,6 +692,42 @@ class TestZeroEnergy:
         # with every Q~_s equal to Q(0)
         got = stokes_multiplier(OscillatorParams(alpha, 1e-6, ell), 0)
         assert abs(got + 2j * math.cos((ell + 0.5) * math.pi / (alpha + 1.0))) <= 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.21, 1.0 / 3.0, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("ell", [0.0, 3.0, 30.0])
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    def test_sector_seeds_are_the_bessel_solutions(self, alpha, ell, k):
+        # psi_k(x) = omega^(-k alpha/2) psi_0(y), y = omega^-k x real on the
+        # sector ray: the refined seed at x_max, split as A P_k + B G_k with
+        # P_k the K_nu solution and G_k the I_nu one, is P_k up to the seed error
+        mp = pytest.importorskip("mpmath")
+        params = OscillatorParams(alpha, 0.0, ell)
+        x_max = _geometry(params).x_max
+        seed = sibuya_seed(params, k, x_max)
+        nu = (2.0 * ell + 1.0) / (2.0 * alpha + 2.0)
+        with mp.workdps(30):
+            omega_k = mp.expj(-k * math.pi / (alpha + 1.0))  # omega^-k
+            pref = mp.expj(-k * alpha * math.pi / (2.0 * (alpha + 1.0))) * mp.sqrt(
+                2 / (mp.pi * (alpha + 1)))
+            y = mp.mpf(x_max)
+            z = y ** (alpha + 1) / (alpha + 1)
+
+            def solution(bessel, dbessel):  # (value, d/dx) of pref sqrt(y) bessel(z)
+                value = pref * mp.sqrt(y) * bessel(nu, z)
+                dy = pref * (bessel(nu, z) / (2 * mp.sqrt(y)) + mp.sqrt(y) * y ** alpha
+                             * dbessel(nu, z))
+                return value, dy * omega_k
+            p, dp = solution(mp.besselk, lambda n, t: -(mp.besselk(n - 1, t)
+                                                          + mp.besselk(n + 1, t)) / 2)
+            g, dg = solution(mp.besseli, lambda n, t: (mp.besseli(n - 1, t)
+                                                         + mp.besseli(n + 1, t)) / 2)
+            scale = mp.exp(seed.logscale)
+            u, du = mp.mpc(seed.value) * scale, mp.mpc(seed.derivative) * scale
+            wr = p * dg - dp * g
+            a = (u * dg - du * g) / wr
+            b = (p * du - dp * u) / wr
+            assert abs(a - 1) <= 1e-6
+            assert abs(b * g / (a * p)) <= 2e-6
 
     @pytest.mark.parametrize("alpha,ell", [(2.0, 0.5), (1.5, 0.0), (3.0, 2.0)])
     def test_energy_derivative_is_the_bessel_product_integral(self, alpha, ell):
