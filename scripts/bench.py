@@ -21,7 +21,9 @@ square-root branch flips are recorded under "work", per stokes_multiplier
 (k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate
 calls are recorded under "work", per stokes_complex at the three energies of
 the committed Stokes trichotomy, whose trace points (the sum over edges of
-the trajectory points) are recorded under "work", per turning_points at the
+the trajectory points) and trace steps (the RK4 steps of every trace, the
+second trace of each edge between turning points included) are recorded
+under "work", per turning_points at the
 same three energies and at (0.6, 0.3, 3) and (1.26, 5.88, 0.51 E*), whose
 zeros (the real pair included) are recorded under "work", and per propagate
 on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
@@ -210,10 +212,15 @@ def _stokes_cases() -> dict:
             OscillatorParams(c["alpha"], c["energy"], c["ell"]) for c in trichotomy_cases()}
 
 
-def stokes_points() -> dict:
-    """point -> trajectory points summed over the edges of its Stokes complex."""
-    return {key: sum(len(e.trajectory.points) for e in stokes_complex(params).edges)
-            for key, params in _stokes_cases().items()}
+def stokes_work() -> tuple[dict, dict]:
+    """point -> trajectory points summed over the edges of its Stokes complex,
+    and point -> RK4 steps of every trace it made."""
+    points, steps = {}, {}
+    for key, params in _stokes_cases().items():
+        before = WORK.copy()
+        points[key] = sum(len(e.trajectory.points) for e in stokes_complex(params).edges)
+        steps[key] = (WORK - before)["trace_steps"]
+    return points, steps
 
 
 def _turning_point_cases() -> dict:
@@ -391,6 +398,7 @@ def main() -> None:
 
     pkg_dir = Path(anharmonic.__file__).resolve().parent
     scans, scan_work = time_scans()
+    stokes_points, stokes_steps = stokes_work()
     record = {
         "label": args.label,
         "machine": {
@@ -402,7 +410,8 @@ def main() -> None:
         },
         "commit": _commit(pkg_dir),
         "scans": scans,
-        "work": {"stokes_complex_points": stokes_points(),
+        "work": {"stokes_complex_points": stokes_points,
+                 "stokes_complex_trace_steps": stokes_steps,
                  "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),

@@ -31,6 +31,7 @@ import numpy as np
 
 from .action import PathSpec, PathFrame
 from .model import (
+    WORK,
     CoverPoint,
     OscillatorParams,
     TurningPointSet,
@@ -102,8 +103,6 @@ class TraceStops:
 
 @dataclass(frozen=True)
 class Trajectory:
-    theta: float
-    direction: int
     points: tuple[CoverPoint, ...]
     s_values: tuple[complex, ...]
     termination: Termination
@@ -160,9 +159,7 @@ def _match_sqrt(v: complex, ref: complex) -> complex:
 
 
 def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
-                     stops: TraceStops, *,
-                     tp_guard=None, suppress_index: int | None = None,
-                     suppress_radius: float = 0.0) -> Trajectory:
+                     stops: TraceStops, *, tp_guard=None) -> Trajectory:
     """Trace the theta-trajectory of V dx^2 through x0.
 
     Integrates dx/dtau = direction * e^{i*theta}/sqrt(V) with RK4, the branch
@@ -172,8 +169,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
 
     A step of length dx changes sqrt(V) by the relative amount
     |V'| dx / (2|V|) to first order; each step keeps that below _STEP_FRAC
-    (_STEP_FRAC_ENDGAME within 50 guard radii of an armed guard), below
-    0.05 |x|, and below 0.35 times the distance to the nearest armed guard.
+    (_STEP_FRAC_ENDGAME within 50 guard radii of the nearest guard), below
+    0.05 |x|, and below 0.35 times the distance to the nearest guard.
     Near a zero of V of order beta at distance d this gives
     dx = 2 _STEP_FRAC d / beta: the steps shrink in proportion to d, and
     closing in on a guard ball takes a number of steps logarithmic in d.
@@ -182,9 +179,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     terminates the trace with near_turning_point(index), but only on the
     guard's own sheet (|arg x - arg guard| < 1) unless 2 alpha is an integer:
     for other alpha V one turn away is a different function, and the point
-    there is no zero of it.  suppress_index mutes that guard until the trace
-    leaves suppress_radius around it (so an edge can be launched from a fan
-    ray without instantly terminating on its source).
+    there is no zero of it.  Every guard is live from the first step: a trace
+    launched from a fan ray outside its source's ball moves away from it.
     """
     p0 = x0 if isinstance(x0, CoverPoint) else CoverPoint.from_complex(complex(x0))
     v_of, v_pair = _potential(params)
@@ -193,9 +189,6 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     guard_z = [g[0].to_complex() for g in guards]
     guard_arg = [g[0].arg for g in guards]
     guard_r = [g[1] for g in guards]
-    armed = [True] * len(guards)
-    if suppress_index is not None and 0 <= suppress_index < len(guards):
-        armed[suppress_index] = False
 
     z = p0.to_complex()
     arg = p0.arg
@@ -232,9 +225,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         rate = abs(v1) / (2.0 * abs(v))
         dx_cap = 0.05 * abs(z)
         frac = _STEP_FRAC
-        armed_pairs = [(d, r_) for d, r_, a_ in zip(dist, guard_r, armed) if a_]
-        if armed_pairs:
-            d_min, r_near = min(armed_pairs)
+        if guards:
+            d_min, r_near = min(zip(dist, guard_r))
             dx_cap = min(dx_cap, 0.35 * d_min + 1e-14 * geo_scale)
             if d_min < 50.0 * r_near:
                 frac = _STEP_FRAC_ENDGAME
@@ -300,9 +292,7 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
         dist = [abs(z - gz) for gz in guard_z]
         hit = None
         for i, d in enumerate(dist):
-            if not armed[i]:
-                armed[i] = d > suppress_radius
-            elif d < guard_r[i] and (two_a_int or abs(arg - guard_arg[i]) < 1.0):
+            if d < guard_r[i] and (two_a_int or abs(arg - guard_arg[i]) < 1.0):
                 hit = i
                 break
         if hit is not None:
@@ -319,14 +309,8 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
                 termination = Termination("bounded_winding")
                 break
 
-    return Trajectory(
-        theta=theta,
-        direction=int(direction),
-        points=tuple(points),
-        s_values=tuple(s_vals),
-        termination=termination,
-        level_drift=drift_max,
-    )
+    WORK.update(traces=1, trace_steps=len(points) - 1)
+    return Trajectory(tuple(points), tuple(s_vals), termination, drift_max)
 
 
 def _infinity_label(alpha: float, arg: float) -> str:
@@ -413,11 +397,7 @@ def stokes_complex(params: OscillatorParams,
             u = cmath.rect(1.0, theta) / cmath.sqrt(v)
             outward = (u.conjugate() * cmath.rect(1.0, phi)).real
             direction = 1 if outward > 0 else -1
-            traj = trace_trajectory(
-                params, pt, theta, direction, stops,
-                tp_guard=guards, suppress_index=i,
-                suppress_radius=3.0 * launch_r,
-            )
+            traj = trace_trajectory(params, pt, theta, direction, stops, tp_guard=guards)
             term = traj.termination
             label: str | None
             if term.kind == "near_turning_point":

@@ -137,9 +137,11 @@ class FrobeniusSeed:
     The table is energy independent; the recurrence is
     mu (mu + 2 ell + 1) c_{m,n} = c_{m,n-1} - c_{m-1,n},  mu = 2m + (2a+2)n.
     It is kept as its columns only: m, n, c, the derivative weights
-    ell + 1 + mu and the mask of the top-order terms, those within one step
-    2a + 2 of the highest power mu = 120 kept, so that an evaluation is a few
-    vector operations.  Arrays do not compare, so neither do tables.
+    ell + 1 + mu and the masks of the top-order terms, one per direction of
+    the recurrence: top_m holds the terms whose m-successor (mu + 2) lies past
+    the highest power mu = 120 kept, top_n those whose n-successor
+    (mu + 2a + 2) does, so that an evaluation is a few vector operations.
+    Arrays do not compare, so neither do tables.
     """
 
     alpha: float
@@ -148,7 +150,8 @@ class FrobeniusSeed:
     n: np.ndarray
     c: np.ndarray
     weight: np.ndarray
-    top_order: np.ndarray
+    top_m: np.ndarray
+    top_n: np.ndarray
 
 
 def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
@@ -174,7 +177,7 @@ def frobenius_seed(alpha: float, ell: float) -> FrobeniusSeed:
     m, n = (np.array(col) for col in zip(*table))
     mu = 2.0 * m + step_n * n
     return FrobeniusSeed(alpha, ell, m, n, np.array(list(table.values())), ell + 1.0 + mu,
-                         mu >= order - step_n)
+                         mu + 2.0 > order, mu + step_n > order)
 
 
 def _powers(base: complex, exps: np.ndarray) -> np.ndarray:
@@ -206,9 +209,11 @@ def _frobenius_scaled(seed: FrobeniusSeed, energy: complex,
     # more digits there
     val = complex(np.cumsum(term)[-1])
     dval = complex(np.cumsum(term * seed.weight)[-1])
-    top = float(np.abs(term[seed.top_order]).max(initial=0.0))
+    # each dropped successor is its parent term times E x^2 or x^(2a+2)
+    size = np.abs(term)
+    remainder = (float(size[seed.top_m].max(initial=0.0)) * abs(z2) * abs(e)
+                 + float(size[seed.top_n].max(initial=0.0)) * abs(zstep))
     phase = cmath.rect(1.0, (seed.ell + 1.0) * p.arg)
-    remainder = top * (abs(z2) * abs(e) + abs(zstep))
     return phase * val, phase * dval / z, remainder, (seed.ell + 1.0) * math.log(p.modulus)
 
 

@@ -34,10 +34,11 @@ __all__ = [
 # Work done since import: calls (determinants, rescans, series_evaluations,
 # propagate, wkb_phase, wkb_phase_derivative), segment transports and the
 # real_transports among them (on floats), rk_steps, rk_rejected and rhs_calls,
-# and the adaptive "quadratures <kind>" and their 8-point "panels <kind>", kind
-# the first word of the stage.  Each count rises once per call, segment or
-# quadrature round, never per RK step or node; read the difference of two
-# copies around the work of interest.
+# the adaptive "quadratures <kind>" and their 8-point "panels <kind>", kind
+# the first word of the stage, and the traces and trace_steps of the Stokes
+# tracer.  Each count rises once per call, segment, trace or quadrature
+# round, never per RK step or node; read the difference of two copies around
+# the work of interest.
 WORK: Counter = Counter()
 
 

@@ -2,6 +2,7 @@
 import cmath
 import json
 import math
+import random
 from importlib import resources
 
 import pytest
@@ -220,6 +221,26 @@ class TestStokesGraphs:
         worst = max(abs((z * z).real / 2.0 - math.log(abs(z)) - 0.5)
                     for e in sc.edges for z in (q.to_complex() for q in e.trajectory.points))
         assert worst <= 1e-6
+
+    def test_seeded_complexes_end_every_trace(self):
+        # every fan trace starts ten guard radii from its own turning point,
+        # whose guard is live from the first step; a trace that stopped on
+        # its source would leave an edge-end or an unpaired-trace warning
+        rng = random.Random(30)
+        alphas = [0.5, 1.0, 2.0, 3.0] + [rng.uniform(0.2, 4.0) for _ in range(16)]
+        for i, alpha in enumerate(alphas):
+            ell = rng.uniform(0.0, 2.0)
+            ratio = rng.choice((0.3, 1.0, 1.5, 4.0, 10.0))
+            theta = rng.choice((0.5 * math.pi, 0.0, 0.3))
+            window = (-1.0, 1.0) if i % 2 else None
+            params = OscillatorParams(alpha, ratio * critical_data(alpha, ell).e_star, ell)
+            where = (alpha, ell, ratio, theta, window)
+            try:
+                sc = stokes_complex(params, sector_window=window, theta=theta)
+            except ValueError as exc:
+                assert window is not None and "no turning points found in the window" in str(exc)
+                continue
+            assert all("ended by bounded_winding" in w for w in sc.warnings), where
 
     def test_trace_work_and_drift_are_bounded(self):
         # counts and levels, not timings: near a turning point the step shrinks

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from anharmonic import CoverPoint, OscillatorParams, PathSpec, integrate, model, spectral
+from anharmonic import CoverPoint, OscillatorParams, PathSpec, geometry, integrate, model, spectral
 from anharmonic.action import wkb_phase
 from anharmonic.checks import committed_curves
 from anharmonic.geometry import check_admissible
@@ -101,6 +101,19 @@ class TestQuadratureCounts:
         w = work(lambda: check_admissible(params, curve))
         assert w["quadratures rho"] == curve.n_segments
         assert w["panels rho"] == panels[0]
+
+
+def test_traces_and_trace_steps_match_a_wrapped_tracer(monkeypatch):
+    traces = []
+    original = geometry.trace_trajectory
+
+    def counted(*args, **kwargs):
+        traces.append(original(*args, **kwargs))
+        return traces[-1]
+    monkeypatch.setattr(geometry, "trace_trajectory", counted)
+    w = work(lambda: geometry.stokes_complex(OscillatorParams(1.0, 2.0, 0.5)))
+    assert w["traces"] == len(traces) > 0
+    assert w["trace_steps"] == sum(len(t.points) - 1 for t in traces)
 
 
 def test_counter_is_an_object_not_a_function():
