@@ -3,7 +3,8 @@
 
 Runs the package found on the import path, so the same script measures any
 checkout of the source tree that has the work counter anharmonic.model.WORK,
-spectral._ode_rtol, spectral._geometry and the four-field SolutionState:
+spectral._ode_rtol, spectral._geometry, the connection memo spectral._sectors
+and the four-field SolutionState:
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
@@ -19,7 +20,8 @@ on one committed curve, per check_admissible on each of the five committed
 curves, per PathFrame construction on the horizontal committed curve, whose
 square-root branch flips are recorded under "work", per stokes_multiplier
 (k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate
-calls are recorded under "work", per stokes_complex at the three energies of
+calls are recorded under "work" for each call alone and for the three in a
+row at one energy, per stokes_complex at the three energies of
 the committed Stokes trichotomy, whose trace points (the sum over edges of
 the trajectory points) and trace steps (the RK4 steps of every trace, the
 second trace of each edge between turning points included) are recorded
@@ -36,7 +38,9 @@ real arithmetic (returned float states), of all that ran; and the KiB that
 one frobenius_seed table holds at each SERIES point (tracemalloc, table
 alone).  Counts are differences of anharmonic.model.WORK around each
 measured call; the script changes nothing in the package.  Times are
-time.perf_counter readings.
+time.perf_counter readings.  The connection memo, which keeps the transports
+of the last energy, is cleared before every timed or counted call, so that
+r_zero and the connection data are measured cold.
 
 End to end, "fresh_interpreter" holds the wall seconds of FRESH_RUNS new
 interpreters (median and every run) for two commands: import_s, a bare
@@ -326,9 +330,27 @@ def _connection_calls() -> dict:
     return connection
 
 
+def _cold_work(call) -> Counter:
+    """The WORK counts of call() with an empty connection memo."""
+    spectral._sectors.cache_clear()
+    return _work(call)
+
+
 def connection_propagate_calls() -> dict:
     """point -> propagate calls of one CONNECTION timing."""
-    return {key: _work(call)["propagate"] for key, (call, _) in _connection_calls().items()}
+    return {key: _cold_work(call)["propagate"]
+            for key, (call, _) in _connection_calls().items()}
+
+
+def connection_sequence_propagate_calls() -> dict:
+    """CONNECTION point -> propagate calls of sigma_0, sigma_1 and the cross ratio in a row."""
+    calls = _connection_calls()
+    out = {}
+    for alpha, ell, energy in CONNECTION:
+        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
+        row = [call for key, (call, _) in calls.items() if key.endswith("," + point)]
+        out[point] = _cold_work(lambda: [call() for call in row])["propagate"]
+    return out
 
 
 def _layer_calls() -> dict:
@@ -382,6 +404,7 @@ def time_layers(chunks: list) -> dict:
     for _ in range(REPEAT):
         for layer, points in calls.items():
             for key, (call, per) in points.items():
+                spectral._sectors.cache_clear()
                 start = time.perf_counter()
                 call()
                 best[layer][key] = min(best[layer][key], (time.perf_counter() - start) / per)
@@ -415,6 +438,7 @@ def main() -> None:
                  "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
                  "pathframe_flips": pathframe_flips(),
                  "connection_propagate_calls": connection_propagate_calls(),
+                 "connection_sequence_propagate_calls": connection_sequence_propagate_calls(),
                  "quadrature_panels": quadrature_panels(scan_work["quartic_n30"]),
                  "real_transports": real_transports(scan_work),
                  "frobenius_table_kib": frobenius_table_kib()},

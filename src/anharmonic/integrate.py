@@ -672,7 +672,13 @@ def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
 
     # Brent's method aims a hair above the budget: a root rounded short must not miss it
     target = _CONTRAST_BUDGET * (1.0 + 1e-12)
-    if contrast(cap) <= target:
+    try:
+        top = contrast(cap)
+    except OverflowError:
+        raise RuntimeError(
+            f"seed radius: Re R overflows at the cap radius {cap:.6g} (alpha={params.alpha:g},"
+            f" ell={params.ell:g}, E={params.energy:g})") from None
+    if top <= target:
         return cap
     return _brent(lambda x: contrast(x) - target, x_plus, cap, 1e-300, 8.9e-16)
 

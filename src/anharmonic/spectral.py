@@ -27,7 +27,13 @@ Q~_{-1}.  Where omega^2k E is real and positive, Q~_k vanishes at eigenvalues
 and sigma_k = e^(2 i k theta c) sigma_0(omega^2k E) comes from psi_1, which is
 conj psi_{-1} on the positive axis.  All transports meet at x_match = max(1,
 x_+), x_+ the outer turning point of the real E: chi and psi_1's arc meet
-one psi_0 there, carried in once per call.  The Stokes ladder Wr[psi_j, psi_m] =
+one psi_0 there.  psi_0, each Q~_s and the psi_1 hop are made once per
+energy: a one-entry memo keeps them for the last real E asked for, so
+stokes_multiplier, fock_goncharov, sector_wronskian and r_zero at one E share
+every transport, and a call at a new E replaces the entry.  Where omega^2s E
+is real (2 s theta / pi = m, an integer) it is computed as E (-1)^m: Q~_s
+reuses Q~_0 for even m and takes Q at -E in real arithmetic for odd m
+(alpha = 1, 3, 1/3, 1/5, ...).  The Stokes ladder Wr[psi_j, psi_m] =
 Wr[psi_j, psi_{m-2}] + sigma_{m-1} Wr[psi_j, psi_{m-1}] gives every other
 Wronskian without carrying two exponentially large solutions to one point.
 """
@@ -37,7 +43,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .model import (
@@ -414,15 +420,6 @@ def spectrum_table(alpha: float, ell: float, n_max: int,
 _CONNECTION_RTOL = 1e-10
 
 
-def _rotated_q(params: OscillatorParams, geo: _Geometry, s: int) -> tuple[complex, float]:
-    """Q~_s (module docstring) as (mantissa, logscale), on the radii geo of the real E."""
-    theta = sector_center_arg(params.alpha, 1)
-    energy = params.energy * cmath.rect(1.0, 2.0 * s * theta)
-    c = r_expansion(params.alpha, energy).log_coefficient.real
-    q = _determinant(params.with_energy(energy), geo, True, _CONNECTION_RTOL)
-    return q.mantissa * cmath.rect(1.0, -s * theta * c), q.logscale
-
-
 # natural logs of the largest and of the smallest normal double
 _LOG_MAX = math.log(sys.float_info.max)
 _LOG_MIN = math.log(sys.float_info.min)
@@ -473,40 +470,84 @@ def _psi1_hop(params: OscillatorParams, geo: _Geometry, zero: SolutionState) -> 
     return 2j * im / m * math.exp(scale)
 
 
-def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int, complex]:
-    """sigma_k for each k in ks at the real energy of params (module docstring)."""
-    geo = _geometry(params)
-    theta = sector_center_arg(params.alpha, 1)
-    w = cmath.rect(1.0, (params.ell + 0.5) * theta)
-    c = r_expansion(params.alpha, params.energy).log_coefficient.real
-    zero = cache(lambda: _psi0_state(params, geo, _CONNECTION_RTOL, True))  # psi_0 at x_match
+def _real_rotation(alpha: float, s: int) -> int | None:
+    """m where omega^2s = e^(2 i s theta) is the real (-1)^m, i.e. 2 s theta / pi = m;
+    None where omega^2s is not real."""
+    half_turns = 2.0 * sector_center_arg(alpha, s) / math.pi
+    m = round(half_turns)
+    return m if abs(half_turns - m) < 2e-12 else None
 
-    def full_turn(s: int) -> bool:  # 2 s theta is a whole number of turns: omega^2s E = E
-        return abs(math.remainder(sector_center_arg(params.alpha, s) / math.pi, 1.0)) < 1e-12
 
-    @cache
-    def q_abs(n: int) -> tuple[complex, float]:  # Q~_n, n >= 0, as (mantissa, logscale)
+class _Sectors:
+    """The transports behind the connection data at one real energy.
+
+    psi_0 at x_match, each Q~_n and the psi_1 hop are made when first asked
+    for and then kept, so every entry point at this energy shares them.
+    """
+
+    def __init__(self, params: OscillatorParams):
+        self.params = params
+        self.geo = _geometry(params)
+        self.theta = sector_center_arg(params.alpha, 1)
+        self.c = r_expansion(params.alpha, params.energy).log_coefficient.real
+        self._q: dict[int, tuple[complex, float]] = {}
+
+    @cached_property
+    def zero(self) -> SolutionState:
+        """psi_0 at x_match."""
+        return _psi0_state(self.params, self.geo, _CONNECTION_RTOL, True)
+
+    @cached_property
+    def hop(self) -> complex:
+        """sigma_0 by the psi_1 hop."""
+        return _psi1_hop(self.params.with_energy(self.params.energy.real), self.geo, self.zero)
+
+    def q_abs(self, n: int) -> tuple[complex, float]:
+        """Q~_n, n >= 0, as (mantissa, logscale)."""
+        if n not in self._q:
+            self._q[n] = self._make_q(n)
+        return self._q[n]
+
+    def _make_q(self, n: int) -> tuple[complex, float]:
+        params = self.params
         if n == 0:
-            return wronskian(_chi_state(params, geo, _CONNECTION_RTOL), zero())
-        if full_turn(n):
-            # Q~_n is Q~_0 = Q(E) turned by its own phase
-            m0, l0 = q_abs(0)
-            return m0 * cmath.rect(1.0, -n * theta * c), l0
-        return _rotated_q(params, geo, n)
+            return wronskian(_chi_state(params, self.geo, _CONNECTION_RTOL), self.zero)
+        m = _real_rotation(params.alpha, n)
+        if m is not None and m % 2 == 0:
+            # a whole number of turns: Q~_n is Q~_0 = Q(E) turned by its own phase
+            m0, l0 = self.q_abs(0)
+            return m0 * cmath.rect(1.0, -n * self.theta * self.c), l0
+        # omega^2n E, exactly -E where it is real, on the radii of the real E
+        energy = (-params.energy if m is not None
+                  else params.energy * cmath.rect(1.0, 2.0 * n * self.theta))
+        c = r_expansion(params.alpha, energy).log_coefficient.real
+        q = _determinant(params.with_energy(energy), self.geo, True, _CONNECTION_RTOL)
+        return q.mantissa * cmath.rect(1.0, -n * self.theta * c), q.logscale
 
-    def q(s: int) -> tuple[complex, float]:  # Q~_s = conj(Q~_-s) for s < 0
-        m, l = q_abs(abs(s))
+    def q(self, s: int) -> tuple[complex, float]:
+        """Q~_s, as conj(Q~_-s) for s < 0."""
+        m, l = self.q_abs(abs(s))
         return (m if s >= 0 else m.conjugate()), l
 
+
+@lru_cache(maxsize=1)
+def _sectors(params: OscillatorParams) -> _Sectors:
+    """The _Sectors of the last energy asked for; a new energy replaces it."""
+    return _Sectors(params)
+
+
+def _stokes_multipliers(params: OscillatorParams, ks: Iterable[int]) -> dict[int, complex]:
+    """sigma_k for each k in ks at the real energy of params (module docstring)."""
+    sec = _sectors(params)
+    w = cmath.rect(1.0, (params.ell + 0.5) * sec.theta)
     sigma = {}
-    hop = None  # sigma_0: one psi_1 hop serves every k with omega^2k E = E
     for k in ks:
-        if full_turn(k) and params.energy.real > 0.0:
-            if hop is None:
-                hop = _psi1_hop(params.with_energy(params.energy.real), geo, zero())
-            sigma[k] = cmath.rect(1.0, 2.0 * k * theta * c) * hop
+        m = _real_rotation(params.alpha, k)
+        if m is not None and m % 2 == 0 and params.energy.real > 0.0:
+            # omega^2k E = E: one psi_1 hop serves every such k
+            sigma[k] = cmath.rect(1.0, 2.0 * k * sec.theta * sec.c) * sec.hop
         else:
-            (m0, l0), (m1, l1), (m2, l2) = q(k - 1), q(k), q(k + 1)
+            (m0, l0), (m1, l1), (m2, l2) = sec.q(k - 1), sec.q(k), sec.q(k + 1)
             _check_range(params, k, "T-Q", (l2 - l1, l0 - l1),
                          (_log_abs(m2 / m1) + l2 - l1, _log_abs(m0 / m1) + l0 - l1))
             sigma[k] = -1j * (w * m2 * math.exp(l2 - l1) + m0 * math.exp(l0 - l1) / w) / m1
@@ -551,11 +592,12 @@ def r_zero(params: OscillatorParams) -> complex:
     eigenvalues in the semiclassical regime.
 
     Computed from one determinant at the rotated energy omega^2 E (see the
-    module docstring): R0 = exp(i [(2 ell + 1) theta + 2 arg Q~_1]).
+    module docstring), shared with the connection data at the same E:
+    R0 = exp(i [(2 ell + 1) theta + 2 arg Q~_1]).
     """
-    theta = sector_center_arg(params.alpha, 1)
-    q, _ = _rotated_q(params, _geometry(params), 1)
-    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * theta + 2.0 * cmath.phase(q)))
+    sec = _sectors(params)
+    q, _ = sec.q_abs(1)
+    return cmath.exp(1j * ((2.0 * params.ell + 1.0) * sec.theta + 2.0 * cmath.phase(q)))
 
 
 def semiclassical_r_zero(params: OscillatorParams) -> complex:

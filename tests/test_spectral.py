@@ -185,6 +185,19 @@ class TestLargeAlpha:
             assert abs(g / w - 1.0) <= 1e-8
 
 
+@pytest.fixture
+def transports(monkeypatch):
+    """The params of every propagate call that spectral makes from here on."""
+    calls = []
+    original = spectral.propagate
+
+    def counted(params, *args, **kwargs):
+        calls.append(params)
+        return original(params, *args, **kwargs)
+    monkeypatch.setattr(spectral, "propagate", counted)
+    return calls
+
+
 class TestConnectionData:
     @pytest.mark.parametrize("ell", [0.3, 1.3, 2.2])
     @pytest.mark.parametrize("energy", [9.0, 15.0, 21.0])
@@ -261,9 +274,8 @@ class TestConnectionData:
         assert abs(s0 * s1 - r) < 1e-7 * max(1.0, abs(r))
 
     def test_whole_turn_rotation_reuses_the_real_determinant(self, monkeypatch):
-        # at alpha = 1, omega^+-4 E = E: sigma_+-1 needs Q(E) and Q(omega^+-2 E) only.
-        # Every Q carries chi once, Q~_0 in _stokes_multipliers, the rotated ones
-        # in _determinant
+        # at alpha = 1, omega^+-4 E = E: sigma_+-1 and the cross ratio need Q(E) and
+        # Q(omega^2 E) = Q(-E) only, one chi each, made once for the energy
         calls = []
         original = spectral._chi_state
 
@@ -272,33 +284,74 @@ class TestConnectionData:
             return original(params, geo, rtol)
         monkeypatch.setattr(spectral, "_chi_state", counted)
         params = OscillatorParams(1.0, 3.9, 0.3)
-        for call in (lambda: stokes_multiplier(params, 1), lambda: stokes_multiplier(params, -1),
-                     lambda: fock_goncharov(params, (0, 2, 1, -1))):
-            calls.clear()
-            call()
-            assert len(calls) == 2
+        stokes_multiplier(params, 1)
+        stokes_multiplier(params, -1)
+        fock_goncharov(params, (0, 2, 1, -1))
+        assert calls == [3.9, -3.9]
         # at alpha = 2, omega^4 E is no whole turn away: three determinants
         calls.clear()
         stokes_multiplier(OscillatorParams(2.0, 7.4, 0.5), 1)
         assert len(calls) == 3
 
-    @pytest.mark.parametrize("alpha,ell,energy,transports", [(1.0, 0.3, 3.9, 5), (2.0, 0.5, 7.4, 7)])
-    def test_psi0_is_carried_once(self, alpha, ell, energy, transports, monkeypatch):
+    @pytest.mark.parametrize("alpha,ell,energy,count", [(1.0, 0.3, 3.9, 5), (2.0, 0.5, 7.4, 7)])
+    def test_psi0_is_carried_once(self, alpha, ell, energy, count, transports):
         # chi and psi_0 for each rotated Q, then one psi_0 at E that Q~_0's chi
-        # and the psi_1 hop share
-        calls = []
-        original = spectral.propagate
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return original(*args, **kwargs)
-        monkeypatch.setattr(spectral, "propagate", counted)
+        # and the psi_1 hop share; the ladder out to sectors -+3 then needs no
+        # transport the cross ratio did not already make
         params = OscillatorParams(alpha, energy, ell)
-        for call in (lambda: fock_goncharov(params, (0, 2, 1, -1)),
-                     lambda: sector_wronskian(params, -3, 3)):
-            calls.clear()
-            call()
-            assert len(calls) == transports
+        stokes_multiplier(params, 0)
+        stokes_multiplier(params, 1)
+        fock_goncharov(params, (0, 2, 1, -1))
+        assert len(transports) == count
+        sector_wronskian(params, -3, 3)
+        assert len(transports) == count
+
+    @pytest.mark.parametrize("alpha,ell,energy", [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4),
+                                                  (0.6, 0.3, 10.0)])
+    def test_warm_results_are_the_cold_ones(self, alpha, ell, energy):
+        params = OscillatorParams(alpha, energy, ell)
+        calls = [lambda: stokes_multiplier(params, -1), lambda: stokes_multiplier(params, 0),
+                 lambda: stokes_multiplier(params, 1),
+                 lambda: fock_goncharov(params, (0, 2, 1, -1)),
+                 lambda: sector_wronskian(params, -3, 3), lambda: r_zero(params)]
+        cold = []
+        for call in calls:
+            spectral._sectors.cache_clear()
+            cold.append(call())
+        spectral._sectors.cache_clear()
+        for _ in range(2):  # the second round finds every transport made
+            assert [call() for call in calls] == cold
+
+    def test_a_new_energy_recomputes(self, transports):
+        first, second = OscillatorParams(2.0, 7.4, 0.5), OscillatorParams(2.0, 7.5, 0.5)
+        s_first = stokes_multiplier(first, 0)
+        s_second = stokes_multiplier(second, 0)
+        assert s_second != s_first
+        # the memo holds one energy: coming back makes both transports again
+        assert stokes_multiplier(first, 0) == s_first
+        assert [p.energy for p in transports] == [7.4, 7.4, 7.5, 7.5, 7.4, 7.4]
+
+    @pytest.mark.parametrize("energy,ell", [(3.9, 0.3), (6.1, 1.2), (1.2, 0.0), (14.7, 0.5)])
+    def test_real_rotated_energy_runs_on_floats(self, energy, ell):
+        # at alpha = 1, omega^2 E = -E: R0's determinant is real
+        before = model.WORK.copy()
+        r_zero(OscillatorParams(1.0, energy, ell))
+        work = model.WORK - before
+        assert work["real_transports"] == work["transports"] == 2
+
+    @pytest.mark.parametrize("energy", [1.0, 10.0, 60.0, 100.0, 150.0])
+    def test_airy_multipliers(self, energy, transports):
+        # at alpha = 1/2, ell = 0, V = x - E and Airy's relation
+        # Ai(z) + omega Ai(omega z) + omega^2 Ai(omega^2 z) = 0 gives sigma_k = -i at
+        # every E.  sigma_-1 reads conj Q~_-s of the determinants sigma_1 made.
+        # sigma_0 comes from the psi_1 hop, which is wrong past E = 60 (ROADMAP item 1)
+        params = OscillatorParams(0.5, energy, 0.0)
+        assert abs(stokes_multiplier(params, 1) + 1j) < 1e-5
+        made = len(transports)
+        assert abs(stokes_multiplier(params, -1) + 1j) < 1e-5
+        assert len(transports) == made
+        if energy <= 60.0:
+            assert abs(stokes_multiplier(params, 0) + 1j) < 1e-5
 
     def test_cross_ratio_rejects_repeats(self):
         with pytest.raises(ValueError):
@@ -617,6 +670,20 @@ class TestLoudFailures:
             assert named + "1)" in msg
         else:
             assert 0.0 < abs(stokes_multiplier(params, 1)) < math.inf
+
+    @pytest.mark.parametrize("alpha", [236.0, 300.0])
+    def test_seed_radius_overflow_names_the_parameters(self, alpha):
+        # Re R at the cap radius 20 leaves the double range from alpha = 236 on
+        for call, named in ((lambda: r_zero(OscillatorParams(alpha, 2.0, 0.0)), "ell=0, E=2)"),
+                            (lambda: eigenvalues(alpha, 2.0, 1), "ell=2, E=")):
+            with pytest.raises(RuntimeError) as err:
+                call()
+            msg = str(err.value)
+            assert "seed radius: Re R overflows at the cap radius 20" in msg
+            assert f"(alpha={alpha:g}, {named}" in msg
+        # at ell = 0 the scan at alpha = 300 stops earlier, in its phase quadrature
+        with pytest.raises(RuntimeError, match=f"alpha={alpha:g}"):
+            eigenvalues(alpha, 0.0, 1)
 
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled
