@@ -23,9 +23,8 @@ square-root branch flips are recorded under "work", per stokes_multiplier
 calls are recorded under "work" for each call alone and for the three in a
 row at one energy, per stokes_complex at the three energies of
 the committed Stokes trichotomy, whose trace points (the sum over edges of
-the trajectory points) and trace steps (the RK4 steps of every trace, the
-second trace of each edge between turning points included) are recorded
-under "work", per turning_points at the
+the trajectory points) and trace steps (the RK4 steps of every trace) are
+recorded under "work", per turning_points at the
 same three energies and at (0.6, 0.3, 3) and (1.26, 5.88, 0.51 E*), whose
 zeros (the real pair included) are recorded under "work", and per propagate
 on one fixed ray and one fixed arc, whose accepted and rejected RK steps and

@@ -6,7 +6,9 @@ parameterization dx/dtau = direction * e^{i*theta} / sqrt(V), under which
 e^{-i*theta} S moves along the real axis at unit speed, so tau doubles as a
 progress variable.  Vertical trajectories (theta = pi/2) emitted by turning
 points assemble into a labeled graph whose vertices are the turning points,
-the origin, and the escape directions at infinity.
+the origin, and the escape directions at infinity.  Far out, where
+V ~ x^(2 alpha), a trajectory is nearly a straight line in x^(alpha+1)/(alpha+1),
+so the graph ends an escaping trace where that certifies its direction.
 
 The module also holds the package's one WKB error certificate for a
 candidate integration path, an a-priori bound on the ratio z = psi / Psi of
@@ -25,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .model import (
     OscillatorParams,
     TurningPointSet,
     _adaptive_gauss,
+    _brent,
     _integer_power,
     _reduced_jet,
     _reduced_v,
@@ -68,6 +71,12 @@ _STEP_FRAC_ENDGAME = 0.06
 _CORRECT_EVERY = 10
 # grid size n of check_admissible's monotonicity test and beta
 _FUNCTIONALS_N = 1025
+# far-field bound on |w| = |V x^(-2 alpha) - 1| at the escape ring, where
+# stokes_complex stops a trace and certifies its escape in closed form
+_ESCAPE_EPS = 0.25
+# widest angle between the far-field velocity of x^(alpha+1)/(alpha+1) and
+# its limit direction: asin(delta/(1 - delta)), delta = 1 - sqrt(1 - eps)
+_ESCAPE_SPREAD = math.asin((1.0 - math.sqrt(1.0 - _ESCAPE_EPS)) / math.sqrt(1.0 - _ESCAPE_EPS))
 
 
 @dataclass(frozen=True)
@@ -313,9 +322,9 @@ def trace_trajectory(params: OscillatorParams, x0, theta: float, direction: int,
     return Trajectory(tuple(points), tuple(s_vals), termination, drift_max)
 
 
-def _infinity_label(alpha: float, arg: float) -> str:
-    half = arg * (alpha + 1.0) / math.pi - 0.5
-    k = round(half)
+def _infinity_label(alpha: float, arg: float, theta: float) -> str:
+    """Name the escape direction (theta + m pi)/(alpha + 1) nearest arg "inf_<2m+1>/2"."""
+    k = round((arg * (alpha + 1.0) - theta) / math.pi)
     n = _integer_power(alpha)
     if n is not None:
         # V is single valued, the graph is periodic with period 2(alpha+1);
@@ -324,6 +333,61 @@ def _infinity_label(alpha: float, arg: float) -> str:
         offset = period // 2
         k = (k + offset) % period - offset
     return "inf_%d/2" % (2 * k + 1)
+
+
+def _far_field_size(params: OscillatorParams, r: float) -> float:
+    """Bound |E| r^(-2 alpha) + lam^2 r^(-2 alpha - 2) on |w| = |V x^(-2 alpha) - 1| at |x| = r."""
+    return (abs(params.energy) + params.lam ** 2 / (r * r)) * r ** (-2.0 * params.alpha)
+
+
+def _escape_radius(params: OscillatorParams, cap: float) -> float:
+    """The escape ring, where _far_field_size falls to _ESCAPE_EPS, or cap if that is nearer."""
+    def excess(r: float) -> float:
+        return _far_field_size(params, r) - _ESCAPE_EPS
+    if excess(cap) >= 0.0:
+        return cap
+    # one term alone reaches eps at lo, so the ring lies in [lo, cap]
+    a2 = 2.0 * params.alpha
+    lo = max((abs(params.energy) / _ESCAPE_EPS) ** (1.0 / a2),
+             (params.lam ** 2 / _ESCAPE_EPS) ** (1.0 / (a2 + 2.0)))
+    return _brent(excess, lo, cap, 0.0, 1e-12)
+
+
+def _escape_limit(params: OscillatorParams, end: CoverPoint, heading: complex, theta: float,
+                  window: tuple[float, float] | None) -> float | None:
+    """Limit argument of the theta-trajectory through end, moving along heading, or None.
+
+    Where w = V x^(-2 alpha) - 1 has |w| <= _ESCAPE_EPS = eps, the trace's
+    zeta = x^(alpha+1)/(alpha+1) moves with
+    velocity c/sqrt(1 + w), c = +-e^(i theta) fixed, so within
+    phi = asin(delta/(1 - delta)) of c, delta = 1 - sqrt(1 - eps).  If zeta
+    makes an angle below pi/2 - phi with c, it stays in the cone spanned by
+    itself and the phi-cone about c: |x| grows for ever and (alpha+1) arg x
+    tends to arg c + 2 pi k without leaving that cone.  None (not certified)
+    if end is not that far out, the angle is too wide, or the cone leaves the
+    arg window.
+    """
+    if _far_field_size(params, end.modulus) > _ESCAPE_EPS:
+        return None
+    a1 = params.alpha + 1.0
+    xpow = end.cpow(2.0 * params.alpha)
+    # x^alpha dx = dzeta is along c/sqrt(1 + w), and 1 + w = V x^(-2 alpha)
+    c = end.cpow(params.alpha) * heading * cmath.sqrt(
+        _reduced_v(params, end.to_complex(), xpow) / xpow)
+    arg_c = theta if (c * cmath.rect(1.0, -theta)).real > 0.0 else theta + math.pi
+    limit = arg_c + 2.0 * math.pi * round((a1 * end.arg - arg_c) / (2.0 * math.pi))
+    off = a1 * end.arg - limit
+    if abs(off) >= 0.5 * math.pi - _ESCAPE_SPREAD:
+        return None
+    if window is not None and not (window[0] <= (limit + min(off, -_ESCAPE_SPREAD)) / a1 and
+                                   (limit + max(off, _ESCAPE_SPREAD)) / a1 <= window[1]):
+        return None
+    return limit / a1
+
+
+def _nearest_ray(fan: list[float], angle: float) -> int:
+    """Index of the fan direction closest to angle."""
+    return min(range(len(fan)), key=lambda m: abs(cmath.phase(cmath.rect(1.0, angle - fan[m]))))
 
 
 def _collect_tps(tps: TurningPointSet,
@@ -357,15 +421,17 @@ def stokes_complex(params: OscillatorParams,
                    theta: float = 0.5 * math.pi) -> StokesComplex:
     """Assemble the graph of theta-trajectories emitted by turning points.
 
-    Each turning point of multiplicity beta launches beta + 2 traces along its
-    local fan; traces terminate at another turning point, at the origin, at
-    an escape direction at infinity, or, given a sector_window, at the window
-    edge they cross (vertex "exit_<edge>").  Turning-point-to-turning-point
-    edges are traced from both ends and reported once, by the traces from the
-    lower numbered turning point; a loop is reported by every other of its
-    traces in fan order.  The default theta = pi/2 gives the vertical trajectories
-    whose union is the Stokes complex; infinity labels name the nearest sector
-    boundary and are exact for that default.
+    Each turning point of multiplicity beta has beta + 2 rays in its local
+    fan; traces terminate at another turning point, at the origin, at an
+    escape direction at infinity, or, given a sector_window, at the window
+    edge they cross (vertex "exit_<edge>").  Each edge is traced once: a trace
+    that ends at a turning point claims the fan ray there nearest to its
+    arrival, which is then not launched; an arrival on a ray already claimed
+    or traced is warned about.  A trace first stops at the escape ring, past
+    which |V x^(-2 alpha) - 1| <= _ESCAPE_EPS; there _escape_limit certifies
+    its escape direction in closed form, or else it is traced again with the
+    radius bound of _stops_for.  Infinity labels name the escape direction
+    (theta + m pi)/(alpha + 1) by m.
     """
     tps = turning_points(params)
     tp_list = _collect_tps(tps, sector_window)
@@ -373,10 +439,8 @@ def stokes_complex(params: OscillatorParams,
         where = "" if sector_window is None else " in the window [%g, %g]" % sector_window
         raise ValueError(f"no turning points found{where} (alpha={params.alpha:g}, "
                          f"ell={params.ell:g}, E={params.energy:g})")
-    stops = _stops_for(params, tps)
-    if sector_window is not None:
-        stops = TraceStops(stops.radius_max, stops.radius_min, stops.max_steps,
-                           arg_window=sector_window)
+    stops = replace(_stops_for(params, tps), arg_window=sector_window)
+    ring = replace(stops, radius_max=_escape_radius(params, stops.radius_max))
     # exclusion radii from the local root spacing (origin counts as a root)
     zs = [p.to_complex() for p, _ in tp_list]
     spacing = []
@@ -385,25 +449,46 @@ def stokes_complex(params: OscillatorParams,
         d.append(abs(zi))
         spacing.append(min(d))
     guards = [(p, 1e-3 * s) for (p, _), s in zip(tp_list, spacing)]
+    fans = [_fan_directions(params, tp, beta, theta) for tp, beta in tp_list]
 
     traces: list[tuple[int, Trajectory, str | None]] = []
     warnings: list[str] = []
-    for i, (tp, beta) in enumerate(tp_list):
+    claimed: set[tuple[int, int]] = set()
+    for i, (tp, _) in enumerate(tp_list):
         launch_r = 10.0 * guards[i][1]
-        for phi in _fan_directions(params, tp, beta, theta):
+        for m, phi in enumerate(fans[i]):
+            if (i, m) in claimed:
+                continue
             z_launch = tp.to_complex() + cmath.rect(launch_r, phi)
             pt = CoverPoint.from_complex(z_launch, near_arg=tp.arg)
             v = _reduced_v(params, z_launch, pt.cpow(2.0 * params.alpha))
             u = cmath.rect(1.0, theta) / cmath.sqrt(v)
             outward = (u.conjugate() * cmath.rect(1.0, phi)).real
             direction = 1 if outward > 0 else -1
-            traj = trace_trajectory(params, pt, theta, direction, stops, tp_guard=guards)
+            traj = trace_trajectory(params, pt, theta, direction, ring, tp_guard=guards)
+            limit = None
+            if traj.termination.kind == "hit_radius_max":
+                end, prev = traj.points[-1], traj.points[-2]
+                limit = _escape_limit(params, end, end.to_complex() - prev.to_complex(), theta,
+                                      sector_window)
+                if limit is None and ring.radius_max < stops.radius_max:
+                    WORK["trace_fallbacks"] += 1
+                    traj = trace_trajectory(params, pt, theta, direction, stops, tp_guard=guards)
             term = traj.termination
-            label: str | None
-            if term.kind == "near_turning_point":
-                label = None  # an edge to a turning point: resolved below
+            label: str | None = None
+            if limit is not None:
+                label = _infinity_label(params.alpha, limit, theta)
+            elif term.kind == "near_turning_point":
+                # an edge to a turning point: claim the ray it arrives along
+                j = term.index
+                ray = _nearest_ray(fans[j], cmath.phase(traj.points[-1].to_complex() - zs[j]))
+                if (j, ray) in claimed or j < i or (j == i and ray <= m):
+                    warnings.append("trace from tp%d along phi=%.3f arrives at tp%d on ray %d,"
+                                    " already claimed or traced" % (i, phi, j, ray))
+                else:
+                    claimed.add((j, ray))
             elif term.kind == "hit_radius_max":
-                label = _infinity_label(params.alpha, traj.points[-1].arg)
+                label = _infinity_label(params.alpha, traj.points[-1].arg, theta)
             elif term.kind in ("hit_radius_min", "spiral_into_origin"):
                 label = "0"
             elif term.kind == "entered_sector":
@@ -418,29 +503,12 @@ def stokes_complex(params: OscillatorParams,
                     % (i, phi, term.kind, len(traj.points), end.modulus, end.arg))
             traces.append((i, traj, label))
 
-    edges: list[StokesEdge] = []
-    tp_edges: dict[tuple[int, int], list[tuple[int, Trajectory]]] = {}
-    for i, traj, label in traces:
-        if label is None:
-            j = traj.termination.index
-            key = (min(i, j), max(i, j))
-            tp_edges.setdefault(key, []).append((i, traj))
-        else:
-            edges.append(StokesEdge("tp%d" % i, label, traj))
-    for (i, j), group in sorted(tp_edges.items()):
-        if i == j:
-            # trajectories do not cross, so the two ends of each loop sit at
-            # opposite parities of the fan order: every other trace is one loop
-            kept = [t for _, t in group[::2]]
-            warnings += ["unpaired loop trace at tp%d" % i] * (len(group) % 2)
-        else:
-            # each edge was traced from both ends: keep the traces from tp i
-            fwd = [t for s, t in group if s == i]
-            bwd = [t for s, t in group if s == j]
-            kept = fwd + bwd[len(fwd):]
-            warnings += ["unpaired edge trace between tp%d and tp%d" % (i, j)] * abs(
-                len(fwd) - len(bwd))
-        edges += [StokesEdge("tp%d" % i, "tp%d" % j, t) for t in kept]
+    # edges to labelled ends in trace order, then turning point pairs in order
+    edges = [StokesEdge("tp%d" % i, label, traj) for i, traj, label in traces if label is not None]
+    pairs = [(sorted((i, traj.termination.index)), traj) for i, traj, label in traces
+             if label is None]
+    edges += [StokesEdge("tp%d" % i, "tp%d" % j, traj)
+              for (i, j), traj in sorted(pairs, key=lambda pair: pair[0])]
 
     # vertices in insertion order: turning points, the origin, then edge
     # targets (every edge source is a turning point)

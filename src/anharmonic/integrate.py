@@ -606,7 +606,12 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
     svals = np.empty(_TAIL_NODES, dtype=complex)
     svals[-1] = 0.0
     svals[:-1] = -np.cumsum(dels[::-1])[::-1]
-    z, _ = iterate_grid(svals, fvals, us)
+    try:
+        z, _ = iterate_grid(svals, fvals, us)
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"sector seed tail Volterra at x_max={x_max:.6g}, arg={arg:.6g}: {exc} "
+            f"(alpha={params.alpha:g}, ell={params.ell:g}, E={params.energy:g})") from None
     # dz/dx at x_max is -sgn sqrt(V) J with J = int exp(-2 (S(x_max) - S)) F z du;
     # on the sweep's trapezoid system J = A_n + g_n = 2 (z_n - 1) + sum_i w_i F_i z_i
     slope = 2.0 * (z[-1] - 1.0) + np.trapezoid(fvals * z, us)

@@ -116,5 +116,9 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> V
     tloc = ts[:len(ts) // len(frame.segments)]  # every segment's local grid
     fvals = np.concatenate([frame.forcing(i, tloc) * frame.point(i, tloc)[2]
                             for i in range(len(frame.segments))])
-    z, iters = iterate_grid(svals, fvals, ts)
+    try:
+        z, iters = iterate_grid(svals, fvals, ts)
+    except RuntimeError as exc:
+        raise RuntimeError(f"volterra_solve on {len(frame.segments)} segments: {exc} (alpha="
+                           f"{params.alpha:g}, ell={params.ell:g}, E={params.energy:g})") from None
     return VolterraRun(curve, ts, svals, z, iters)

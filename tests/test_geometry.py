@@ -10,7 +10,7 @@ from scipy import integrate as sint
 
 from anharmonic import (CoverPoint, OscillatorParams, critical_data, eval_forcing, stokes_complex,
                         topology_signature)
-from anharmonic import checks, geometry
+from anharmonic import checks, geometry, model
 from anharmonic.geometry import TraceStops, check_admissible, trace_trajectory
 from anharmonic.action import PathFrame, PathSpec
 from anharmonic.checks import _horizontal_curve, committed_curves
@@ -225,7 +225,7 @@ class TestStokesGraphs:
     def test_seeded_complexes_end_every_trace(self):
         # every fan trace starts ten guard radii from its own turning point,
         # whose guard is live from the first step; a trace that stopped on
-        # its source would leave an edge-end or an unpaired-trace warning
+        # its source would leave an edge-end or an arrival warning
         rng = random.Random(30)
         alphas = [0.5, 1.0, 2.0, 3.0] + [rng.uniform(0.2, 4.0) for _ in range(16)]
         for i, alpha in enumerate(alphas):
@@ -242,6 +242,26 @@ class TestStokesGraphs:
                 continue
             assert all("ended by bounded_winding" in w for w in sc.warnings), where
 
+    def test_window_keeps_the_exits_a_far_certificate_would_miss(self):
+        # at (2, 1/2, 5 E*) tp1 escapes towards arg = +-pi/6, just outside the
+        # window (-1/2, 1/2): the escape certificate must not label these
+        # traces by their limit, and the retraced ones cross the window edge
+        params = OscillatorParams(2.0, 5.0 * critical_data(2.0, 0.5).e_star, 0.5)
+        before = model.WORK.copy()
+        sc = stokes_complex(params, sector_window=(-0.5, 0.5))
+        assert sc.warnings == ()
+        assert topology_signature(sc)["edges"] == [
+            "exit_-0.5|tp0", "exit_-0.5|tp1", "exit_0.5|tp0", "exit_0.5|tp1", "tp0|tp1"]
+        assert (model.WORK - before)["trace_fallbacks"] == 2
+
+    def test_arrivals_on_a_taken_ray_are_warned(self, monkeypatch):
+        # every arrival claims ray 0 of its target: all but the first clash
+        monkeypatch.setattr(geometry, "_nearest_ray", lambda fan, angle: 0)
+        sc = stokes_complex(OscillatorParams(1.0, 1.0, 0.5))
+        clashes = [w for w in sc.warnings if "already claimed or traced" in w]
+        assert len(clashes) >= 1
+        assert any(w.startswith("tp") and "edge ends, expected 3" in w for w in sc.warnings)
+
     def test_trace_work_and_drift_are_bounded(self):
         # counts and levels, not timings: near a turning point the step shrinks
         # in proportion to the distance to it, which keeps the double turning
@@ -251,6 +271,57 @@ class TestStokesGraphs:
         for case in self._fixture()["cases"]:
             sc = stokes_complex(OscillatorParams(case["alpha"], case["energy"], case["ell"]))
             assert max(e.trajectory.level_drift for e in sc.edges) <= 1e-6, case["name"]
+
+
+class TestEscape:
+    def test_labels_do_not_tie_at_theta_0(self):
+        # at theta = 0 the escape directions are m pi/(alpha + 1); a trace along
+        # the negative real axis at alpha = 1 ends at arg = pi up to rounding
+        assert {geometry._infinity_label(1.0, math.pi + d, 0.0)
+                for d in (-5e-15, 0.0, 5e-15)} == {"inf_-3/2"}
+        params = OscillatorParams(1.0, critical_data(1.0, 1.639).e_star, 1.639)
+        sc = stokes_complex(params, theta=0.0)
+        ends = [e.target for e in sc.edges
+                if e.target.startswith("inf") and abs(e.trajectory.points[-1].arg - math.pi) < 1e-3]
+        assert ends == ["inf_-3/2"]
+
+    @pytest.mark.parametrize("alpha", [0.7, 1.7, 2.6])
+    @pytest.mark.parametrize("theta", [0.3, 0.5 * math.pi, 1.2])
+    def test_labels_off_the_tie_keep_their_names(self, alpha, theta):
+        # for theta in (0, pi), at and near the escape directions the label is
+        # the one of the theta = pi/2 rule round(arg (alpha+1)/pi - 1/2)
+        for m in range(-3, 4):
+            for d in (-0.05, 0.0, 0.05):
+                arg = (theta + (m + d) * math.pi) / (alpha + 1.0)
+                old = round(arg * (alpha + 1.0) / math.pi - 0.5)
+                assert geometry._infinity_label(alpha, arg, theta) == "inf_%d/2" % (2 * old + 1)
+
+    def test_certificate_needs_an_outward_heading(self):
+        # at alpha = 1, theta = pi/2 and x = 10 e^(i pi/4), zeta = x^2/2 points
+        # along +i: a heading with x^alpha dx along +i escapes towards
+        # arg = pi/4, the opposite one moves inwards; at x = 10, zeta is real and
+        # every trajectory there is tangential
+        params = OscillatorParams(1.0, 2.0, 0.5)
+        far = CoverPoint(10.0, 0.25 * math.pi)
+        out = cmath.rect(1.0, 0.25 * math.pi)
+        assert geometry._escape_limit(params, far, out, 0.5 * math.pi, None) == pytest.approx(
+            0.25 * math.pi, abs=1e-15)
+        assert geometry._escape_limit(params, far, -out, 0.5 * math.pi, None) is None
+        for heading in (1j, -1j, 1.0, -1.0):
+            assert geometry._escape_limit(params, CoverPoint(10.0, 0.0), heading,
+                                          0.5 * math.pi, None) is None
+
+    def test_certificate_needs_the_far_field_and_the_window(self):
+        params = OscillatorParams(1.0, 2.0, 0.5)
+        out = cmath.rect(1.0, 0.25 * math.pi)
+        ring = geometry._escape_radius(params, 50.0)
+        assert geometry._far_field_size(params, ring) == pytest.approx(geometry._ESCAPE_EPS)
+        assert geometry._escape_radius(params, 0.9 * ring) == 0.9 * ring
+        near = CoverPoint(0.99 * ring, 0.25 * math.pi)
+        assert geometry._escape_limit(params, near, out, 0.5 * math.pi, None) is None
+        far = CoverPoint(10.0, 0.25 * math.pi)
+        assert geometry._escape_limit(params, far, out, 0.5 * math.pi, (-0.5, 0.5)) is None
+        assert geometry._escape_limit(params, far, out, 0.5 * math.pi, (-0.5, 1.0)) is not None
 
 
 class TestAdmissibility:

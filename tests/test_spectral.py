@@ -685,6 +685,17 @@ class TestLoudFailures:
         with pytest.raises(RuntimeError, match=f"alpha={alpha:g}"):
             eigenvalues(alpha, 0.0, 1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_tail_volterra_overflow_names_the_parameters(self):
+        # just below the seed-radius guard x^(2 alpha) overflows on the tail
+        # grid of the refined seed, and the sweep's z is not finite
+        with pytest.raises(RuntimeError) as err:
+            r_zero(OscillatorParams(235.0, 2.0, 0.0))
+        msg = str(err.value)
+        assert msg.startswith("sector seed tail Volterra at x_max=")
+        assert "Volterra sweep on 801 nodes gave a non-finite z" in msg
+        assert "(alpha=235, ell=0, E=" in msg
+
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled
 

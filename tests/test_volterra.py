@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 
 from anharmonic import OscillatorParams, check_admissible, path_from_complex, volterra_solve
 from anharmonic import checks, integrate, model, spectral, volterra
-from anharmonic.action import PathFrame
+from anharmonic.action import PathFrame, PathSpec
 from anharmonic.checks import committed_curves, measured_wkb_deviation
 from anharmonic.geometry import _safe_bound
 from anharmonic.volterra import _EXP_CAP, _frame_grid, _trapezoid_weights, iterate_grid
@@ -81,6 +81,16 @@ class TestIntegralEquation:
         msg = str(err.value)
         assert msg.startswith("Volterra sweep on 16 nodes gave a non-finite z")
         assert "rho too large" in msg
+
+    def test_non_finite_solution_names_the_parameters(self):
+        # the committed alpha = 2 inward ray on its falling branch
+        name, params, path = committed_curves()[2]
+        other = {"principal": "negative", "negative": "principal"}[path.sqrt_v_branch]
+        with pytest.raises(RuntimeError) as err:
+            volterra_solve(params, PathSpec(path.nodes, path.parameterization, other))
+        msg = str(err.value)
+        assert msg.startswith("volterra_solve on 1 segments: Volterra sweep on 601 nodes"), name
+        assert msg.endswith("(alpha=2, ell=1, E=4)")
 
 
 class TestCertificates:

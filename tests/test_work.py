@@ -116,6 +116,26 @@ def test_traces_and_trace_steps_match_a_wrapped_tracer(monkeypatch):
     assert w["trace_steps"] == sum(len(t.points) - 1 for t in traces)
 
 
+@pytest.mark.parametrize("args", [(1.0, 1.0, 0.5), (1.0, 2.0, 0.5), (1.0, 4.0, 0.5),
+                                  (2.0, 7.4, 0.5)])
+def test_each_edge_is_traced_once(args):
+    # one trace per edge; a trace whose escape is not certified runs again
+    out = []
+    w = work(lambda: out.append(geometry.stokes_complex(OscillatorParams(*args))))
+    assert w["traces"] == len(out[0].edges) + w["trace_fallbacks"]
+    assert w["trace_fallbacks"] == 0
+
+
+# trace steps when every edge between turning points was traced from both ends
+# and every escaping trace ran out to _stops_for's radius, and the share kept
+@pytest.mark.parametrize("args,two_way,share", [
+    ((1.0, 1.0, 0.5), 1772, 0.6), ((1.0, 2.0, 0.5), 2252, 0.6), ((1.0, 4.0, 0.5), 1934, 0.6),
+    ((3.0, 20.0, 1.0), 6306, 0.5)])
+def test_trace_steps_fall(args, two_way, share):
+    w = work(lambda: geometry.stokes_complex(OscillatorParams(*args)))
+    assert w["trace_steps"] <= share * two_way
+
+
 def test_counter_is_an_object_not_a_function():
     # perfbench wraps the package's public functions; a counter is left alone
     assert isinstance(model.WORK, Counter)
