@@ -8,55 +8,42 @@ and the four-field SolutionState:
     PYTHONPATH=src python scripts/bench.py --label after
     PYTHONPATH=/path/to/other/checkout/src python scripts/bench.py --label before
 
-Recorded: interpreter and library versions, core count and the git commit of
-the measured sources; seconds, determinant evaluations, Frobenius series
-evaluations, index-check rescans and wkb_phase and wkb_phase_derivative
-quadratures of three eigenvalue scans (the quartic to
-n = 30, the ell = 100 harmonic ground level, and one set of tables shaped like
-a pass of the benchmark's scan workload); microseconds per
-spectral_determinant and per Frobenius series evaluation at three fixed
-points, per r_zero and per refined sibuya_seed at two, per volterra_solve
-on one committed curve, per check_admissible on each of the five committed
-curves, per PathFrame construction on the horizontal committed curve, whose
-square-root branch flips are recorded under "work", per stokes_multiplier
-(k = 0 and 1) and fock_goncharov((0, 2, 1, -1)) at two, whose propagate
-calls are recorded under "work" for each call alone and for the three in a
-row at one energy, per stokes_complex at the three energies of
-the committed Stokes trichotomy, whose trace points (the sum over edges of
-the trajectory points) and trace steps (the RK4 steps of every trace) are
-recorded under "work", per turning_points at the
-same three energies and at (0.6, 0.3, 3) and (1.26, 5.88, 0.51 E*), whose
-zeros (the real pair included) are recorded under "work", and per propagate
-on one fixed ray and one fixed arc, whose accepted and rejected RK steps and
-rhs calls are also recorded under "work".  Also under "work": the 8-point
-Gauss panels that the adaptive quadrature evaluates per wkb_phase and per
-wkb_phase_derivative call of the quartic scan and per rho of
-check_admissible on each committed curve, and how many segment transports
-of each scan and of measured_wkb_deviation on each committed curve ran in
-real arithmetic (returned float states), of all that ran; and the KiB that
-one frobenius_seed table holds at each SERIES point (tracemalloc, table
-alone).  Counts are differences of anharmonic.model.WORK around each
-measured call; the script changes nothing in the package.  Times are
-time.perf_counter readings.  The connection memo, which keeps the transports
-of the last energy, is cleared before every timed or counted call, so that
-r_zero and the connection data are measured cold.
+The measured calls form one table, layer -> point -> Point(call, calls per
+timing, optional summary of the result): whole eigenvalue scans (SCANS),
+determinants, Frobenius series sums, r_zero, refined Sibuya seeds, a Volterra
+solve, check_admissible, measured_wkb_deviation and PathFrame on committed
+curves, the connection data (sigma_0, sigma_1 and one cross ratio, alone and
+in a row at one energy), the Stokes complexes of the committed trichotomy,
+turning points and single transports.  Every point runs REPEAT times, in
+rounds over all points, each call with an empty connection memo (it keeps
+the transports of the last energy), so every call is cold.  Under "layers"
+each point records "us", its best time per call rescaled to the reference
+speed (below), "us_raw", the plain perf_counter reading, "calls", the calls
+of the timed function per timing, "work", the difference of
+anharmonic.model.WORK around its first timing (counts that stay at zero are
+left out), and "result", the summary of that timing's return value, where
+the point has one: the levels of a scan, the trajectory points summed over
+the edges of a Stokes complex, the zeros turning_points returns (the real
+pair included) and the square-root branch flips of a PathFrame.  The script
+changes nothing in the package.
 
-End to end, "fresh_interpreter" holds the wall seconds of FRESH_RUNS new
-interpreters (median and every run) for two commands: import_s, a bare
+The host's speed drifts by a factor of two between runs on a shared machine.
+So after each call the script also times the fixed pure-Python loop of
+perfbench/run.py; "us" is rescaled to the speed at which that loop takes
+REF_SECONDS, and "reference" holds the factor.
+
+Also recorded: interpreter and library versions, core count and the git
+commit of the measured sources; "frobenius_table_kib", the KiB that one
+frobenius_seed table holds at each SERIES point (tracemalloc, table alone);
+and "fresh_interpreter", the wall seconds of FRESH_RUNS new interpreters
+(median and every run, not rescaled) for two commands: import_s, a bare
 `import anharmonic`, and spectrum_table_s, the reference table
-`anharmonic spectrum --alpha 2 --ell 0.5 --n-max 4`.  These are not
-rescaled.
-
-The micro timings (best of REPEAT, taken in rounds over all points) follow
-the host's speed, which drifts by a factor of two between runs on a shared
-machine.  So after each repetition the
-script also times the fixed pure-Python loop of perfbench/run.py; "layers"
-holds the timings rescaled to the reference speed at which that loop takes
-REF_SECONDS, "layers_raw" the plain readings and "reference" the factor.
+`anharmonic spectrum --alpha 2 --ell 0.5 --n-max 4`.
 """
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import statistics
@@ -64,9 +51,9 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -101,7 +88,7 @@ CONNECTION = [(1.0, 0.3, 3.9), (2.0, 0.5, 7.4)]
 TURNING_POINTS = [(0.6, 0.3, 3.0), (1.26, 5.88, 0.51 * critical_data(1.26, 5.88).e_star)]
 # (committed curve, grid size) of the Volterra solve
 VOLTERRA = ("inward_ray_alpha2", 601)
-# committed curve of the PathFrame construction timing and flip count
+# committed curve of the PathFrame construction
 PATHFRAME = "horizontal_trajectory_alpha1"
 # (alpha, ell, E, segment kind, start, end) of the timed transports of the
 # state (psi, psi') = (1, 0): a ray out of the quartic well into its growing
@@ -121,7 +108,7 @@ FRESH_RUNS = 7
 # the determinant options of the scan at its default rel_tol = 1e-9
 SCAN_RTOL = spectral._ode_rtol(1e-9)
 
-# each micro timing is the best of this many repetitions, taken in rounds
+# each timing is the best of this many repetitions, taken in rounds
 REPEAT = 15
 # Frobenius series evaluations per timing
 SERIES_CALLS = 50
@@ -130,11 +117,13 @@ REF_ITERATIONS = 20000
 REF_SECONDS = 0.003
 
 
-def _work(call) -> Counter:
-    """The WORK counts that call() adds."""
-    before = WORK.copy()
-    call()
-    return WORK - before
+class Point(NamedTuple):
+    """One measured call, the calls of the timed function it makes, and the
+    summary of its return value recorded under "result" (None: no result)."""
+
+    call: Callable
+    per: int = 1
+    summary: Callable | None = None
 
 
 def _commit(path: Path) -> str | None:
@@ -147,31 +136,6 @@ def _commit(path: Path) -> str | None:
     return out.stdout.strip()
 
 
-def time_scans() -> tuple[dict, dict]:
-    """The SCANS records, and name -> the WORK counts of that scan."""
-    out, work = {}, {}
-    for name, tables in SCANS.items():
-        before = WORK.copy()
-        start = time.perf_counter()
-        levels = [spectral.eigenvalues(a, ell, n_max) for a, ell, n_max in tables]
-        seconds = time.perf_counter() - start
-        count = sum(len(lv) for lv in levels)
-        w = work[name] = WORK - before
-        out[name] = {
-            "tables": [list(t) for t in tables],
-            "seconds": seconds,
-            "levels": count,
-            "determinant_calls": w["determinants"],
-            "determinant_calls_per_level": w["determinants"] / count,
-            "frobenius_calls": w["series_evaluations"],
-            "rescans": w["rescans"],
-            "wkb_phase_calls": w["wkb_phase"],
-            "wkb_phase_derivative_calls": w["wkb_phase_derivative"],
-            "eigenvalues": levels,
-        }
-    return out, work
-
-
 def reference_chunk() -> float:
     """Seconds for a fixed pure-Python loop: the host's speed at this moment."""
     start = time.perf_counter()
@@ -180,11 +144,6 @@ def reference_chunk() -> float:
         x = x * 0.999 + 0.001 * (i % 7)
         total += x * x
     return time.perf_counter() - start
-
-
-def _many(call, *args) -> None:
-    for _ in range(SERIES_CALLS):
-        call(*args)
 
 
 def frobenius_table_kib() -> dict:
@@ -209,75 +168,6 @@ def frobenius_table_kib() -> dict:
     return out
 
 
-def _stokes_cases() -> dict:
-    """point -> OscillatorParams of the committed Stokes trichotomy."""
-    return {f"alpha={c['alpha']:g},ell={c['ell']:g},E={c['energy']:g}":
-            OscillatorParams(c["alpha"], c["energy"], c["ell"]) for c in trichotomy_cases()}
-
-
-def stokes_work() -> tuple[dict, dict]:
-    """point -> trajectory points summed over the edges of its Stokes complex,
-    and point -> RK4 steps of every trace it made."""
-    points, steps = {}, {}
-    for key, params in _stokes_cases().items():
-        before = WORK.copy()
-        points[key] = sum(len(e.trajectory.points) for e in stokes_complex(params).edges)
-        steps[key] = (WORK - before)["trace_steps"]
-    return points, steps
-
-
-def _turning_point_cases() -> dict:
-    """point -> OscillatorParams of the turning-point timings."""
-    cases = _stokes_cases()
-    cases.update({f"alpha={alpha:g},ell={ell:g},E={energy:g}": OscillatorParams(alpha, energy, ell)
-                  for alpha, ell, energy in TURNING_POINTS})
-    return cases
-
-
-def turning_point_counts() -> dict:
-    """point -> zeros that turning_points returns there, the real pair included."""
-    out = {}
-    for key, params in _turning_point_cases().items():
-        tps = turning_points(params)
-        out[key] = len(tps.real_pair or ()) + len(tps.sector_points)
-    return out
-
-
-def pathframe_flips() -> dict:
-    """curve -> square-root branch flips that PathFrame places along it."""
-    _, params, curve = next(c for c in committed_curves() if c[0] == PATHFRAME)
-    return {PATHFRAME: sum(len(flips) for flips, _ in action.PathFrame(params, curve)._signs)}
-
-
-def quadrature_panels(scan: Counter) -> dict:
-    """8-point Gauss panels the adaptive quadrature evaluates: per wkb_phase and
-    wkb_phase_derivative call of the quartic_n30 scan (its WORK counts scan),
-    and per rho of check_admissible on each committed curve (summed over its
-    segments)."""
-    out = {"scan_quartic_n30": {
-        kind: {"calls": scan["quadratures " + kind],
-               "panels_per_call": scan["panels " + kind] / scan["quadratures " + kind]}
-        for kind in ("wkb_phase", "wkb_phase_derivative")}}
-    rho = out["check_admissible_rho"] = {}
-    for name, params, curve in committed_curves():
-        w = _work(partial(check_admissible, params, curve))
-        segments, panels = w["quadratures rho"], w["panels rho"]
-        rho[name] = {"segments": segments, "panels": panels,
-                     "panels_per_segment": panels / segments}
-    return out
-
-
-def real_transports(scans: dict) -> dict:
-    """Segment transports that ran in real arithmetic (returned float states),
-    of all that ran: per scan of SCANS (scans holds their WORK counts) and per
-    measured_wkb_deviation on each committed curve."""
-    def tally(w: Counter) -> dict:
-        return {"real": w["real_transports"], "transports": w["transports"]}
-    curves = {name: tally(_work(partial(checks.measured_wkb_deviation, params, curve)))
-              for name, params, curve in committed_curves()}
-    return {"scans": {name: tally(w) for name, w in scans.items()}, "committed_curves": curves}
-
-
 def fresh_interpreter(pkg_parent: Path) -> dict:
     """Median and every wall time of FRESH_RUNS fresh interpreters per FRESH command."""
     env = dict(os.environ, PYTHONPATH=str(pkg_parent))
@@ -292,124 +182,132 @@ def fresh_interpreter(pkg_parent: Path) -> dict:
             for name, times in runs.items()}
 
 
-def _transports() -> dict:
-    """point -> (params, state, path) of the PROPAGATE transports."""
-    out = {}
-    for alpha, ell, energy, kind, start, end in PROPAGATE:
-        key = (f"{kind},alpha={alpha:g},ell={ell:g},E={energy:g},"
-               f"|x|={start.modulus:g}->{end.modulus:g},arg={start.arg:g}->{end.arg:g}")
-        out[key] = (OscillatorParams(alpha, energy, ell),
-                    SolutionState(start, 1.0, 0.0, 0.0), PathSpec((start, end), (kind,)))
-    return out
+def _point(alpha: float, ell: float, energy: float) -> str:
+    return f"alpha={alpha:g},ell={ell:g},E={energy:g}"
 
 
-def propagate_work() -> dict:
-    """point -> accepted and rejected steps and rhs calls of one propagate."""
-    out = {}
-    for key, (params, state, path) in _transports().items():
-        w = _work(partial(integrate.propagate, params, state, path, rtol=SCAN_RTOL))
-        attempts = w["rk_steps"] + w["rk_rejected"]
-        out[key] = {"accepted_steps": w["rk_steps"], "rejected_steps": w["rk_rejected"],
-                    "rhs_calls": w["rhs_calls"],
-                    "rhs_calls_per_step": (w["rhs_calls"] - w["transports"]) // attempts}
-    return out
+def _scan(tables: list) -> list:
+    return [spectral.eigenvalues(a, ell, n_max) for a, ell, n_max in tables]
 
 
-def _connection_calls() -> dict:
-    """point -> (call, 1) of the CONNECTION timings."""
-    connection = {}
-    for alpha, ell, energy in CONNECTION:
-        params = OscillatorParams(alpha, energy, ell)
-        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
-        for k in (0, 1):
-            connection[f"stokes_multiplier,k={k},{point}"] = (partial(
-                spectral.stokes_multiplier, params, k), 1)
-        connection[f"fock_goncharov,(0,2,1,-1),{point}"] = (partial(
-            spectral.fock_goncharov, params, (0, 2, 1, -1)), 1)
-    return connection
+def _levels(levels: list) -> dict:
+    return {"levels": sum(len(lv) for lv in levels), "eigenvalues": levels}
 
 
-def _cold_work(call) -> Counter:
-    """The WORK counts of call() with an empty connection memo."""
-    spectral._sectors.cache_clear()
-    return _work(call)
+def _many(call, *args) -> None:
+    for _ in range(SERIES_CALLS):
+        call(*args)
 
 
-def connection_propagate_calls() -> dict:
-    """point -> propagate calls of one CONNECTION timing."""
-    return {key: _cold_work(call)["propagate"]
-            for key, (call, _) in _connection_calls().items()}
+def _in_a_row(calls: list) -> None:
+    for call in calls:
+        call()
 
 
-def connection_sequence_propagate_calls() -> dict:
-    """CONNECTION point -> propagate calls of sigma_0, sigma_1 and the cross ratio in a row."""
-    calls = _connection_calls()
+def _connection() -> dict:
+    """point -> Point of sigma_0, sigma_1 and the cross ratio at each CONNECTION
+    energy, alone and the three in a row."""
     out = {}
     for alpha, ell, energy in CONNECTION:
-        point = f"alpha={alpha:g},ell={ell:g},E={energy:g}"
-        row = [call for key, (call, _) in calls.items() if key.endswith("," + point)]
-        out[point] = _cold_work(lambda: [call() for call in row])["propagate"]
+        params, point = OscillatorParams(alpha, energy, ell), _point(alpha, ell, energy)
+        row = {f"stokes_multiplier,k={k},{point}": partial(spectral.stokes_multiplier, params, k)
+               for k in (0, 1)}
+        row[f"fock_goncharov,(0,2,1,-1),{point}"] = partial(
+            spectral.fock_goncharov, params, (0, 2, 1, -1))
+        out.update({key: Point(call) for key, call in row.items()})
+        out[f"in_a_row,{point}"] = Point(partial(_in_a_row, list(row.values())))
     return out
 
 
-def _layer_calls() -> dict:
-    """layer -> point -> (call, calls of the timed function per call)."""
-    dets, series, r_zero, seeds = {}, {}, {}, {}
-    for alpha, ell, energy in DETERMINANTS:
-        params = OscillatorParams(alpha, energy, ell)
-        dets[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(
-            spectral.spectral_determinant, params, refine=False, rtol=SCAN_RTOL), 1)
-    for alpha, ell, energy, x in SERIES:
-        # many calls per timing: one call may take only tens of microseconds
-        series[f"alpha={alpha:g},ell={ell:g},E={energy:g},x={x:g}"] = (partial(
-            _many, integrate._frobenius_scaled, spectral._series_table(alpha, ell), energy,
-            CoverPoint(x, 0.0)), SERIES_CALLS)
-    for alpha, ell, energy in R_ZERO:
-        params = OscillatorParams(alpha, energy, ell)
-        r_zero[f"alpha={alpha:g},ell={ell:g},E={energy:g}"] = (partial(spectral.r_zero, params), 1)
+def _trace_points(sc) -> int:
+    return sum(len(e.trajectory.points) for e in sc.edges)
+
+
+def _zeros(tps) -> int:
+    return len(tps.real_pair or ()) + len(tps.sector_points)
+
+
+def _flips(frame) -> int:
+    return sum(len(flips) for flips, _ in frame._signs)
+
+
+def table() -> dict:
+    """layer -> point -> Point of every measured call."""
+    curves = {name: (params, curve) for name, params, curve in committed_curves()}
+    stokes = {_point(c["alpha"], c["ell"], c["energy"]):
+              OscillatorParams(c["alpha"], c["energy"], c["ell"]) for c in trichotomy_cases()}
+    zeros = {**stokes, **{_point(a, ell, e): OscillatorParams(a, e, ell)
+                          for a, ell, e in TURNING_POINTS}}
+    seeds = {}
     for alpha, ell, energy, k in SEEDS:
         params = OscillatorParams(alpha, energy, ell)
-        x_max = spectral._geometry(params).x_max
-        seeds[f"alpha={alpha:g},ell={ell:g},E={energy:g},k={k}"] = (partial(
-            integrate.sibuya_seed, params, k, x_max), 1)
-    name, n = VOLTERRA
-    _, params, curve = next(c for c in committed_curves() if c[0] == name)
-    solve = {f"{name},n={n}": (partial(volterra.volterra_solve, params, curve, n), 1)}
-    _, params, curve = next(c for c in committed_curves() if c[0] == PATHFRAME)
-    frame = {PATHFRAME: (partial(action.PathFrame, params, curve), 1)}
-    admissible = {name: (partial(check_admissible, params, curve), 1)
-                  for name, params, curve in committed_curves()}
-    stokes = {key: (partial(stokes_complex, params), 1)
-              for key, params in _stokes_cases().items()}
-    zeros = {key: (partial(turning_points, params), 1)
-             for key, params in _turning_point_cases().items()}
-    transport = {key: (partial(integrate.propagate, *args, rtol=SCAN_RTOL), 1)
-                 for key, args in _transports().items()}
-    return {"spectral_determinant_us": dets, "frobenius_scaled_us": series,
-            "r_zero_us": r_zero, "sibuya_seed_us": seeds, "volterra_solve_us": solve,
-            "check_admissible_us": admissible, "pathframe_us": frame,
-            "connection_us": _connection_calls(), "stokes_complex_us": stokes,
-            "turning_points_us": zeros, "propagate_us": transport}
+        seeds[f"{_point(alpha, ell, energy)},k={k}"] = Point(partial(
+            integrate.sibuya_seed, params, k, spectral._geometry(params).x_max))
+    transports = {}
+    for alpha, ell, energy, kind, start, end in PROPAGATE:
+        key = (f"{kind},{_point(alpha, ell, energy)},"
+               f"|x|={start.modulus:g}->{end.modulus:g},arg={start.arg:g}->{end.arg:g}")
+        transports[key] = Point(partial(
+            integrate.propagate, OscillatorParams(alpha, energy, ell),
+            SolutionState(start, 1.0, 0.0, 0.0), PathSpec((start, end), (kind,)),
+            rtol=SCAN_RTOL))
+    solve_curve, n = VOLTERRA
+    return {
+        "eigenvalues": {name: Point(partial(_scan, tables), summary=_levels)
+                        for name, tables in SCANS.items()},
+        "spectral_determinant": {_point(a, ell, e): Point(partial(
+            spectral.spectral_determinant, OscillatorParams(a, e, ell), refine=False,
+            rtol=SCAN_RTOL)) for a, ell, e in DETERMINANTS},
+        # many calls per timing: one call may take only tens of microseconds
+        "frobenius_scaled": {f"{_point(a, ell, e)},x={x:g}": Point(partial(
+            _many, integrate._frobenius_scaled, spectral._series_table(a, ell), e,
+            CoverPoint(x, 0.0)), SERIES_CALLS) for a, ell, e, x in SERIES},
+        "r_zero": {_point(a, ell, e): Point(partial(
+            spectral.r_zero, OscillatorParams(a, e, ell))) for a, ell, e in R_ZERO},
+        "sibuya_seed": seeds,
+        "volterra_solve": {f"{solve_curve},n={n}": Point(partial(
+            volterra.volterra_solve, *curves[solve_curve], n))},
+        "check_admissible": {name: Point(partial(check_admissible, *args))
+                             for name, args in curves.items()},
+        "measured_wkb_deviation": {name: Point(partial(checks.measured_wkb_deviation, *args))
+                                   for name, args in curves.items()},
+        "pathframe": {PATHFRAME: Point(partial(action.PathFrame, *curves[PATHFRAME]),
+                                       summary=_flips)},
+        "connection": _connection(),
+        "stokes_complex": {key: Point(partial(stokes_complex, params), summary=_trace_points)
+                           for key, params in stokes.items()},
+        "turning_points": {key: Point(partial(turning_points, params), summary=_zeros)
+                           for key, params in zeros.items()},
+        "propagate": transports,
+    }
 
 
-def time_layers(chunks: list) -> dict:
-    """Best of REPEAT timings of every point, in µs; a reference chunk follows each.
+def measure(points: dict, chunks: list) -> dict:
+    """layer -> point -> its record: "calls", "us_raw" (best of REPEAT, µs per
+    call) and the "work" and "result" of its first timing; a reference chunk
+    follows each call.
 
     The repetitions run in rounds over all points, so that each point samples
     the host across the whole run instead of during one stretch of it.
     """
-    calls = _layer_calls()
-    best = {layer: dict.fromkeys(points, float("inf")) for layer, points in calls.items()}
-    for _ in range(REPEAT):
-        for layer, points in calls.items():
-            for key, (call, per) in points.items():
+    out = {layer: {key: {"calls": p.per, "us_raw": math.inf} for key, p in row.items()}
+           for layer, row in points.items()}
+    for first in [True] + [False] * (REPEAT - 1):
+        for layer, row in points.items():
+            for key, p in row.items():
+                rec = out[layer][key]
                 spectral._sectors.cache_clear()
+                before = WORK.copy()
                 start = time.perf_counter()
-                call()
-                best[layer][key] = min(best[layer][key], (time.perf_counter() - start) / per)
+                result = p.call()
+                seconds = time.perf_counter() - start
+                rec["us_raw"] = min(rec["us_raw"], seconds / p.per * 1e6)
+                if first:
+                    rec["work"] = dict(sorted((WORK - before).items()))
+                    if p.summary is not None:
+                        rec["result"] = p.summary(result)
                 chunks.append(reference_chunk())
-    return {layer: {key: sec * 1e6 for key, sec in points.items()}
-            for layer, points in best.items()}
+    return out
 
 
 def main() -> None:
@@ -419,8 +317,8 @@ def main() -> None:
     args = ap.parse_args()
 
     pkg_dir = Path(anharmonic.__file__).resolve().parent
-    scans, scan_work = time_scans()
-    stokes_points, stokes_steps = stokes_work()
+    chunks: list[float] = []
+    layers = measure(table(), chunks)
     record = {
         "label": args.label,
         "machine": {
@@ -431,35 +329,24 @@ def main() -> None:
             "platform": platform.platform(),
         },
         "commit": _commit(pkg_dir),
-        "scans": scans,
-        "work": {"stokes_complex_points": stokes_points,
-                 "stokes_complex_trace_steps": stokes_steps,
-                 "turning_points_zeros": turning_point_counts(), "propagate": propagate_work(),
-                 "pathframe_flips": pathframe_flips(),
-                 "connection_propagate_calls": connection_propagate_calls(),
-                 "connection_sequence_propagate_calls": connection_sequence_propagate_calls(),
-                 "quadrature_panels": quadrature_panels(scan_work["quartic_n30"]),
-                 "real_transports": real_transports(scan_work),
-                 "frobenius_table_kib": frobenius_table_kib()},
+        "frobenius_table_kib": frobenius_table_kib(),
         "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
     }
-    chunks: list[float] = []
-    raw = time_layers(chunks)
     chunk_s = statistics.median(chunks)
     speed = REF_SECONDS / chunk_s
     record["reference"] = {"iterations": REF_ITERATIONS, "seconds_at_reference": REF_SECONDS,
                            "chunks": len(chunks), "median_chunk_s": chunk_s,
                            "speed_factor": speed}
-    record["layers"] = {layer: {key: us * speed for key, us in timings.items()}
-                        for layer, timings in raw.items()}
-    record["layers_raw"] = raw
+    record["layers"] = {layer: {key: {"us": rec["us_raw"] * speed, **rec}
+                                for key, rec in row.items()} for layer, row in layers.items()}
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
-    for name, scan in record["scans"].items():
-        print(f"{name:16s} {scan['seconds']:7.2f} s  {scan['determinant_calls']:4d} determinants"
-              f"  {scan['determinant_calls_per_level']:.2f} per level"
-              f"  {scan['rescans']} rescans  {scan['wkb_phase_calls']} wkb_phase"
-              f"  {scan['wkb_phase_derivative_calls']} wkb_phase_derivative", file=sys.stderr)
+    for name, scan in record["layers"]["eigenvalues"].items():
+        work, levels = scan["work"], scan["result"]["levels"]
+        print(f"{name:16s} {scan['us'] / 1e6:7.3f} s  {work['determinants']:4d} determinants"
+              f"  {work['determinants'] / levels:.2f} per level"
+              f"  {work.get('rescans', 0)} rescans  {work['wkb_phase']} wkb_phase"
+              f"  {work['wkb_phase_derivative']} wkb_phase_derivative", file=sys.stderr)
     for name, timing in record["fresh_interpreter"].items():
         print(f"{name:16s} {timing['median']:7.3f} s  (median of {FRESH_RUNS} fresh interpreters)",
               file=sys.stderr)

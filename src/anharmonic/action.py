@@ -48,6 +48,8 @@ __all__ = [
 # put theta = pi/4, where the radicand changes its end, on an edge, and let
 # most action integrals settle in the first round
 _WELL_EDGES = np.linspace(0.0, 0.5 * math.pi, 9)
+# the largest argument of exp whose value is finite
+_EXP_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -259,6 +261,8 @@ def _well_quad(params: OscillatorParams, integrand, epsabs: float, stage: str) -
     split, x_low = (0.5, x_lo) if x_lo > 0.0 else (-1.0, x_hi)
     du_lo, cent_lo, pow_lo = delta / x_low, lam2 / (x_low * x_low), x_low ** a2
     du_hi, cent_hi, pow_hi = -delta / x_hi, lam2 / (x_hi * x_hi), x_hi ** a2
+    # u < du_lo, so (1+u)^2a can overflow only at large alpha, where this holds
+    wide = a2 * math.log1p(du_lo) > _EXP_MAX
 
     def f(theta: np.ndarray) -> np.ndarray:
         st = np.sin(theta)
@@ -267,8 +271,18 @@ def _well_quad(params: OscillatorParams, integrand, epsabs: float, stage: str) -
         u = np.where(low, st * st * du_lo, ct * ct * du_hi)
         cent = np.where(low, cent_lo, cent_hi)
         power = np.where(low, pow_lo, pow_hi)
+        grow = a2 * np.log1p(u)
+        if not wide:
+            rise = power * np.expm1(grow)
+        else:
+            # where x_end^2a underflows and (1+u)^2a overflows the product is
+            # 0 * inf; there expm1 = exp, so it is one exponential of the logs
+            with np.errstate(over="ignore", invalid="ignore"):
+                rise = power * np.expm1(grow)
+            far = ~np.isfinite(rise)
+            rise[far] = np.exp(a2 * np.log(np.where(low, x_low, x_hi)[far]) + grow[far])
         # V(x_end) - V(x) = lam^2/x_end^2 (1 - (1+u)^-2) - x_end^2a ((1+u)^2a - 1)
-        r = cent * u * (2.0 + u) / ((1.0 + u) * (1.0 + u)) - power * np.expm1(a2 * np.log1p(u))
+        r = cent * u * (2.0 + u) / ((1.0 + u) * (1.0 + u)) - rise
         return integrand(2.0 * delta * st * ct, r)
 
     steps = math.ceil(math.log(0.5 * delta / x_lo, 4.0)) if x_lo > 0.0 else 0

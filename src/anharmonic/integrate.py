@@ -38,6 +38,7 @@ from .model import (
     _forcing_payload,
     _gauss8,
     _reduced_jet,
+    _reduced_v,
     sector_center_arg,
 )
 from .action import PathSpec, _Segment
@@ -509,15 +510,21 @@ def propagate(params: OscillatorParams, state: SolutionState, path: PathSpec,
 # ---------------------------------------------------------------------------
 # asymptotic (Sibuya) seeds on sector rays
 
-def _ray_v(params: OscillatorParams, arg: float, r):
-    """(x, V, V', V'', sqrtV) at moduli r on the ray, sqrt(V) ~ +x^alpha.
+def _ray_sqrt_v(params: OscillatorParams, arg: float, r):
+    """(x, x^(2a), V, sqrtV) at moduli r on the ray, sqrt(V) ~ +x^alpha.
 
     r may be a float or an array; the values are numpy scalars or arrays.
     """
     z = r * cmath.rect(1.0, arg)
     xa = _cover_power(2.0 * params.alpha, r, arg)
-    v, v1, v2 = _reduced_jet(params, z, xa)
-    sq = _cover_power(params.alpha, r, arg) * np.sqrt(v / xa)
+    v = _reduced_v(params, z, xa)
+    return z, xa, v, _cover_power(params.alpha, r, arg) * np.sqrt(v / xa)
+
+
+def _ray_v(params: OscillatorParams, arg: float, r):
+    """(x, V, V', V'', sqrtV) at moduli r on the ray, as _ray_sqrt_v."""
+    z, xa, v, sq = _ray_sqrt_v(params, arg, r)
+    _, v1, v2 = _reduced_jet(params, z, xa)
     return z, v, v1, v2, sq
 
 
@@ -557,6 +564,7 @@ def _tail_t_integral(params: OscillatorParams, k: int, x_max: float) -> complex:
     pairs = 1 + int(math.log(x_1 / x_max) / (2.0 * math.log(_PANEL_RATIO)))
     edges = x_max * (x_1 / x_max) ** np.linspace(0.0, 1.0, 2 * pairs + 1)
     fine, coarse = (complex(_gauss8(integrand, t[:-1], t[1:]).sum()) for t in (edges, edges[::2]))
+    WORK["panels tail"] += 3 * pairs
     if not abs(fine - coarse) <= _SETTLE * (x_1 ** (a + 1.0) - x_max ** (a + 1.0)):
         raise RuntimeError(
             f"sector seed tail integral does not settle at x_max={x_max:.6g} (k={k}, "
@@ -593,19 +601,23 @@ def _tail_volterra(params: OscillatorParams, arg: float, sgn: float,
     phase = cmath.rect(1.0, arg)
 
     def ds(u):
-        return sgn * _ray_v(params, arg, x_max / u)[4] * (-x_max / (u * u)) * phase
-    # per-interval phase increments by Gauss quadrature; the first interval
-    # reaches toward infinity, where F = 0 and the sweep's exp(-2 dS) underflows
-    # harmlessly, so its (finite but enormous) value never needs precision
-    dels = _gauss8(ds, us[:-1], us[1:])
-    x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
-    fvals = np.zeros(_TAIL_NODES, dtype=complex)
-    fvals[1:] = (_forcing_payload(x, v, v1, v2) / (sgn * sq)) * (-x_max / (us[1:] ** 2)) * phase
-    # anchor cumulative S at the x_max end: only differences enter the kernel,
-    # and anchoring there keeps them accurate where exp(-2 dS) is of size one
-    svals = np.empty(_TAIL_NODES, dtype=complex)
-    svals[-1] = 0.0
-    svals[:-1] = -np.cumsum(dels[::-1])[::-1]
+        return sgn * _ray_sqrt_v(params, arg, x_max / u)[3] * (-x_max / (u * u)) * phase
+    # at large alpha x^(2 alpha) may overflow toward infinity; the values it
+    # spoils are not finite, so the sweep below raises, naming the parameters
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per-interval phase increments by Gauss quadrature; the first interval
+        # reaches toward infinity, where F = 0 and the sweep's exp(-2 dS) underflows
+        # harmlessly, so its (finite but enormous) value never needs precision
+        dels = _gauss8(ds, us[:-1], us[1:])
+        x, v, v1, v2, sq = _ray_v(params, arg, x_max / us[1:])
+        fvals = np.zeros(_TAIL_NODES, dtype=complex)
+        fvals[1:] = ((_forcing_payload(x, v, v1, v2) / (sgn * sq))
+                     * (-x_max / (us[1:] ** 2)) * phase)
+        # anchor cumulative S at the x_max end: only differences enter the kernel,
+        # and anchoring there keeps them accurate where exp(-2 dS) is of size one
+        svals = np.empty(_TAIL_NODES, dtype=complex)
+        svals[-1] = 0.0
+        svals[:-1] = -np.cumsum(dels[::-1])[::-1]
     try:
         z, _ = iterate_grid(svals, fvals, us)
     except RuntimeError as exc:

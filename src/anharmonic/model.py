@@ -35,10 +35,11 @@ __all__ = [
 # propagate, wkb_phase, wkb_phase_derivative), segment transports and the
 # real_transports among them (on floats), rk_steps, rk_rejected and rhs_calls,
 # the adaptive "quadratures <kind>" and their 8-point "panels <kind>", kind
-# the first word of the stage, and the traces and trace_steps of the Stokes
-# tracer.  Each count rises once per call, segment, trace or quadrature
-# round, never per RK step or node; read the difference of two copies around
-# the work of interest.
+# the first word of the stage, the 8-point "panels tail" of the sector seeds'
+# tail integral, the Volterra sweeps and their sweep_nodes, and the traces
+# and trace_steps of the Stokes tracer.  Each count rises once per call,
+# segment, sweep, trace or quadrature round, never per RK step or node; read
+# the difference of two copies around the work of interest.
 WORK: Counter = Counter()
 
 

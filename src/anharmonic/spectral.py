@@ -202,7 +202,7 @@ def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,
     """Wr[chi, psi_0] at the energy of params, on radii geo found by the caller.
 
     The radii come from a real energy, so params may carry a complex one:
-    _rotated_q evaluates Q at omega^2s E on the radii of the real E.
+    _Sectors evaluates Q at omega^2s E on the radii of the real E.
     """
     WORK["determinants"] += 1
     chi = _chi_state(params, geo, rtol)
@@ -521,7 +521,12 @@ class _Sectors:
         energy = (-params.energy if m is not None
                   else params.energy * cmath.rect(1.0, 2.0 * n * self.theta))
         c = r_expansion(params.alpha, energy).log_coefficient.real
-        q = _determinant(params.with_energy(energy), self.geo, True, _CONNECTION_RTOL)
+        try:
+            q = _determinant(params.with_energy(energy), self.geo, True, _CONNECTION_RTOL)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"{exc}; the energy omega^{2 * n} E of Q~_{n} at (alpha={params.alpha:g},"
+                f" ell={params.ell:g}, E={params.energy:g})") from None
         return q.mantissa * cmath.rect(1.0, -n * self.theta * c), q.logscale
 
     def q(self, s: int) -> tuple[complex, float]:

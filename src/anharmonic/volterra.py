@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OscillatorParams
+from .model import WORK, OscillatorParams
 from .action import PathSpec, PathFrame
 
 __all__ = [
@@ -67,6 +67,7 @@ def iterate_grid(svals: np.ndarray, fvals: np.ndarray,
     F(gamma(t)) gamma'(t).  Duplicated nodes (zero spacing) are allowed and
     give the one-sided trapezoid rule at segment corners.
     """
+    WORK.update(sweeps=1, sweep_nodes=len(ts))
     expo = -2.0 * np.diff(svals)
     np.clip(expo.real, None, _EXP_CAP, out=expo.real)
     steps = np.exp(expo).tolist()

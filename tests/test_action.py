@@ -115,7 +115,11 @@ class TestPhase:
                                         s ** -(alpha + 1.0) * lam - 0.5))
         assert abs(i0 - s ** (alpha + 1.0) * i1) < 1e-8 * i0
 
-    @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 0.7, 6.0), (0.6, 1.2, 9.0)])
+    # at alpha = 187 x_lo^(2 alpha) underflows where (1 + u)^(2 alpha)
+    # overflows: wkb_phase gave nan there, and the derivative, which reads a
+    # nan radicand as the end of the well, a silent 31 % too low
+    @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 0.7, 6.0), (0.6, 1.2, 9.0),
+                                                  (187.0, 0.0, 260.0), (187.0, 2.0, 6400.0)])
     def test_derivative_positive_and_consistent(self, alpha, ell, energy):
         d = wkb_phase_derivative(OscillatorParams(alpha, energy, ell))
         h = 1e-5 * energy
@@ -151,6 +155,7 @@ class TestPhaseQuadrature:
         (0.4204681896276866, -0.4983411894897116, 20607.432495133362),
         (0.524455624780207, -0.4989593925194597, 22428.709225778035),
         (1.0, -0.4999, 5.0), (2.0, -0.49, 50.0), (3.0, 0.0, 1e4), (3.0, 2.0, 3e5),
+        (187.0, 0.0, 260.0), (187.0, -0.3, 42.0),
     ])
     def test_phase_matches_mpmath(self, alpha, ell, energy):
         got = wkb_phase(OscillatorParams(alpha, energy, ell))

@@ -2,6 +2,7 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,18 @@ class TestLargeAlpha:
         want = collocation_odd_levels(alpha, half_width, 2)
         for g, w in zip(got, want):
             assert abs(g / w - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [170.0, 200.0])
+    def test_levels_approach_the_hard_wall(self, alpha):
+        # x^(2 alpha) tends to a wall at L = 1 + (ln 2 alpha - gamma_E)/alpha,
+        # so at ell = 0 E_n tends to ((n + 1) pi / L)^2; measured -6.4e-4 at
+        # alpha = 170 and -5.0e-4 at 200.  The phase quadrature gave nan here
+        # while x_lo^(2 alpha) underflowed where (1 + u)^(2 alpha) overflowed
+        wall = 1.0 + (math.log(2.0 * alpha) - np.euler_gamma) / alpha
+        levels = eigenvalues(alpha, 0.0, 1)
+        assert len(levels) == 2
+        for n, level in enumerate(levels):
+            assert abs(level * wall ** 2 / ((n + 1) * math.pi) ** 2 - 1.0) <= 2e-3
 
 
 @pytest.fixture
@@ -681,20 +694,23 @@ class TestLoudFailures:
             msg = str(err.value)
             assert "seed radius: Re R overflows at the cap radius 20" in msg
             assert f"(alpha={alpha:g}, {named}" in msg
-        # at ell = 0 the scan at alpha = 300 stops earlier, in its phase quadrature
-        with pytest.raises(RuntimeError, match=f"alpha={alpha:g}"):
+        # at ell = 0 the phase quadrature passes and the seed radius stops the scan
+        with pytest.raises(RuntimeError, match=f"seed radius: .*alpha={alpha:g}, ell=0"):
             eigenvalues(alpha, 0.0, 1)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_tail_volterra_overflow_names_the_parameters(self):
         # just below the seed-radius guard x^(2 alpha) overflows on the tail
-        # grid of the refined seed, and the sweep's z is not finite
-        with pytest.raises(RuntimeError) as err:
-            r_zero(OscillatorParams(235.0, 2.0, 0.0))
+        # grid of the refined seed, and the sweep's z is not finite; the seed
+        # is at the rotated energy omega^2 E, and the caller's E is named too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError) as err:
+                r_zero(OscillatorParams(235.0, 2.0, 0.0))
         msg = str(err.value)
         assert msg.startswith("sector seed tail Volterra at x_max=")
         assert "Volterra sweep on 801 nodes gave a non-finite z" in msg
-        assert "(alpha=235, ell=0, E=" in msg
+        assert "(alpha=235, ell=0, E=1.99929+0.053241j)" in msg
+        assert msg.endswith("the energy omega^2 E of Q~_1 at (alpha=235, ell=0, E=2)")
 
     def test_unconverged_series_names_the_radius(self, monkeypatch):
         series = spectral._frobenius_scaled

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from anharmonic import CoverPoint, OscillatorParams, PathSpec, geometry, integrate, model, spectral
+from anharmonic import (CoverPoint, OscillatorParams, PathSpec, geometry, integrate, model,
+                        spectral, volterra)
 from anharmonic.action import wkb_phase
 from anharmonic.checks import committed_curves
 from anharmonic.geometry import check_admissible
@@ -101,6 +102,41 @@ class TestQuadratureCounts:
         w = work(lambda: check_admissible(params, curve))
         assert w["quadratures rho"] == curve.n_segments
         assert w["panels rho"] == panels[0]
+
+
+class TestVolterraCounts:
+    def test_sweeps_and_nodes_match_a_wrapped_sweep(self, monkeypatch):
+        nodes = []
+        original = volterra.iterate_grid
+
+        def counted(svals, fvals, ts):
+            nodes.append(len(ts))
+            return original(svals, fvals, ts)
+        # integrate binds the sweep by name for the refined seeds' tail
+        monkeypatch.setattr(volterra, "iterate_grid", counted)
+        monkeypatch.setattr(integrate, "iterate_grid", counted)
+        _, params, curve = next(c for c in committed_curves() if c[0] == "inward_ray_alpha2")
+        w = work(lambda: (volterra.volterra_solve(params, curve),
+                          spectral.r_zero(OscillatorParams(1.0, 9.0, 0.5))))
+        # one solve on one segment, and the refined seed of r_zero's one
+        # determinant (at alpha = 1 it needs Q(-E) alone)
+        assert w["sweeps"] == len(nodes) == 2
+        assert w["sweep_nodes"] == sum(nodes) == 601 + integrate._TAIL_NODES
+
+    @pytest.mark.parametrize("args,k", [((2.0, 5.0, 0.5), 0), ((1.0, 203.5, 100.0), 0),
+                                        ((1 / 3, 3.0, 0.5), 1)])
+    def test_tail_panels_match_a_wrapped_gauss_rule(self, args, k, monkeypatch):
+        panels = [0]
+        original = integrate._gauss8
+
+        def counted(f, lo, hi):
+            panels[0] += len(lo)
+            return original(f, lo, hi)
+        monkeypatch.setattr(integrate, "_gauss8", counted)
+        params = OscillatorParams(*args)
+        x_max = spectral._geometry(params).x_max
+        w = work(lambda: integrate._tail_t_integral(params, k, x_max))
+        assert w["panels tail"] == panels[0] > 0
 
 
 def test_traces_and_trace_steps_match_a_wrapped_tracer(monkeypatch):
