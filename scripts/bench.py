@@ -17,26 +17,23 @@ in a row at one energy), the Stokes complexes of the committed trichotomy,
 turning points and single transports.  Every point runs REPEAT times, in
 rounds over all points, each call with an empty connection memo (it keeps
 the transports of the last energy), so every call is cold.  Under "layers"
-each point records "us", its best time per call rescaled to the reference
-speed (below), "us_raw", the plain perf_counter reading, "calls", the calls
-of the timed function per timing, "work", the difference of
-anharmonic.model.WORK around its first timing (counts that stay at zero are
-left out), and "result", the summary of that timing's return value, where
-the point has one: the levels of a scan, the trajectory points summed over
-the edges of a Stokes complex, the zeros turning_points returns (the real
-pair included) and the square-root branch flips of a PathFrame.  The script
-changes nothing in the package.
-
-The host's speed drifts by a factor of two between runs on a shared machine.
-So after each call the script also times the fixed pure-Python loop of
-perfbench/run.py; "us" is rescaled to the speed at which that loop takes
-REF_SECONDS, and "reference" holds the factor.
+each point records "us", its best time per call in microseconds (plain
+perf_counter, best of REPEAT), "calls", the calls of the timed function per
+timing, "work", the difference of anharmonic.model.WORK around its first
+timing (counts that stay at zero are left out), and "result", the summary
+of that timing's return value, where the point has one: the levels of a
+scan, the trajectory points summed over the edges of a Stokes complex, the
+zeros turning_points returns (the real pair included) and the square-root
+branch flips of a PathFrame.  The script changes nothing in the package.
+The times show where the time goes within one run; the host's speed drifts
+between runs, so only the work counts compare across runs, and a timing
+claim between two trees comes from alternating pairs of perfbench runs.
 
 Also recorded: interpreter and library versions, core count and the git
 commit of the measured sources; "frobenius_table_kib", the KiB that one
 frobenius_seed table holds at each SERIES point (tracemalloc, table alone);
 and "fresh_interpreter", the wall seconds of FRESH_RUNS new interpreters
-(median and every run, not rescaled) for two commands: import_s, a bare
+(median and every run) for two commands: import_s, a bare
 `import anharmonic`, and spectrum_table_s, the reference table
 `anharmonic spectrum --alpha 2 --ell 0.5 --n-max 4`.
 """
@@ -112,9 +109,6 @@ SCAN_RTOL = spectral._ode_rtol(1e-9)
 REPEAT = 15
 # Frobenius series evaluations per timing
 SERIES_CALLS = 50
-# the reference loop of perfbench/run.py and its seconds at the reference speed
-REF_ITERATIONS = 20000
-REF_SECONDS = 0.003
 
 
 class Point(NamedTuple):
@@ -134,16 +128,6 @@ def _commit(path: Path) -> str | None:
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
-
-
-def reference_chunk() -> float:
-    """Seconds for a fixed pure-Python loop: the host's speed at this moment."""
-    start = time.perf_counter()
-    x = total = 0.0
-    for i in range(REF_ITERATIONS):
-        x = x * 0.999 + 0.001 * (i % 7)
-        total += x * x
-    return time.perf_counter() - start
 
 
 def frobenius_table_kib() -> dict:
@@ -192,11 +176,6 @@ def _scan(tables: list) -> list:
 
 def _levels(levels: list) -> dict:
     return {"levels": sum(len(lv) for lv in levels), "eigenvalues": levels}
-
-
-def _many(call, *args) -> None:
-    for _ in range(SERIES_CALLS):
-        call(*args)
 
 
 def _in_a_row(calls: list) -> None:
@@ -260,8 +239,9 @@ def table() -> dict:
             rtol=SCAN_RTOL)) for a, ell, e in DETERMINANTS},
         # many calls per timing: one call may take only tens of microseconds
         "frobenius_scaled": {f"{_point(a, ell, e)},x={x:g}": Point(partial(
-            _many, integrate._frobenius_scaled, spectral._series_table(a, ell), e,
-            CoverPoint(x, 0.0)), SERIES_CALLS) for a, ell, e, x in SERIES},
+            _in_a_row, [partial(integrate._frobenius_scaled, spectral._series_table(a, ell), e,
+                                CoverPoint(x, 0.0))] * SERIES_CALLS), SERIES_CALLS)
+            for a, ell, e, x in SERIES},
         "r_zero": {_point(a, ell, e): Point(partial(
             spectral.r_zero, OscillatorParams(a, e, ell))) for a, ell, e in R_ZERO},
         "sibuya_seed": seeds,
@@ -282,15 +262,14 @@ def table() -> dict:
     }
 
 
-def measure(points: dict, chunks: list) -> dict:
-    """layer -> point -> its record: "calls", "us_raw" (best of REPEAT, µs per
-    call) and the "work" and "result" of its first timing; a reference chunk
-    follows each call.
+def measure(points: dict) -> dict:
+    """layer -> point -> its record: "calls", "us" (best of REPEAT, µs per
+    call) and the "work" and "result" of its first timing.
 
     The repetitions run in rounds over all points, so that each point samples
     the host across the whole run instead of during one stretch of it.
     """
-    out = {layer: {key: {"calls": p.per, "us_raw": math.inf} for key, p in row.items()}
+    out = {layer: {key: {"calls": p.per, "us": math.inf} for key, p in row.items()}
            for layer, row in points.items()}
     for first in [True] + [False] * (REPEAT - 1):
         for layer, row in points.items():
@@ -301,12 +280,11 @@ def measure(points: dict, chunks: list) -> dict:
                 start = time.perf_counter()
                 result = p.call()
                 seconds = time.perf_counter() - start
-                rec["us_raw"] = min(rec["us_raw"], seconds / p.per * 1e6)
+                rec["us"] = min(rec["us"], seconds / p.per * 1e6)
                 if first:
                     rec["work"] = dict(sorted((WORK - before).items()))
                     if p.summary is not None:
                         rec["result"] = p.summary(result)
-                chunks.append(reference_chunk())
     return out
 
 
@@ -317,8 +295,7 @@ def main() -> None:
     args = ap.parse_args()
 
     pkg_dir = Path(anharmonic.__file__).resolve().parent
-    chunks: list[float] = []
-    layers = measure(table(), chunks)
+    layers = measure(table())
     record = {
         "label": args.label,
         "machine": {
@@ -331,17 +308,11 @@ def main() -> None:
         "commit": _commit(pkg_dir),
         "frobenius_table_kib": frobenius_table_kib(),
         "fresh_interpreter": fresh_interpreter(pkg_dir.parent),
+        "layers": layers,
     }
-    chunk_s = statistics.median(chunks)
-    speed = REF_SECONDS / chunk_s
-    record["reference"] = {"iterations": REF_ITERATIONS, "seconds_at_reference": REF_SECONDS,
-                           "chunks": len(chunks), "median_chunk_s": chunk_s,
-                           "speed_factor": speed}
-    record["layers"] = {layer: {key: {"us": rec["us_raw"] * speed, **rec}
-                                for key, rec in row.items()} for layer, row in layers.items()}
     out = Path(args.out_dir) / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
-    for name, scan in record["layers"]["eigenvalues"].items():
+    for name, scan in layers["eigenvalues"].items():
         work, levels = scan["work"], scan["result"]["levels"]
         print(f"{name:16s} {scan['us'] / 1e6:7.3f} s  {work['determinants']:4d} determinants"
               f"  {work['determinants'] / levels:.2f} per level"

@@ -331,7 +331,8 @@ def wkb_phase_derivative(params: OscillatorParams) -> float:
         crit = critical_data(a, params.ell)
         if e < crit.e_star or _near_critical(e, crit.e_star):
             return asymptotic_reference("j2_slope", a) * lam ** ((1.0 - a) / (1.0 + a))
-    return _well_quad(params, lambda jac, r: jac / np.sqrt(np.where(r > 0.0, r, np.inf)), 1e-12,
+    # r <= 0 is the end of the well; a nan radicand stays nan, so the quadrature raises
+    return _well_quad(params, lambda jac, r: jac / np.sqrt(np.where(r <= 0.0, np.inf, r)), 1e-12,
                       "wkb_phase_derivative") / (2.0 * math.pi)
 
 

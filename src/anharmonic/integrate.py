@@ -90,12 +90,12 @@ class RExpansion:
     log_coefficient: complex
 
 
-def _sqrt1mt_coeff(k: int) -> float:
-    # Taylor coefficient of (1-t)^(1/2): c_0 = 1, c_1 = -1/2, c_2 = -1/8, ...
-    c = 1.0
+def _sqrt1mt_coeffs(k: int) -> list[float]:
+    """Taylor coefficients c_0 .. c_k of (1-t)^(1/2): 1, -1/2, -1/8, ..."""
+    c = [1.0]
     for j in range(1, k + 1):
-        c *= (1.5 - j) / j
-    return c * (-1.0) ** k
+        c.append(c[-1] * ((j - 1.5) / j))
+    return c
 
 
 def _r_kmax(alpha: float) -> int:
@@ -108,9 +108,10 @@ def r_expansion(alpha: float, energy: complex) -> RExpansion:
     terms = [(1.0 / (alpha + 1.0) + 0.0j, alpha + 1.0)]
     log_coefficient = 0.0 + 0.0j
     e = complex(energy)
+    c = _sqrt1mt_coeffs(kmax)
     for k in range(1, kmax + 1):
         expo = alpha * (1.0 - 2.0 * k) + 1.0
-        coef = _sqrt1mt_coeff(k) * e ** k
+        coef = c[k] * e ** k
         if abs(expo) < 1e-12:
             log_coefficient = coef
         else:
@@ -555,11 +556,12 @@ def _tail_t_integral(params: OscillatorParams, k: int, x_max: float) -> complex:
     kmax = _r_kmax(a)
     r = abs(e) * x_max ** (-2.0 * a) + lam2 * x_max ** (-2.0 * a - 2.0)
     x_1 = x_max * max(1.0, 2.0 * r) ** (0.5 / a)
+    c_r = _sqrt1mt_coeffs(kmax)
 
     def integrand(y):  # (sqrt(V) - R') dx/dy at |x| = y on the ray
         w = e * _cover_power(-2.0 * a, y, arg)
         mu = lam2 * _cover_power(-2.0 * a - 2.0, y, arg)
-        r_prime = sum(_sqrt1mt_coeff(j) * w ** j for j in range(kmax + 1))
+        r_prime = sum(c_j * w ** j for j, c_j in enumerate(c_r))
         return _cover_power(a, y, arg) * (np.sqrt(1.0 - w + mu) - r_prime) * cmath.rect(1.0, arg)
     pairs = 1 + int(math.log(x_1 / x_max) / (2.0 * math.log(_PANEL_RATIO)))
     edges = x_max * (x_1 / x_max) ** np.linspace(0.0, 1.0, 2 * pairs + 1)
@@ -572,16 +574,16 @@ def _tail_t_integral(params: OscillatorParams, k: int, x_max: float) -> complex:
     pt = CoverPoint(x_1, arg)
     w, mu = e * pt.cpow(-2.0 * a), lam2 * pt.cpow(-2.0 * a - 2.0)
     row = np.ones(1, dtype=complex)  # C(j, i) w^(j-i) (-mu)^i for i = 0 .. j
-    total, c = 0j, 1.0
+    total = 0j
     # row j is bounded by |c_j| (|w| + |mu|)^j / |a(1-2j) + 1|, and |w| + |mu|
     # <= 1/2 here: the rows past the last one summed are below 1e-17
     rows = kmax + 1 + int(math.log(1e-17) / math.log(max(abs(w) + abs(mu), 1e-17)))
+    c = _sqrt1mt_coeffs(rows)
     for j in range(1, rows + 1):
         row = np.append(w * row, 0.0) - np.append(0.0, mu * row)
-        c *= (j - 1.5) / j  # c_j of _sqrt1mt_coeff, as a running product
         den = a * (1.0 - 2.0 * j) + 1.0 - 2.0 * np.arange(j + 1)
         lo = 1 if j <= kmax else 0
-        total += c * complex(np.sum(row[lo:] / den[lo:]))
+        total += c[j] * complex(np.sum(row[lo:] / den[lo:]))
     return fine - pt.cpow(a + 1.0) * total
 
 

@@ -37,9 +37,7 @@ _EXP_CAP = 700.0
 class VolterraRun:
     """Solved ratio z = psi / Psi^W on a sampled curve."""
 
-    curve: PathSpec
     samples: np.ndarray    # global path parameter, segment i covers [i, i+1]
-    s_values: np.ndarray   # cumulative int sqrt(V) dx from the start node
     z_values: np.ndarray
     iterations: int
 
@@ -122,4 +120,4 @@ def volterra_solve(params: OscillatorParams, curve: PathSpec, n: int = 601) -> V
     except RuntimeError as exc:
         raise RuntimeError(f"volterra_solve on {len(frame.segments)} segments: {exc} (alpha="
                            f"{params.alpha:g}, ell={params.ell:g}, E={params.energy:g})") from None
-    return VolterraRun(curve, ts, svals, z, iters)
+    return VolterraRun(ts, z, iters)

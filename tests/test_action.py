@@ -116,7 +116,7 @@ class TestPhase:
         assert abs(i0 - s ** (alpha + 1.0) * i1) < 1e-8 * i0
 
     # at alpha = 187 x_lo^(2 alpha) underflows where (1 + u)^(2 alpha)
-    # overflows: wkb_phase gave nan there, and the derivative, which reads a
+    # overflows: wkb_phase gave nan there, and the derivative, which read a
     # nan radicand as the end of the well, a silent 31 % too low
     @pytest.mark.parametrize("alpha,ell,energy", [(2.0, 0.7, 6.0), (0.6, 1.2, 9.0),
                                                   (187.0, 0.0, 260.0), (187.0, 2.0, 6400.0)])
@@ -127,6 +127,20 @@ class TestPhase:
               - wkb_phase(OscillatorParams(alpha, energy - h, ell))) / (2.0 * h)
         assert d > 0
         assert abs(d - fd) < 1e-6 * d
+
+    @pytest.mark.parametrize("stage", [wkb_phase, wkb_phase_derivative])
+    def test_nan_radicand_raises_a_named_error(self, monkeypatch, stage):
+        well_quad = action._well_quad
+
+        def poisoned(params, integrand, epsabs, name):
+            def nan_at_some_nodes(jac, r):
+                r = np.array(r, dtype=float)
+                r[::7] = np.nan
+                return integrand(jac, r)
+            return well_quad(params, nan_at_some_nodes, epsabs, name)
+        monkeypatch.setattr(action, "_well_quad", poisoned)
+        with pytest.raises(RuntimeError, match=rf"^{stage.__name__} \(alpha=2, ell=0.7, E=6\)"):
+            stage(OscillatorParams(2.0, 6.0, 0.7))
 
 
 def _mp_phase(alpha: float, ell: float, energy: float) -> float:

@@ -1,5 +1,5 @@
-"""scripts/bench.py records, for every point of its table, the work and result
-of that call made alone."""
+"""scripts/bench.py records, for every point of its table, one best time
+beside the work and result of that call made alone."""
 import importlib.util
 from pathlib import Path
 
@@ -37,22 +37,20 @@ def bench():
 
 @pytest.fixture(scope="module")
 def measured(bench):
-    """(the one-point-per-layer table, its records, the reference chunks)."""
+    """(the one-point-per-layer table, its records)."""
     full = bench.table()
     assert set(full) == set(CHEAP)
     points = {layer: {CHEAP[layer]: full[layer][CHEAP[layer]]} for layer in full}
     repeat, bench.REPEAT = bench.REPEAT, 1
-    chunks = []
     try:
-        records = bench.measure(points, chunks)
+        records = bench.measure(points)
     finally:
         bench.REPEAT = repeat
-    return points, records, chunks
+    return points, records
 
 
 def test_each_point_records_the_work_of_its_call_alone(measured):
-    points, records, chunks = measured
-    assert len(chunks) == len(points)
+    points, records = measured
     for layer, row in points.items():
         for key, point in row.items():
             spectral._sectors.cache_clear()
@@ -62,11 +60,20 @@ def test_each_point_records_the_work_of_its_call_alone(measured):
             assert records[layer][key]["work"] == dict(alone), (layer, key)
             # PathFrame counts nothing: its result is its record
             assert alone or layer == "pathframe", (layer, key)
-            assert 0.0 < records[layer][key]["us_raw"] < float("inf")
+
+
+def test_each_point_records_one_time_beside_its_counts(measured):
+    points, records = measured
+    for layer, row in points.items():
+        for key, point in row.items():
+            rec = records[layer][key]
+            fields = {"calls", "us", "work"} | ({"result"} if point.summary else set())
+            assert set(rec) == fields, (layer, key)
+            assert 0.0 < rec["us"] < float("inf")
 
 
 def test_work_of_the_named_stages(measured):
-    _, records, _ = measured
+    _, records = measured
     assert records["frobenius_scaled"][CHEAP["frobenius_scaled"]]["calls"] == 50
     assert records["frobenius_scaled"][CHEAP["frobenius_scaled"]]["work"] == {
         "series_evaluations": 50}
@@ -78,7 +85,7 @@ def test_work_of_the_named_stages(measured):
 
 
 def test_points_with_a_summary_record_it(measured):
-    points, records, _ = measured
+    points, records = measured
     assert records["eigenvalues"]["harmonic_ell100"]["result"]["levels"] == 1
     assert records["eigenvalues"]["harmonic_ell100"]["result"]["eigenvalues"][0][0] == \
         pytest.approx(203.0, rel=1e-9)
@@ -87,5 +94,3 @@ def test_points_with_a_summary_record_it(measured):
     complex_ = points["stokes_complex"][CHEAP["stokes_complex"]].call()
     assert records["stokes_complex"][CHEAP["stokes_complex"]]["result"] == sum(
         len(e.trajectory.points) for e in complex_.edges)
-    for layer in ("spectral_determinant", "connection", "propagate"):
-        assert "result" not in records[layer][CHEAP[layer]]
