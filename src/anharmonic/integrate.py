@@ -36,6 +36,8 @@ from .model import (
     _brent,
     _cover_power,
     _forcing_payload,
+    _GAUSS8_NODES,
+    _GAUSS8_WEIGHTS,
     _gauss8,
     _reduced_jet,
     _reduced_v,
@@ -665,24 +667,125 @@ def sibuya_seed(params: OscillatorParams, k: int, x_max: float,
     return state.rescaled()
 
 
-# Real-axis contrast Re R(x_max) - Re R(x_plus) at which sector rays are seeded.
+# Real-axis contrast Re R(x_max) - Re R(x_plus) at which refined seeds start.
 _CONTRAST_BUDGET = 40.0
+# Barrier action int sqrt(V) dx from x_match at which plain seeds start.
+_ACTION_BUDGET = 20.0
+# The barrier action's fixed rule: 8-point Gauss on the halves of s in [0, 1],
+# with x = x_match + d s^2; the nodes s^2, and the weights times the Jacobian's 2 s.
+_ACTION_S = 0.25 * np.concatenate((_GAUSS8_NODES + 1.0, _GAUSS8_NODES + 3.0))
+_ACTION_S2 = _ACTION_S * _ACTION_S
+_ACTION_WS = 0.5 * np.tile(_GAUSS8_WEIGHTS, 2) * _ACTION_S
+# The action's radius search keeps x^(2 alpha) below e^_LOG_POWER_TOP, where
+# sqrt(V) times any radius stays far inside the double range.
+_LOG_POWER_TOP = 350.0
+# Newton steps of that search before it settles for its upper bracket end.
+_ACTION_STEPS = 40
 
 
-def choose_x_max(params: OscillatorParams, x_plus: float) -> float:
-    """Seed radius for sector rays, given the outer turning scale x_plus.
+def _barrier_action(params: OscillatorParams, x_match: float, x: float) -> float:
+    """A(x) = int sqrt(max(V, 0)) from x_match to x on the positive axis, at real E.
 
-    The radius is where the real-axis contrast Re R(x_max) - Re R(x_plus)
-    reaches _CONTRAST_BUDGET: beyond it the admixture of the recessive
-    solution into the propagated dominant one is below e^(-2*budget), and the
-    refined seeds of the spectral quantities (determinant, sector Wronskians,
-    Stokes multipliers, cross ratios, R0) stay accurate that far in.  Brent's
-    method finds it on [x_plus, cap], the cap max(20, 3 x_plus) a radius where
-    even the uncorrected WKB seed is accurate.  There is no fixed lower
-    radius: Re R grows like x^(alpha+1)/(alpha+1), so at large alpha the
-    budget is met just past x_plus.
+    A fixed two-panel 8-point Gauss rule in the map x = x_match + d s^2,
+    d = x - x_match, whose Jacobian 2 d s removes the square-root end point
+    where x_match is the turning point x_plus.
+    """
+    y = x_match + (x - x_match) * _ACTION_S2
+    v = _reduced_v(params, y, y ** (2.0 * params.alpha))
+    return (x - x_match) * float(_ACTION_WS @ np.sqrt(np.maximum(v, 0.0)))
+
+
+def _action_radius(params: OscillatorParams, x_match: float, cap: float) -> float:
+    """The radius on [x_match, cap] where the barrier action A reaches _ACTION_BUDGET.
+
+    Newton's method on log A as a function of u = log(x - x_match), with
+    d log A/du = (x - x_match) sqrt(V(x)) / A: near a turning point A grows
+    like (x - x_match)^(3/2), far out like x^(alpha+1), so log A is close to
+    linear in u.  It starts where the action of x^alpha alone, the far-field
+    part of sqrt(V), reaches the budget: the root at large alpha, and at
+    most a factor 12 short of it in the cases tried.  It aims 5e-7 above log
+    of the budget and stops within 5e-7 of that aim, so A is at most 1e-6
+    relative above the budget and never below it.  A bracket of the last
+    points on either side of the aim replaces a step that leaves it by
+    bisection in u, and a step past the top radius goes to it.  That top is
+    the cap, or lower where x^(2 alpha) would pass e^_LOG_POWER_TOP, and the
+    search returns it when A falls short of the budget there.  After
+    _ACTION_STEPS steps it settles for the bracket's upper end.
+    """
+    a1 = params.alpha + 1.0
+    a2 = 2.0 * params.alpha
+    # for 2 alpha <= 1 the power's limit lies past every cap
+    top = min(cap, math.exp(_LOG_POWER_TOP / a2)) if a2 > 1.0 else cap
+    aim = math.log(_ACTION_BUDGET) + 5e-7
+
+    def log_action(u: float) -> tuple[float, float]:
+        d = math.exp(u)
+        x = x_match + d
+        action = _barrier_action(params, x_match, x)
+        if not action > 0.0:  # x rounds onto x_match
+            return -math.inf, math.nan
+        return math.log(action), d * math.sqrt(max(_reduced_v(params, x, x ** a2), 0.0)) / action
+
+    # (x^a1 - x_match^a1) / a1 = budget, solved for x - x_match without cancellation
+    far = x_match * math.expm1(math.log1p(_ACTION_BUDGET * a1 * x_match ** -a1) / a1)
+    u_top = math.log(top - x_match)
+    lo, hi = -math.inf, u_top
+    u = min(math.log(far), hi)
+    for _ in range(_ACTION_STEPS):
+        g, slope = log_action(u)
+        if abs(g - aim) <= 5e-7:
+            return x_match + math.exp(u)
+        if g > aim:
+            hi = u
+        elif u == u_top:
+            return top
+        else:
+            lo = u
+        step = u - (g - aim) / slope if slope > 0.0 else math.nan
+        if not lo < step < hi:
+            if step >= hi == u_top:  # beyond the top, where A is not yet known
+                step = u_top
+            else:
+                step = 0.5 * (lo + hi) if lo > -math.inf else hi - 2.0
+        u = step
+    return x_match + math.exp(hi)
+
+
+def choose_x_max(params: OscillatorParams, x_plus: float, refine: bool = True) -> float:
+    """Seed radius on the positive axis for a seed of kind refine (sibuya_seed),
+    given the outer turning scale x_plus.
+
+    A seed error that is a multiple of the recessive solution only rescales
+    the solution and moves no zero of the determinant.  The error that
+    matters is an admixture of the dominant solution, which the transport in
+    to x_match = max(1, x_plus) damps by e^(-2A), A = int sqrt(V) dx the
+    barrier action from x_match to the seed radius.
+
+    Plain seeds (refine=False, every scan determinant) start where A reaches
+    _ACTION_BUDGET = 20 (_action_radius), which leaves an admixture of at most
+    e^-40 ~ 4e-18, below double rounding.
+
+    Refined seeds (the determinant, sector Wronskians, Stokes multipliers,
+    cross ratios and R0) start where the real-axis contrast
+    Re R(x_max) - Re R(x_plus) of the large-x series R reaches
+    _CONTRAST_BUDGET = 40, by Brent's method on [x_plus, cap].  R misjudges A
+    at both ends of the range.  The true A at that radius reads 38.9 at
+    (alpha, ell, E) = (2, 0, 3.8), which is more damping than rounding can
+    use, but only 19.5 at (2, 0, 1315), 11.6 at (2, 0, 7000), 8.5 at
+    (0.7, 582.1, 1000) and 16.7 at (0.05, 0, 2).  So the rule guarantees an
+    admixture of e^(-2A) with those A, not e^-80, and at large E its
+    x_max/x_plus tends to 1.  Refined seeds keep the rule: their tail
+    Volterra error, which grows as the seed nears x_plus, sets their
+    accuracy, and their values stay those of the rule.
+
+    Both searches end at the cap max(20, 3 x_plus), a radius where even the
+    uncorrected WKB seed is accurate, and return it where the budget is not
+    met below it.  There is no fixed lower radius: at large alpha both
+    budgets are met just past x_plus.
     """
     cap = max(20.0, 3.0 * x_plus)
+    if not refine:
+        return _action_radius(params.with_energy(params.energy.real), max(1.0, x_plus), cap)
     exp_ = r_expansion(params.alpha, params.energy)
     base = big_R(exp_, CoverPoint(x_plus, 0.0)).real
 

@@ -249,7 +249,9 @@ def _adaptive_panels(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: 
     estimates are bisected, until the others hold at most half of that
     tolerance.  Each round evaluates f once, on the array of every new node.
     f may be real or complex.  A partition that would outgrow
-    _GAUSS_MAX_PANELS panels raises RuntimeError naming stage.
+    _GAUSS_MAX_PANELS panels raises RuntimeError naming stage, and so does a
+    round whose error estimate is not finite: f gave nan or inf at a node,
+    and splitting panels would not mend it.
     """
     kind = stage.split(" ")[0]
     WORK["quadratures " + kind] += 1
@@ -266,6 +268,10 @@ def _adaptive_panels(f, edges: np.ndarray, epsabs: float, epsrel: float, stage: 
         err_sum = float(err.sum())
         if err_sum <= tol:
             return total, lo, hi
+        if not math.isfinite(err_sum):
+            bad = int(np.count_nonzero(~np.isfinite(err)))
+            raise RuntimeError(f"{stage}: the integrand is not finite on {bad} of {len(lo)} "
+                               f"panels (quadrature error {err_sum:.3g})")
         order = np.argsort(err)[::-1]
         k = int(np.searchsorted(np.cumsum(err[order]), err_sum - 0.5 * tol)) + 1
         if len(lo) + k > _GAUSS_MAX_PANELS:

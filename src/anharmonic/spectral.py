@@ -127,11 +127,12 @@ class _Geometry(NamedTuple):
     x_minus: float  # inner turning point, or the bowl scale x_star below the well
     x_plus: float   # outer turning point, or x_star
     x_match: float  # max(1, x_plus): chi, psi_0 and psi_1's arc meet there, Re R O(1)
-    x_max: float    # seed radius of the sector rays
+    x_max: float    # seed radius of the sector rays, for seeds of the kind asked for
 
 
-def _geometry(params: OscillatorParams) -> _Geometry:
-    """Locate the well of E once and derive every radius from it.
+def _geometry(params: OscillatorParams, refine: bool = True) -> _Geometry:
+    """Locate the well of E once and derive every radius from it, with the
+    seed radius of refined seeds or, refine=False, of plain ones (choose_x_max).
 
     Below the critical energy there is no real pair and the bottom of the
     well x_star stands in for both turning points.
@@ -141,7 +142,7 @@ def _geometry(params: OscillatorParams) -> _Geometry:
         x_minus = x_plus = critical_data(params.alpha, params.ell).x_star
     else:
         x_minus, x_plus = pair
-    return _Geometry(x_minus, x_plus, max(1.0, x_plus), choose_x_max(params, x_plus))
+    return _Geometry(x_minus, x_plus, max(1.0, x_plus), choose_x_max(params, x_plus, refine))
 
 
 def _chi_state(params: OscillatorParams, geo: _Geometry, rtol: float) -> SolutionState:
@@ -192,9 +193,11 @@ def spectral_determinant(params: OscillatorParams, refine: bool = True,
 
     chi is carried outward from the origin series, psi_0 inward from its ray
     seed; both transports run toward their stable direction, so the result is
-    insensitive to seeding error (which only enters multiplicatively).
+    insensitive to seeding error (which only enters multiplicatively).  The
+    seed is refined (sibuya_seed) or, refine=False as in the eigenvalue scans,
+    the plain WKB seed, each at its own radius (choose_x_max).
     """
-    return _determinant(params, _geometry(params), refine, rtol)
+    return _determinant(params, _geometry(params, refine), refine, rtol)
 
 
 def _determinant(params: OscillatorParams, geo: _Geometry, refine: bool,

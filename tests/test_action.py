@@ -19,7 +19,7 @@ from anharmonic import (
     wkb_phase,
     wkb_phase_derivative,
 )
-from anharmonic import action
+from anharmonic import action, model
 from anharmonic.action import PathFrame, PathSpec, _dist_to_origin
 from anharmonic.checks import committed_curves
 from anharmonic.model import CoverPoint
@@ -139,8 +139,19 @@ class TestPhase:
                 return integrand(jac, r)
             return well_quad(params, nan_at_some_nodes, epsabs, name)
         monkeypatch.setattr(action, "_well_quad", poisoned)
-        with pytest.raises(RuntimeError, match=rf"^{stage.__name__} \(alpha=2, ell=0.7, E=6\)"):
+        rounds = []
+        gauss8 = model._gauss8
+
+        def counted(f, lo, hi):
+            rounds.append(len(lo))
+            return gauss8(f, lo, hi)
+        monkeypatch.setattr(model, "_gauss8", counted)
+        named = rf"^{stage.__name__} \(alpha=2, ell=0.7, E=6\): "
+        with pytest.raises(RuntimeError, match=named + r"the integrand is not finite on \d+ of"):
             stage(OscillatorParams(2.0, 6.0, 0.7))
+        # the first round's nan stops the rule; splitting one panel a round up
+        # to the 1,000-panel cap took about 70 ms and blamed the panel count
+        assert len(rounds) == 1
 
 
 def _mp_phase(alpha: float, ell: float, energy: float) -> float:

@@ -410,6 +410,27 @@ class TestSeedRadius:
         # the radius is the contrast rule's root, or the cap short of it
         assert budget <= contrast <= budget * (1.0 + 1e-9) or (x_max == cap and contrast < budget)
 
+    @pytest.mark.parametrize("alpha,ell,energy", [
+        (2.0, 0.0, 3.8), (2.0, 0.0, 7000.0), (0.05, 0.0, 2.0), (0.7, 582.1, 1000.0),
+        (1.0, 1000.0, 2001.0), (30.0, 0.0, 20.0), (200.0, 2.0, 5.0), (0.05, 0.0, 0.5)])
+    def test_scan_radius_meets_the_action_budget_below_the_cap(self, alpha, ell, energy):
+        # the plain seed starts where A = int sqrt(V) from x_match reaches 20,
+        # V = x^(2 alpha) + (ell + 1/2)^2/x^2 - E the reduced potential; the
+        # contrast rule's radius gives A = 38.9, 11.6, 16.7 and 8.5 at the
+        # first four points.  At (0.05, 0, 0.5), below the well, A stays at
+        # 15.6 up to the cap
+        params = OscillatorParams(alpha, energy, ell)
+        geo = _geometry(params, refine=False)
+        x_max = choose_x_max(params, geo.x_plus, refine=False)
+        assert x_max == geo.x_max
+        cap = max(20.0, 3.0 * geo.x_plus)
+        assert geo.x_match < x_max <= cap
+        a2, lam2 = 2 * mp.mpf(alpha), (mp.mpf(ell) + 0.5) ** 2
+        d = x_max - geo.x_match
+        action = float(mp.quad(lambda x: mp.sqrt(max(x ** a2 + lam2 / x ** 2 - energy, 0)),
+                               [geo.x_match + d * f for f in (0, 1e-4, 1e-2, 0.1, 1)]))
+        assert 19.99 <= action <= 20.1 or (x_max == cap and action < 20.0)
+
 
 class TestStepLimit:
     def test_message_names_the_segment(self, monkeypatch):

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import ai_zeros, gamma
@@ -179,6 +180,26 @@ class TestLinearWell:
             assert abs(g / w - 1.0) <= 1e-9
 
 
+class TestTightLevels:
+    """Scans at rel_tol 1e-12 against closed forms: a plain seed started too
+    close in leaves an admixture of the dominant solution that shows here.
+    Seeds at a barrier action of 10 in place of 20 moved the alpha = 1 levels
+    by 2.4e-13, and at 6 the Airy levels by 1.0e-9."""
+
+    def test_quadratic_well(self):
+        # measured 2.5e-14
+        got = eigenvalues(1.0, 0.0, 60, rel_tol=1e-12)
+        for n, g in enumerate(got):
+            assert abs(g / (4.0 * n + 3.0) - 1.0) <= 1e-13
+
+    def test_linear_well(self):
+        # measured 9.6e-14 against mpmath's zeros; scipy's ai_zeros are off
+        # by up to 1e-12 relative at these n
+        got = eigenvalues(0.5, 0.0, 30, rel_tol=1e-12)
+        for n, g in enumerate(got):
+            assert abs(g / -float(mp.airyaizero(n + 1)) - 1.0) <= 2e-13
+
+
 class TestLargeAlpha:
     # (alpha, L): the collocation box holds the two lowest odd levels; from
     # alpha = 58 collocation on L = 1.6 returns negative levels, so the box
@@ -207,6 +228,20 @@ class TestLargeAlpha:
         assert len(levels) == 2
         for n, level in enumerate(levels):
             assert abs(level * wall ** 2 / ((n + 1) * math.pi) ** 2 - 1.0) <= 2e-3
+
+    @pytest.mark.parametrize("alpha", [236.0, 300.0, 1000.0])
+    def test_scans_reach_the_hard_wall_past_the_contrast_overflow(self, alpha):
+        # the wall L of test_levels_approach_the_hard_wall puts E_n at
+        # (j_(ell+1/2, n+1) / L)^2; measured up to 4.7e-4, 3.1e-4 and 3.8e-5.
+        # Until the plain seeds started where the barrier action reaches 20,
+        # these scans raised at the seed radius, where Re R overflows
+        wall = 1.0 + (math.log(2.0 * alpha) - np.euler_gamma) / alpha
+        for ell in (0.0, 2.0):
+            levels = eigenvalues(alpha, ell, 10)
+            assert len(levels) == 11
+            for n, level in enumerate(levels):
+                j = float(mp.besseljzero(ell + 0.5, n + 1))
+                assert abs(level * wall ** 2 / j ** 2 - 1.0) <= 100.0 / alpha ** 2
 
 
 @pytest.fixture
@@ -697,17 +732,14 @@ class TestLoudFailures:
 
     @pytest.mark.parametrize("alpha", [236.0, 300.0])
     def test_seed_radius_overflow_names_the_parameters(self, alpha):
-        # Re R at the cap radius 20 leaves the double range from alpha = 236 on
-        for call, named in ((lambda: r_zero(OscillatorParams(alpha, 2.0, 0.0)), "ell=0, E=2)"),
-                            (lambda: eigenvalues(alpha, 2.0, 1), "ell=2, E=")):
-            with pytest.raises(RuntimeError) as err:
-                call()
-            msg = str(err.value)
-            assert "seed radius: Re R overflows at the cap radius 20" in msg
-            assert f"(alpha={alpha:g}, {named}" in msg
-        # at ell = 0 the phase quadrature passes and the seed radius stops the scan
-        with pytest.raises(RuntimeError, match=f"seed radius: .*alpha={alpha:g}, ell=0"):
-            eigenvalues(alpha, 0.0, 1)
+        # Re R at the cap radius 20 leaves the double range from alpha = 236
+        # on; refined seeds keep that radius rule and raise, while scans seed
+        # by the barrier action and run on (TestLargeAlpha)
+        with pytest.raises(RuntimeError) as err:
+            r_zero(OscillatorParams(alpha, 2.0, 0.0))
+        msg = str(err.value)
+        assert "seed radius: Re R overflows at the cap radius 20" in msg
+        assert f"(alpha={alpha:g}, ell=0, E=2)" in msg
 
     def test_tail_volterra_overflow_names_the_parameters(self):
         # just below the seed-radius guard x^(2 alpha) overflows on the tail

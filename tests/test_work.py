@@ -73,7 +73,7 @@ class TestTransportCounts:
         w = work(lambda: eigenvalues(2.0, 0.0, 30))
         assert (w["determinants"], w["series_evaluations"]) == (100, 400)
         assert w["real_transports"] == w["transports"] == 200
-        assert w["rhs_calls"] == calls[0] == 329_036
+        assert w["rhs_calls"] == calls[0] == 288_392
         assert w["rescans"] == 0
 
 
